@@ -121,7 +121,7 @@ std::string to_json(const AdviceReport& report) {
   }
   w.end_array();
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 AdviceReport advice_from_json(std::string_view text) {

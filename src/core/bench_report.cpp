@@ -157,7 +157,7 @@ std::string to_json(const BenchReport& report) {
   }
 
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 BenchReport report_from_json(std::string_view text) {

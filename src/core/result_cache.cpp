@@ -169,7 +169,7 @@ bool ResultCache::store(const CacheKey& key,
     {
       std::ofstream out(tmp, std::ios::trunc);
       if (!out) return false;
-      out << w.str() << "\n";
+      out << std::move(w).str() << "\n";
       if (!out) return false;
     }
     fs::rename(tmp, path);

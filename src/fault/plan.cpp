@@ -67,7 +67,7 @@ std::string to_json(const FaultPlan& plan) {
   w.end_object();
 
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 namespace {

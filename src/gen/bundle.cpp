@@ -77,7 +77,7 @@ std::string to_json(const ReproBundle& bundle) {
   w.end_object();
 
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 ReproBundle bundle_from_json(std::string_view text) {

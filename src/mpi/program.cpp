@@ -126,13 +126,13 @@ namespace {
 /// catches the alltoallv counts-length bug when the op is written, not
 /// when lowering throws halfway through a simulation.
 void check_op(const Op& op, std::uint32_t ranks) {
-  if (op.kind == Op::Kind::kAlltoallv) {
-    support::check(op.counts.size() == ranks, "Program::append",
-                   "alltoallv counts vector has " +
-                       std::to_string(op.counts.size()) +
-                       " entries but the program has " +
-                       std::to_string(ranks) +
-                       " ranks (need one byte count per destination)");
+  if (op.kind == Op::Kind::kAlltoallv && op.counts.size() != ranks) {
+    support::fail("Program::append",
+                  "alltoallv counts vector has " +
+                      std::to_string(op.counts.size()) +
+                      " entries but the program has " +
+                      std::to_string(ranks) +
+                      " ranks (need one byte count per destination)");
   }
 }
 
@@ -204,11 +204,12 @@ void lower_allreduce(const Op& op, std::uint32_t rank, std::uint32_t ranks,
 /// upgraded-network ablation compares against.)
 void lower_alltoallv(const Op& op, std::uint32_t rank, std::uint32_t ranks,
                      std::int32_t tag, std::vector<Op>& out) {
-  support::check(op.counts.size() == ranks, "lower_collective",
-                 "alltoallv counts vector has " +
-                     std::to_string(op.counts.size()) + " entries for " +
-                     std::to_string(ranks) +
-                     " ranks (need one byte count per destination)");
+  if (op.counts.size() != ranks)
+    support::fail("lower_collective",
+                  "alltoallv counts vector has " +
+                      std::to_string(op.counts.size()) + " entries for " +
+                      std::to_string(ranks) +
+                      " ranks (need one byte count per destination)");
   for (std::uint32_t step = 1; step < ranks; ++step) {
     const std::uint32_t dst = (rank + step) % ranks;
     const auto t = static_cast<std::int32_t>(tag + step);

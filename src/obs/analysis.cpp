@@ -292,7 +292,7 @@ std::string to_json(const Analysis& a) {
   }
   w.end_array();
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 namespace {

@@ -1,8 +1,12 @@
 #include "obs/chrome_trace.h"
 
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "support/check.h"
 #include "support/version.h"
@@ -71,21 +75,27 @@ void write_chrome_trace(std::ostream& os, const trace::Trace& trace,
   // Fig. 4 classification, per collective label: occurrence index i of a
   // rank belongs to instance i, and an instance (or a single rank within
   // it) is delayed when it exceeds delay_factor x the label's median.
-  std::map<std::string, trace::CollectiveReport> reports;
+  struct LabelState {
+    trace::CollectiveReport report;
+    std::vector<std::size_t> next_instance;  ///< indexed by rank
+  };
+  const std::uint32_t ranks = trace.ranks();
+  std::map<std::string, LabelState, std::less<>> collectives;
   for (const auto& r : trace.records()) {
-    if (r.kind == trace::EventKind::kCollective && !reports.count(r.label))
-      reports.emplace(r.label, trace::analyze_collectives(
-                                   trace, r.label, options.delay_factor));
+    if (r.kind == trace::EventKind::kCollective && !collectives.count(r.label))
+      collectives.emplace(
+          r.label,
+          LabelState{trace::analyze_collectives(trace, r.label,
+                                                options.delay_factor),
+                     std::vector<std::size_t>(ranks, 0)});
   }
-  // Occurrence counters: (label, rank) -> next instance index.
-  std::map<std::pair<std::string, std::uint32_t>, std::size_t> occurrence;
 
   JsonWriter w;
   w.begin_object();
   w.key("traceEvents").begin_array();
 
   write_process_name(w, kClusterPid, "cluster");
-  for (std::uint32_t r = 0; r < trace.ranks(); ++r)
+  for (std::uint32_t r = 0; r < ranks; ++r)
     write_thread_name(w, kClusterPid, r, "rank " + std::to_string(r));
 
   for (const auto& rec : trace.records()) {
@@ -106,9 +116,8 @@ void write_chrome_trace(std::ostream& os, const trace::Trace& trace,
     }
     w.begin_object();
     w.field("ph", "X");
-    w.field("name", rec.label.empty()
-                        ? std::string(trace::event_kind_name(rec.kind))
-                        : rec.label);
+    w.field("name", rec.label.empty() ? trace::event_kind_name(rec.kind)
+                                      : std::string_view(rec.label));
     w.field("cat", trace::event_kind_name(rec.kind));
     w.field("pid", kClusterPid);
     w.field("tid", rec.rank);
@@ -117,8 +126,9 @@ void write_chrome_trace(std::ostream& os, const trace::Trace& trace,
     w.key("args").begin_object();
     if (rec.bytes > 0) w.field("bytes", rec.bytes);
     if (rec.kind == trace::EventKind::kCollective) {
-      const auto& report = reports.at(rec.label);
-      const std::size_t index = occurrence[{rec.label, rec.rank}]++;
+      LabelState& state = collectives.find(rec.label)->second;
+      const trace::CollectiveReport& report = state.report;
+      const std::size_t index = state.next_instance[rec.rank]++;
       w.field("instance", static_cast<std::uint64_t>(index));
       const bool delayed = index < report.instances.size() &&
                            report.instances[index].delayed;
@@ -158,7 +168,7 @@ void write_chrome_trace(std::ostream& os, const trace::Trace& trace,
   if (trace.has_provenance()) w.field("seed", trace.seed());
   w.end_object();
   w.end_object();
-  os << w.str();
+  os << std::move(w).str();
 }
 
 }  // namespace mb::obs

@@ -41,7 +41,7 @@ std::string to_json(const Profile& profile) {
   w.key("metrics");
   write_metrics_json(w, profile.metrics);
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 Profile profile_from_json(std::string_view text) {

@@ -38,7 +38,7 @@ std::string to_json(const TimeSeries& ts) {
   }
   w.end_array();
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 TimeSeries timeseries_from_json(std::string_view text) {

@@ -1,18 +1,27 @@
 #include "support/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "support/check.h"
 
 namespace mb::support {
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
+namespace {
+
+/// Appends `s` escaped (no quotes). Runs of bytes that need no escape
+/// are copied with one append each.
+void append_escaped(std::string& out, std::string_view s) {
+  constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -22,34 +31,67 @@ std::string json_escape(std::string_view s) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[40];
+  char* end = buf;
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
+    // Integral values within the exactly-representable range print
+    // without an exponent or trailing ".0" noise.
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, 0)
+              .ptr;
+  } else {
+    // The smallest %g precision >= 6 that round-trips. No precision below
+    // the shortest round-trip digit count P can succeed, so the search
+    // starts at max(6, P) and almost always stops there.
+    end = std::to_chars(buf, buf + sizeof buf, v,
+                        std::chars_format::scientific)
+              .ptr;
+    const int shortest = static_cast<int>(std::count_if(
+        buf, std::find(buf, end, 'e'),
+        [](char c) { return c >= '0' && c <= '9'; }));
+    for (int prec = std::max(6, shortest); prec <= 17; ++prec) {
+      end = std::to_chars(buf, buf + sizeof buf, v,
+                          std::chars_format::general, prec)
+                .ptr;
+      double back = 0.0;
+      std::from_chars(buf, end, back);
+      if (back == v) break;
+    }
+  }
+  out.append(buf, end);
+}
+
+template <typename Int>
+void append_integer(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
 }
 
 std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  // Integral values within the exactly-representable range print without
-  // an exponent or trailing ".0" noise.
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
-  // Shortest representation that round-trips: try increasing precision.
-  char buf[40];
-  for (int prec = 6; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
+  std::string out;
+  append_number(out, v);
+  return out;
 }
 
 JsonWriter::JsonWriter(bool pretty) : pretty_(pretty) {}
@@ -127,7 +169,7 @@ JsonWriter& JsonWriter::key(std::string_view name) {
   newline_indent();
   first_in_frame_ = false;
   out_ += '"';
-  out_ += json_escape(name);
+  append_escaped(out_, name);
   out_ += pretty_ ? "\": " : "\":";
   expect_key_ = false;
   return *this;
@@ -136,26 +178,26 @@ JsonWriter& JsonWriter::key(std::string_view name) {
 JsonWriter& JsonWriter::value(std::string_view v) {
   before_value();
   out_ += '"';
-  out_ += json_escape(v);
+  append_escaped(out_, v);
   out_ += '"';
   return *this;
 }
 
 JsonWriter& JsonWriter::value(double v) {
   before_value();
-  out_ += json_number(v);
+  append_number(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   before_value();
-  out_ += std::to_string(v);
+  append_integer(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   before_value();
-  out_ += std::to_string(v);
+  append_integer(out_, v);
   return *this;
 }
 
@@ -171,10 +213,20 @@ JsonWriter& JsonWriter::null() {
   return *this;
 }
 
-std::string JsonWriter::str() const {
+void JsonWriter::check_finished() const {
   check(stack_.empty(), "JsonWriter", "unclosed object or array");
   check(!out_.empty(), "JsonWriter", "no value written");
+}
+
+std::string JsonWriter::str() const& {
+  check_finished();
   return pretty_ ? out_ + "\n" : out_;
+}
+
+std::string JsonWriter::str() && {
+  check_finished();
+  if (pretty_) out_ += '\n';
+  return std::move(out_);
 }
 
 // ---------------------------------------------------------------------------

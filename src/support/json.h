@@ -22,9 +22,11 @@ namespace mb::support {
 /// passes valid UTF-8 bytes through untouched.
 std::string json_escape(std::string_view s);
 
-/// Formats a double so that parsing it back yields the same value
-/// (shortest round-trip representation). Non-finite values are not
-/// representable in JSON and are emitted as null by the writer.
+/// Formats a double so that parsing it back yields the same value.
+/// Integral values with |v| < 1e15 print as plain digits; any other
+/// finite value prints as `%.Pg` with the smallest P >= 6 that
+/// round-trips. Non-finite values are not representable in JSON and are
+/// emitted as null.
 std::string json_number(double v);
 
 /// Streaming JSON writer.
@@ -67,18 +69,22 @@ class JsonWriter {
 
   /// key() + value() in one call.
   template <typename T>
-  JsonWriter& field(std::string_view name, T v) {
+  JsonWriter& field(std::string_view name, const T& v) {
     key(name);
     return value(v);
   }
 
-  /// The finished document. Throws if containers are still open.
-  std::string str() const;
+  /// The finished document. Throws if containers are still open. The
+  /// rvalue overload (`std::move(w).str()`) hands over the buffer
+  /// instead of copying it.
+  std::string str() const&;
+  std::string str() &&;
 
  private:
   enum class Frame : std::uint8_t { kObject, kArray };
   void before_value();
   void newline_indent();
+  void check_finished() const;
 
   std::string out_;
   std::vector<Frame> stack_;

@@ -86,8 +86,9 @@ double read_f64(std::istream& is) {
 
 std::string read_string(std::istream& is, std::uint32_t max_len) {
   const std::uint32_t len = read_u32(is);
-  support::check(len <= max_len, "read_mb_trace",
-                 "implausible string length " + std::to_string(len));
+  if (len > max_len)
+    support::fail("read_mb_trace",
+                  "implausible string length " + std::to_string(len));
   std::string s(len, '\0');
   if (len > 0) read_exact(is, s.data(), len);
   return s;

@@ -68,6 +68,17 @@ EventKind parse_event_kind(std::string_view name) {
 }
 
 void Trace::write_paraver(std::ostream& os) const {
+  // One record per line: a label with a line break would split its record
+  // into two unparseable lines, so refuse before writing anything.
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    const Record& r = records_[i];
+    if (r.label.find_first_of("\r\n") != std::string::npos)
+      support::fail("Trace::write_paraver",
+                    "record " + std::to_string(i) + " (rank " +
+                        std::to_string(r.rank) +
+                        "): label contains a line break, which a Paraver "
+                        "dump cannot carry");
+  }
   os << "#Paraver-like state records (rank:kind:label:t0_us:t1_us:bytes)\n";
   if (has_provenance_)
     os << "#provenance tool_version=" << tool_version_ << " seed=" << seed_
@@ -86,14 +97,20 @@ void Trace::write_paraver(std::ostream& os) const {
 
 namespace {
 
+// The parser's checks run per character and per line, so a message is
+// built only after a check has failed.
+[[noreturn]] void fail_at_line(std::size_t line_no, std::string_view why) {
+  support::fail("parse_paraver",
+                "line " + std::to_string(line_no) + ": " + std::string(why));
+}
+
 std::uint64_t parse_u64_field(std::string_view field, std::size_t line_no) {
+  if (field.empty()) fail_at_line(line_no, "empty numeric field");
   std::uint64_t value = 0;
-  support::check(!field.empty(), "parse_paraver",
-                 "line " + std::to_string(line_no) + ": empty numeric field");
   for (const char c : field) {
-    support::check(c >= '0' && c <= '9', "parse_paraver",
-                   "line " + std::to_string(line_no) +
-                       ": non-numeric field '" + std::string(field) + "'");
+    if (c < '0' || c > '9')
+      fail_at_line(line_no,
+                   "non-numeric field '" + std::string(field) + "'");
     value = value * 10 + static_cast<std::uint64_t>(c - '0');
   }
   return value;
@@ -128,21 +145,19 @@ Trace parse_paraver(std::istream& is) {
     // Anchor the split from both ends: the first two fields (rank, kind)
     // and the last three (t0, t1, bytes) cannot contain ':', so a label
     // containing ':' still parses.
-    const auto fail_at = [&](std::string_view why) {
-      support::fail("parse_paraver", "line " + std::to_string(line_no) +
-                                         ": " + std::string(why));
-    };
     const std::size_t c1 = view.find(':');
-    if (c1 == std::string_view::npos) fail_at("missing ':' separators");
+    if (c1 == std::string_view::npos)
+      fail_at_line(line_no, "missing ':' separators");
     const std::size_t c2 = view.find(':', c1 + 1);
-    if (c2 == std::string_view::npos) fail_at("too few fields");
+    if (c2 == std::string_view::npos) fail_at_line(line_no, "too few fields");
     const std::size_t c5 = view.rfind(':');
     const std::size_t c4 = c5 > 0 ? view.rfind(':', c5 - 1)
                                   : std::string_view::npos;
     const std::size_t c3 = c4 != std::string_view::npos && c4 > 0
                                ? view.rfind(':', c4 - 1)
                                : std::string_view::npos;
-    if (c3 == std::string_view::npos || c3 < c2) fail_at("too few fields");
+    if (c3 == std::string_view::npos || c3 < c2)
+      fail_at_line(line_no, "too few fields");
 
     Record r;
     r.rank = static_cast<std::uint32_t>(
@@ -156,9 +171,7 @@ Trace parse_paraver(std::istream& is) {
                parse_u64_field(view.substr(c4 + 1, c5 - c4 - 1), line_no)) /
            1e6;
     r.bytes = parse_u64_field(view.substr(c5 + 1), line_no);
-    support::check(r.t1 >= r.t0, "parse_paraver",
-                   "line " + std::to_string(line_no) +
-                       ": event ends before it starts");
+    if (r.t1 < r.t0) fail_at_line(line_no, "event ends before it starts");
     trace.add(std::move(r));
   }
   return trace;
@@ -175,9 +188,10 @@ CollectiveReport analyze_collectives(const Trace& trace,
   support::check(delay_factor > 1.0, "analyze_collectives",
                  "delay_factor must exceed 1");
   // Group the i-th collective occurrence of each rank into instance i.
-  std::map<std::uint32_t, std::vector<Record>> per_rank;
-  for (const auto& r : trace.filter(EventKind::kCollective, label))
-    per_rank[r.rank].push_back(r);
+  std::map<std::uint32_t, std::vector<const Record*>> per_rank;
+  for (const auto& r : trace.records())
+    if (r.kind == EventKind::kCollective && (label.empty() || r.label == label))
+      per_rank[r.rank].push_back(&r);
 
   CollectiveReport report;
   if (per_rank.empty()) return report;
@@ -193,8 +207,8 @@ CollectiveReport analyze_collectives(const Trace& trace,
     inst.start = 1e300;
     for (const auto& [rank, recs] : per_rank) {
       if (i >= recs.size()) continue;
-      inst.start = std::min(inst.start, recs[i].t0);
-      inst.duration = std::max(inst.duration, recs[i].duration());
+      inst.start = std::min(inst.start, recs[i]->t0);
+      inst.duration = std::max(inst.duration, recs[i]->duration());
     }
     durations.push_back(inst.duration);
     report.instances.push_back(inst);
@@ -210,7 +224,7 @@ CollectiveReport analyze_collectives(const Trace& trace,
     // instance (partial delays: only some ranks suffer).
     for (const auto& [rank, recs] : per_rank) {
       if (inst.index < recs.size() &&
-          recs[inst.index].duration() > threshold)
+          recs[inst.index]->duration() > threshold)
         ++inst.slow_ranks;
     }
     if (inst.slow_ranks > 0 && inst.slow_ranks < per_rank.size())

@@ -139,7 +139,7 @@ std::string diagnostics_to_json(const Report& report,
   }
   w.end_array();
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 void publish_diagnostics(const Report& report, std::string_view pass) {

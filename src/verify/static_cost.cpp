@@ -364,11 +364,12 @@ class Interpreter {
       }
     }
     for (std::uint32_t r = 0; r < ranks_; ++r) {
-      support::check(pc[r] >= schedule_[r].size(), "analyze_cost",
-                     "abstract execution stalled (rank " +
-                         std::to_string(r) +
-                         " blocked): the program has matching errors — "
-                         "run verify_program first");
+      if (pc[r] < schedule_[r].size())
+        support::fail("analyze_cost",
+                      "abstract execution stalled (rank " +
+                          std::to_string(r) +
+                          " blocked): the program has matching errors — "
+                          "run verify_program first");
       per_rank_[r].finish_lower_s = clock[r];
       makespan_lower_ = std::max(makespan_lower_, clock[r]);
     }
@@ -648,7 +649,7 @@ std::string static_analysis_to_json(const CostReport& r,
   }
   w.end_array();
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 }  // namespace mb::verify

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 
 #include "support/check.h"
+#include "support/rng.h"
 
 namespace mb::support {
 namespace {
@@ -20,6 +25,113 @@ TEST(JsonEscape, EscapesSpecials) {
   EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
   EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
   EXPECT_EQ(json_escape(std::string("a\x01") + "b"), "a\\u0001b");
+  EXPECT_EQ(json_escape("\x1f\b\f\r"), "\\u001f\\b\\f\\r");
+  EXPECT_EQ(json_escape(std::string("x\0y", 3)), "x\\u0000y");
+  EXPECT_EQ(json_escape("\"\""), "\\\"\\\"");
+}
+
+/// The number format as first written: every %g precision from 6 up,
+/// each checked by parsing it back with strtod. json_number must stay
+/// byte-identical to it (checked-in goldens and cache entries depend on
+/// the exact digits), so it is kept here as the oracle.
+std::string reference_json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+    return buf;
+  }
+  char buf[40];
+  for (int prec = 6; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+double from_bits(std::uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+/// Compares json_number with the reference on `n` values drawn from
+/// `next`; stops after a few mismatches so a regression stays readable.
+template <typename Next>
+void expect_matches_reference(std::size_t n, Next next) {
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < n && mismatches < 5; ++i) {
+    const double v = next();
+    const std::string got = json_number(v);
+    const std::string want = reference_json_number(v);
+    if (got != want) {
+      ++mismatches;
+      ADD_FAILURE() << std::hexfloat << v << ": got " << got << ", want "
+                    << want;
+    }
+  }
+}
+
+TEST(JsonNumberReference, UniformMicrosecondValues) {
+  Rng rng(2013);
+  expect_matches_reference(400'000, [&] { return rng.uniform(0.0, 1e6); });
+}
+
+TEST(JsonNumberReference, RandomBitPatterns) {
+  Rng rng(7);
+  expect_matches_reference(400'000, [&] {
+    double v = from_bits(rng());
+    while (!std::isfinite(v)) v = from_bits(rng());
+    return v;
+  });
+}
+
+TEST(JsonNumberReference, Subnormals) {
+  Rng rng(11);
+  expect_matches_reference(100'000, [&] {
+    constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
+    constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+    const std::uint64_t bits = rng();
+    return from_bits((bits & kMantissa) | (bits & kSign));
+  });
+}
+
+TEST(JsonNumberReference, FormatSwitchPointsAndExtremes) {
+  // Every double within 20000 ulps of each point where the format
+  // changes: %g's fixed/exponent switches (1e-5, 1e-4, 1e6, 1e16, 1e17)
+  // and the integral-fixed cutoff at 1e15, on both signs.
+  std::vector<double> values{0.0,
+                             -0.0,
+                             DBL_MAX,
+                             -DBL_MAX,
+                             DBL_MIN,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             1e15 - 1,
+                             -(1e15 - 1)};
+  for (const double anchor : {1e-5, 1e-4, 1e6, 1e15, 1e16, 1e17}) {
+    for (const double sign : {1.0, -1.0}) {
+      double up = sign * anchor;
+      double down = up;
+      for (int i = 0; i < 20000; ++i) {
+        values.push_back(up);
+        values.push_back(down);
+        up = std::nextafter(up, sign * DBL_MAX);
+        down = std::nextafter(down, 0.0);
+      }
+    }
+  }
+  ASSERT_GE(values.size(), 240'000u);
+  std::size_t i = 0;
+  expect_matches_reference(values.size(), [&] { return values[i++]; });
+  EXPECT_EQ(json_number(-0.0), "-0");
+  EXPECT_EQ(json_number(1e15), "1e+15");
+  EXPECT_EQ(json_number(1e15 - 1), "999999999999999");
+  EXPECT_EQ(json_number(3e-4), "0.0003");
+  EXPECT_EQ(json_number(3e-5), "3e-05");
+  EXPECT_EQ(json_number(DBL_MAX), "1.7976931348623157e+308");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::denorm_min()),
+            "4.94066e-324");
 }
 
 TEST(JsonNumber, IntegersHaveNoDecimalNoise) {
@@ -74,6 +186,17 @@ TEST(JsonWriter, EmptyContainers) {
   w.key("o").begin_object().end_object();
   w.end_object();
   EXPECT_EQ(w.str(), "{\"a\":[],\"o\":{}}");
+}
+
+TEST(JsonWriter, MovedOutStrMatchesCopy) {
+  for (const bool pretty : {true, false}) {
+    JsonWriter w(pretty);
+    w.begin_object();
+    w.field("k", 0.1);
+    w.end_object();
+    const std::string copy = w.str();
+    EXPECT_EQ(std::move(w).str(), copy);
+  }
 }
 
 TEST(JsonWriter, PrettyOutputParses) {

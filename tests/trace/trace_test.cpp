@@ -123,6 +123,49 @@ TEST(Trace, ParseParaverAllowsColonInLabel) {
   EXPECT_EQ(t.records()[0].kind, EventKind::kCompute);
 }
 
+TEST(Trace, ParaverRefusesLabelsWithLineBreaks) {
+  // A label read from a hostile mb-trace file may hold a line break; the
+  // dump would split that record into lines parse_paraver() rejects.
+  for (const char* label : {"bad\nlabel", "bad\rlabel", "trailing\n"}) {
+    Trace t;
+    t.add(rec(0, 0.0, 1.0, EventKind::kCompute, "fine"));
+    t.add(rec(3, 1.0, 2.0, EventKind::kCompute, label));
+    std::ostringstream os;
+    try {
+      t.write_paraver(os);
+      ADD_FAILURE() << "label with a line break was written";
+    } catch (const support::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("record 1 (rank 3)"), std::string::npos) << what;
+      EXPECT_NE(what.find("line break"), std::string::npos) << what;
+    }
+    EXPECT_TRUE(os.str().empty());  // nothing half-written
+  }
+}
+
+TEST(Trace, ParseParaverErrorsNameTheLine) {
+  const auto message = [](const std::string& dump) {
+    try {
+      parse_paraver(dump);
+    } catch (const support::Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string header = "# header\n0:compute:x:0:1:0\n";
+  EXPECT_NE(message(header + "0:compute:x:1a:2:0\n")
+                .find("line 3: non-numeric field '1a'"),
+            std::string::npos);
+  EXPECT_NE(message(header + "0:compute:x::2:0\n")
+                .find("line 3: empty numeric field"),
+            std::string::npos);
+  EXPECT_NE(message(header + "0:compute:x:5:2:0\n")
+                .find("line 3: event ends before it starts"),
+            std::string::npos);
+  EXPECT_NE(message(header + "0:compute:x:5\n").find("line 3: too few fields"),
+            std::string::npos);
+}
+
 TEST(Trace, ParseParaverRejectsMalformedLines) {
   EXPECT_THROW(parse_paraver("not a record\n"), support::Error);
   EXPECT_THROW(parse_paraver("0:compute:x:1\n"), support::Error);       // too few
