@@ -4,6 +4,7 @@
 // promotion shifts at least one of these counts.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -18,6 +19,12 @@ struct PerftCase {
   int depth;
   std::uint64_t nodes;
 };
+
+// Without this gtest prints the raw bytes, pointers included, so the
+// discovered ctest names would change with every run under ASLR.
+void PrintTo(const PerftCase& c, std::ostream* os) {
+  *os << "depth=" << c.depth << " nodes=" << c.nodes;
+}
 
 class PerftOracle : public ::testing::TestWithParam<PerftCase> {};
 
