@@ -1,7 +1,6 @@
 #include "apps/cluster.h"
 
 #include <limits>
-#include <memory>
 #include <utility>
 
 #include "obs/rollup.h"
@@ -40,25 +39,27 @@ void aggregate_link(AppRunResult& result, const net::Network& network,
   }
 }
 
-/// Partitions the tree topology for the sharded engine: each leaf-switch
+/// Partitions the tree topology for the engine. Split: each leaf-switch
 /// subtree (the switch plus its hosts) is one shard, the root switch is
-/// its own shard. Single-switch clusters collapse to one shard (the
-/// engine then runs a single unbounded window).
+/// its own shard. Unsplit runs and single-switch clusters are one shard:
+/// the serial engine, a single unbounded window.
 void configure_sharding(sim::ShardedEngine& engine, const net::Network& net,
                         const net::ClusterTopology& topo,
-                        const ClusterConfig& config) {
-  std::vector<std::uint32_t> node_to_shard(net.nodes(), 0);
-  std::uint32_t nshards = 1;
-  if (topo.leaf_switches.size() > 1) {
-    nshards = static_cast<std::uint32_t>(topo.leaf_switches.size()) + 1;
-    for (std::size_t i = 0; i < topo.leaf_switches.size(); ++i)
-      node_to_shard[topo.leaf_switches[i]] = static_cast<std::uint32_t>(i);
-    node_to_shard[topo.root_switch] = nshards - 1;
-    for (std::uint32_t n = 0; n < config.nodes; ++n)
-      node_to_shard[topo.hosts[n]] = n / config.tree.switch_ports;
+                        const ClusterConfig& config, bool split) {
+  if (!split || topo.leaf_switches.size() <= 1) {
+    engine.configure({}, 1, std::numeric_limits<double>::infinity());
+    return;
   }
+  const auto nshards =
+      static_cast<std::uint32_t>(topo.leaf_switches.size()) + 1;
+  std::vector<std::uint32_t> node_to_shard(net.nodes(), 0);
+  for (std::size_t i = 0; i < topo.leaf_switches.size(); ++i)
+    node_to_shard[topo.leaf_switches[i]] = static_cast<std::uint32_t>(i);
+  node_to_shard[topo.root_switch] = nshards - 1;
+  for (std::uint32_t n = 0; n < config.nodes; ++n)
+    node_to_shard[topo.hosts[n]] = n / config.tree.switch_ports;
   // Conservative lookahead: no shard can affect another sooner than the
-  // fastest cross-shard link delivers (+infinity with a single shard).
+  // fastest cross-shard link delivers.
   double lookahead = std::numeric_limits<double>::infinity();
   for (std::size_t li = 0; li < net.link_count(); ++li) {
     if (node_to_shard[net.link_from(li)] != node_to_shard[net.link_to(li)])
@@ -72,12 +73,14 @@ void configure_sharding(sim::ShardedEngine& engine, const net::Network& net,
 /// stay bounded (a 10k-rank tree has thousands of host links; sampling
 /// them all would defeat the memory budget — uplinks alone carry the
 /// congestion signal there).
-void register_probes(obs::TimeSampler& sampler, sim::EventQueue& queue,
+void register_probes(obs::TimeSampler& sampler,
+                     const sim::ShardedEngine& engine,
                      const net::Network& network,
                      const net::ClusterTopology& topo,
                      const ClusterConfig& config) {
-  sampler.add_probe("sim.pending_events",
-                    [&queue] { return static_cast<double>(queue.pending()); });
+  sampler.add_probe("sim.pending_events", [&engine] {
+    return static_cast<double>(engine.stats().pending);
+  });
   sampler.add_probe("net.in_flight_messages", [&network] {
     return static_cast<double>(network.in_flight_messages());
   });
@@ -155,24 +158,15 @@ AppRunResult run_on_cluster(const ClusterConfig& config,
     check_rank_map(config, program.ranks());
   }
 
-  // Fault injection (hooks, failure detector) and the time sampler need
-  // the serial queue: they touch cross-shard state at arbitrary times.
-  const bool sharded = config.sim_jobs > 0 && !hooks.on_ready &&
-                       config.mpi.recv_timeout_s == 0.0 &&
-                       !config.timeseries.enabled;
-
-  std::unique_ptr<sim::EventQueue> queue;
-  std::unique_ptr<sim::ShardedEngine> engine;
-  std::unique_ptr<net::Network> network;
-  if (sharded) {
-    engine = std::make_unique<sim::ShardedEngine>(config.sim_jobs);
-    network = std::make_unique<net::Network>(*engine, config.mtu_bytes);
-  } else {
-    queue = std::make_unique<sim::EventQueue>();
-    network = std::make_unique<net::Network>(*queue, config.mtu_bytes);
-  }
-  const net::ClusterTopology topo = net::build_tree(*network, config.tree);
-  if (sharded) configure_sharding(*engine, *network, topo, config);
+  // Fault injection (hooks, failure detector) and the time sampler touch
+  // cross-shard state at arbitrary times: they run on one shard.
+  const bool split = config.sim_jobs > 0 && !hooks.on_ready &&
+                     config.mpi.recv_timeout_s == 0.0 &&
+                     !config.timeseries.enabled;
+  sim::ShardedEngine engine(config.sim_jobs);
+  net::Network network(engine, config.mtu_bytes);
+  const net::ClusterTopology topo = net::build_tree(network, config.tree);
+  configure_sharding(engine, network, topo, config, split);
 
   std::vector<net::NodeId> rank_to_host;
   rank_to_host.reserve(program.ranks());
@@ -183,43 +177,34 @@ AppRunResult run_on_cluster(const ClusterConfig& config,
     rank_to_host.push_back(topo.hosts[node]);
   }
 
-  AppRunResult result;
-  std::unique_ptr<mpi::Runtime> runtime;
-  if (sharded) {
-    runtime = std::make_unique<mpi::Runtime>(*engine, *network,
-                                             std::move(rank_to_host),
-                                             config.mpi, &result.trace);
-  } else {
-    runtime = std::make_unique<mpi::Runtime>(*queue, *network,
-                                             std::move(rank_to_host),
-                                             config.mpi, &result.trace);
-  }
-  std::unique_ptr<trace::StreamingSink> stream;
-  if (config.streaming_trace) {
-    stream = std::make_unique<trace::StreamingSink>(program.ranks(),
-                                                    config.trace_sink);
-    runtime->set_trace_sink(stream.get());
-  }
+  // Without capture options the sink keeps every record of every rank.
+  trace::SinkConfig keep_all;
+  keep_all.ring_capacity = 0;
+  const trace::SinkConfig& capture =
+      config.streaming_trace ? config.trace_sink : keep_all;
+  trace::StreamingSink sink(program.ranks(), capture);
+  mpi::Runtime runtime(engine, network, std::move(rank_to_host), config.mpi,
+                       &sink);
   obs::TimeSampler sampler;
   if (config.timeseries.enabled) {
-    register_probes(sampler, *queue, *network, topo, config);
-    sampler.arm(*queue, config.timeseries.interval_s,
+    register_probes(sampler, engine, network, topo, config);
+    sampler.arm(engine, config.timeseries.interval_s,
                 config.timeseries.max_samples);
   }
 
-  if (hooks.on_ready)
-    hooks.on_ready(*queue, *network, topo, *runtime, result.trace);
-  const mpi::RunOutcome outcome = runtime->run_outcome(program);
+  if (hooks.on_ready) hooks.on_ready(engine, network, topo, runtime);
+  const mpi::RunOutcome outcome = runtime.run_outcome(program);
+  AppRunResult result;
   result.completed = outcome.completed;
   result.makespan_s = outcome.makespan_s;
   result.failed_at_s = outcome.drained_s;
   result.failure = outcome.failure;
 
-  if (stream) {
-    stream->close();
-    if (config.trace_sink.spill_path.empty()) stream->drain(result.trace);
-    result.trace_sampled_ranks = stream->sampled_ranks();
-    result.trace_dropped = stream->total_dropped();
+  sink.close();
+  if (capture.spill_path.empty()) sink.drain(result.trace);
+  if (config.streaming_trace) {
+    result.trace_sampled_ranks = sink.sampled_ranks();
+    result.trace_dropped = sink.total_dropped();
   }
   if (config.timeseries.enabled) {
     result.timeseries = sampler.take();
@@ -229,11 +214,7 @@ AppRunResult run_on_cluster(const ClusterConfig& config,
 
   // The engine dies with this scope — publish its DES statistics now so a
   // profile snapshot taken after the run still sees them.
-  if (sharded) {
-    obs::publish_scheduler(obs::metrics(), *engine);
-  } else {
-    obs::publish_event_queue(obs::metrics(), *queue);
-  }
+  obs::publish_scheduler(obs::metrics(), engine);
 
   // Aggregate link counters over host links (both directions) and uplinks.
   for (std::uint32_t n = 0; n < config.nodes; ++n) {
@@ -242,11 +223,11 @@ AppRunResult run_on_cluster(const ClusterConfig& config,
         topo.leaf_switches.size() == 1
             ? topo.leaf_switches[0]
             : topo.leaf_switches[n / config.tree.switch_ports];
-    aggregate_link(result, *network, host, sw);
+    aggregate_link(result, network, host, sw);
   }
   if (topo.leaf_switches.size() > 1) {
     for (const net::NodeId sw : topo.leaf_switches)
-      aggregate_link(result, *network, sw, topo.root_switch);
+      aggregate_link(result, network, sw, topo.root_switch);
   }
   return result;
 }

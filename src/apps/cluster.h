@@ -1,5 +1,11 @@
 // Cluster harness: wires a topology, an MPI runtime and a trace together
 // so application models can be launched with one call.
+//
+// Every run builds one sim::ShardedEngine and one trace::StreamingSink.
+// The engine runs one shard (the serial engine) unless sim_jobs > 0 and
+// nothing needs global state mid-run; the sink keeps every record of
+// every rank unless a capture option bounds it. Records drain rank-major,
+// so traces are byte-identical whichever way the engine was split.
 #pragma once
 
 #include <cstdint>
@@ -16,9 +22,9 @@
 namespace mb::apps {
 
 /// Metrics time-series sampling during the run (obs::TimeSampler).
-/// Enabling it forces the classic serial engine: the probes read global
-/// state (queue depth, link counters) that has no single owner under the
-/// sharded engine.
+/// Enabling it forces one shard: the probes read global state (queue
+/// depth, link counters) that has no single owner once the topology is
+/// split across shards.
 struct TimeSeriesConfig {
   bool enabled = false;
   double interval_s = 0.1;  ///< simulated seconds between samples
@@ -36,21 +42,21 @@ struct ClusterConfig {
   /// Frame granularity (see net::Network): raise for long-running apps
   /// (HPL at realistic N) where per-Ethernet-frame simulation is overkill.
   std::uint32_t mtu_bytes = net::Network::kMtuBytes;
-  /// 0 = classic serial engine. >0 = sharded conservative-lookahead
-  /// engine (sim::ShardedEngine) with this many worker threads; shards
-  /// follow the leaf-switch subtrees and results are byte-identical for
-  /// any worker count (sim_jobs=1 is the reference). Ignored — classic
-  /// engine — when RunHooks::on_ready is set or recv_timeout_s > 0,
-  /// since fault injection needs the serial queue.
+  /// 0 = one shard, the serial engine. >0 = one shard per leaf-switch
+  /// subtree plus the root switch (sim::ShardedEngine), drained by this
+  /// many worker threads; results are byte-identical for any value.
+  /// Ignored — one shard — when RunHooks::on_ready is set, recv_timeout_s
+  /// is nonzero or the time series is enabled, since those touch
+  /// cross-shard state at arbitrary times.
   std::uint32_t sim_jobs = 0;
-  /// Streaming trace capture: when true the runtime's records flow
-  /// through a trace::StreamingSink configured by `trace_sink` (bounded
-  /// per-rank rings, deterministic rank sampling, event-kind filters,
-  /// optional mb-trace spill) instead of the unbounded collector. See
-  /// the AppRunResult trace fields for where the records end up.
+  /// Capture options: when true the sink is configured by `trace_sink`
+  /// (bounded per-rank rings, deterministic rank sampling, event-kind
+  /// filters, optional mb-trace spill) instead of keeping every record
+  /// of every rank. See the AppRunResult trace fields for where the
+  /// records end up.
   bool streaming_trace = false;
   trace::SinkConfig trace_sink;
-  /// Metrics time series; forces the serial engine when enabled.
+  /// Metrics time series; forces one shard when enabled.
   TimeSeriesConfig timeseries;
   /// Explicit rank -> node placement. Empty = node-major packing (rank r
   /// on node r / cores_per_node). When set it must have one entry per
@@ -81,9 +87,9 @@ struct AppRunResult {
   mpi::FailureReport failure;
   std::uint64_t network_retransmits = 0;
   std::uint64_t injected_losses = 0;
-  // Streaming-capture bookkeeping (streaming_trace runs only). When the
-  // sink spilled to an mb-trace file, `trace` stays empty — read the
-  // file (trace::read_mb_trace) instead.
+  // Capture bookkeeping (streaming_trace runs only). When the sink
+  // spilled to an mb-trace file, `trace` stays empty — read the file
+  // (trace::read_mb_trace) instead.
   std::vector<std::uint32_t> trace_sampled_ranks;
   std::uint64_t trace_dropped = 0;  ///< records lost to ring overflow
   /// Sampled gauges; empty unless config.timeseries.enabled. The caller
@@ -93,13 +99,13 @@ struct AppRunResult {
 
 /// Hook point for fault injectors: called after the cluster is wired but
 /// before the program runs, with every moving part exposed. Injectors
-/// schedule their events on the queue (crash_rank, set_link_state, ...)
-/// so they fire at simulated times inside the run. Setting on_ready
-/// forces the classic serial engine regardless of sim_jobs.
+/// schedule their events on the engine (crash_rank, set_link_state, ...)
+/// so they fire at simulated times inside the run, and leave trace marks
+/// through Runtime::mark_fault. Setting on_ready forces one shard
+/// regardless of sim_jobs.
 struct RunHooks {
-  std::function<void(sim::EventQueue&, net::Network&,
-                     const net::ClusterTopology&, mpi::Runtime&,
-                     trace::Trace&)>
+  std::function<void(sim::ShardedEngine&, net::Network&,
+                     const net::ClusterTopology&, mpi::Runtime&)>
       on_ready;
 };
 

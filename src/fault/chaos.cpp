@@ -19,33 +19,28 @@ net::NodeId leaf_of(const net::ClusterTopology& topo,
              : topo.leaf_switches[node / config.tree.switch_ports];
 }
 
-/// Instant fault marker on the first rank of the affected node (viewers
-/// render kFault records as global instants, the rank only picks a track).
-void mark(trace::Trace& tr, std::uint32_t rank, double t,
-          std::string label) {
-  trace::Record r;
-  r.rank = rank;
-  r.t0 = t;
-  r.t1 = t;
-  r.kind = trace::EventKind::kFault;
-  r.label = std::move(label);
-  tr.add(r);
-}
-
 /// Arms every remaining fault on the freshly wired cluster. Injection
-/// events are ordinary queue events, so they fire at their simulated
-/// times inside the run, interleaved with the application.
+/// events are ordinary engine events, so they fire at their simulated
+/// times inside the run, interleaved with the application. Fault marks
+/// go through the runtime's trace sink: an instant kFault record on the
+/// first rank of the affected node (viewers render them as global
+/// instants, the rank only picks a track). `carried` holds the marks of
+/// failed attempts, re-emitted before the run so a recovered run still
+/// shows what it recovered from.
 apps::RunHooks make_injector(const apps::ClusterConfig& config,
-                             const FaultPlan& plan) {
-  // The scheduled lambdas below fire inside queue.run(), long after
+                             const FaultPlan& plan,
+                             std::vector<trace::Record> carried) {
+  // The scheduled lambdas below fire inside engine.run_all(), long after
   // on_ready has returned: they may only capture by value, or reference
   // the hook parameters (whose referents live through the run).
   apps::RunHooks hooks;
-  hooks.on_ready = [&config, plan](sim::EventQueue& queue,
-                                   net::Network& network,
-                                   const net::ClusterTopology& topo,
-                                   mpi::Runtime& runtime,
-                                   trace::Trace& tr) {
+  hooks.on_ready = [&config, plan, carried = std::move(carried)](
+                       sim::ShardedEngine& engine, net::Network& network,
+                       const net::ClusterTopology& topo,
+                       mpi::Runtime& runtime) {
+    for (const trace::Record& r : carried)
+      runtime.mark_fault(r.rank, r.t0, r.label);
+
     // Faults target *nodes*; which ranks that hits depends on the
     // placement (rank_map-aware). A spare node carries no ranks, so a
     // slowdown or crash there only drops the host link / leaves a mark.
@@ -62,32 +57,34 @@ apps::RunHooks make_injector(const apps::ClusterConfig& config,
       const std::uint32_t node = c.node;
       const std::vector<std::uint32_t> ranks = node_ranks(node);
       const std::uint32_t track = mark_rank(ranks);
-      queue.schedule_in(c.at_s, [&queue, &network, &runtime, &tr, host,
-                                 leaf, node, ranks, track] {
+      engine.schedule(host, c.at_s, [&engine, &network, &runtime, host, leaf,
+                                     node, ranks, track] {
         for (std::uint32_t r : ranks) runtime.crash_rank(r);
         network.set_link_state(host, leaf, false);
-        mark(tr, track, queue.now(), "crash:node" + std::to_string(node));
+        runtime.mark_fault(track, engine.now(),
+                           "crash:node" + std::to_string(node));
         obs::metrics().counter("fault.crashes").add(1.0);
       });
     }
 
     for (const NodeSlowdown& s : plan.slowdowns) {
+      const net::NodeId host = topo.hosts[s.node];
       const std::uint32_t node = s.node;
       const double factor = s.factor;
       const std::vector<std::uint32_t> ranks = node_ranks(node);
       const std::uint32_t track = mark_rank(ranks);
-      queue.schedule_in(s.at_s, [&queue, &runtime, &tr, node, ranks, track,
-                                 factor] {
+      engine.schedule(host, s.at_s, [&engine, &runtime, node, ranks, track,
+                                     factor] {
         for (std::uint32_t r : ranks) runtime.set_rank_slowdown(r, factor);
-        mark(tr, track, queue.now(),
-             "slowdown:node" + std::to_string(node));
+        runtime.mark_fault(track, engine.now(),
+                           "slowdown:node" + std::to_string(node));
         obs::metrics().counter("fault.slowdowns").add(1.0);
       });
-      queue.schedule_in(s.until_s, [&queue, &runtime, &tr, node, ranks,
-                                    track] {
+      engine.schedule(host, s.until_s, [&engine, &runtime, node, ranks,
+                                        track] {
         for (std::uint32_t r : ranks) runtime.set_rank_slowdown(r, 1.0);
-        mark(tr, track, queue.now(),
-             "slowdown_end:node" + std::to_string(node));
+        runtime.mark_fault(track, engine.now(),
+                           "slowdown_end:node" + std::to_string(node));
       });
     }
 
@@ -96,18 +93,18 @@ apps::RunHooks make_injector(const apps::ClusterConfig& config,
       const net::NodeId leaf = leaf_of(topo, config, d.node);
       const std::uint32_t node = d.node;
       const std::uint32_t track = mark_rank(node_ranks(node));
-      queue.schedule_in(d.at_s, [&queue, &network, &tr, host, leaf, node,
-                                 track] {
+      engine.schedule(host, d.at_s, [&engine, &network, &runtime, host, leaf,
+                                     node, track] {
         network.set_link_state(host, leaf, false);
-        mark(tr, track, queue.now(),
-             "link_down:node" + std::to_string(node));
+        runtime.mark_fault(track, engine.now(),
+                           "link_down:node" + std::to_string(node));
         obs::metrics().counter("fault.link_downs").add(1.0);
       });
-      queue.schedule_in(d.until_s, [&queue, &network, &tr, host, leaf,
-                                    node, track] {
+      engine.schedule(host, d.until_s, [&engine, &network, &runtime, host,
+                                        leaf, node, track] {
         network.set_link_state(host, leaf, true);
-        mark(tr, track, queue.now(),
-             "link_up:node" + std::to_string(node));
+        runtime.mark_fault(track, engine.now(),
+                           "link_up:node" + std::to_string(node));
       });
     }
 
@@ -145,13 +142,13 @@ ChaosResult run_chaos(const ChaosScenario& scenario,
 
   FaultPlan remaining = scenario.plan;
   ChaosResult result;
-  // Fault marks of failed attempts, carried into the final trace so a
-  // recovered run still shows what it recovered from.
+  // Fault marks of failed attempts, carried into the next attempt's sink.
   std::vector<trace::Record> past_faults;
   for (std::uint32_t attempt = 1;; ++attempt) {
     result.attempts = attempt;
     apps::AppRunResult run = apps::run_on_cluster(
-        scenario.cluster, program, make_injector(scenario.cluster, remaining));
+        scenario.cluster, program,
+        make_injector(scenario.cluster, remaining, past_faults));
     result.network_drops += run.network_drops;
     result.retransmits += run.network_retransmits;
     result.injected_losses += run.injected_losses;
@@ -159,7 +156,6 @@ ChaosResult run_chaos(const ChaosScenario& scenario,
     result.trace_sampled_ranks = std::move(run.trace_sampled_ranks);
     result.trace_dropped = run.trace_dropped;
     result.timeseries = std::move(run.timeseries);
-    for (const trace::Record& r : past_faults) result.trace.add(r);
 
     if (run.completed) {
       result.completed = true;
@@ -200,6 +196,7 @@ ChaosResult run_chaos(const ChaosScenario& scenario,
 
     // Rebuild from the current trace (it already holds the carried
     // marks) rather than appending — avoids duplicates across attempts.
+    // Marks the capture options filtered out stay out.
     past_faults.clear();
     for (const trace::Record& r : result.trace.records())
       if (r.kind == trace::EventKind::kFault) past_faults.push_back(r);

@@ -75,43 +75,14 @@ void Runtime::Mailbox::grow() {
   }
 }
 
-Runtime::Runtime(sim::Scheduler& sched, net::Network& network,
+Runtime::Runtime(sim::ShardedEngine& engine, net::Network& network,
                  std::vector<net::NodeId> rank_to_host, RuntimeConfig config,
-                 trace::Trace* trace)
-    : sched_(&sched),
+                 trace::StreamingSink* sink)
+    : engine_(engine),
       network_(network),
       rank_to_host_(std::move(rank_to_host)),
       config_(config),
-      sink_(nullptr),
-      parallel_(sched.parallel()) {
-  if (trace != nullptr) {
-    owned_sink_ = std::make_unique<trace::CollectorSink>(
-        *trace, static_cast<std::uint32_t>(rank_to_host_.size()), parallel_);
-    sink_ = owned_sink_.get();
-  }
-  init();
-}
-
-Runtime::Runtime(sim::EventQueue& queue, net::Network& network,
-                 std::vector<net::NodeId> rank_to_host, RuntimeConfig config,
-                 trace::Trace* trace)
-    : owned_(std::make_unique<sim::QueueScheduler>(queue)),
-      sched_(owned_.get()),
-      network_(network),
-      rank_to_host_(std::move(rank_to_host)),
-      config_(config),
-      sink_(nullptr),
-      parallel_(false) {
-  if (trace != nullptr) {
-    owned_sink_ = std::make_unique<trace::CollectorSink>(
-        *trace, static_cast<std::uint32_t>(rank_to_host_.size()),
-        /*parallel=*/false);
-    sink_ = owned_sink_.get();
-  }
-  init();
-}
-
-void Runtime::init() {
+      sink_(sink) {
   support::check(!rank_to_host_.empty(), "Runtime", "need at least one rank");
   for (const net::NodeId host : rank_to_host_) {
     support::check(host < network_.nodes(), "Runtime", "unknown host");
@@ -152,11 +123,14 @@ void Runtime::record(std::uint32_t rank, double t0, double t1,
   sink_->emit(std::move(r));
 }
 
-void Runtime::set_trace_sink(trace::Sink* sink) { sink_ = sink; }
+void Runtime::mark_fault(std::uint32_t rank, double t_s,
+                         const std::string& label) {
+  record(rank, t_s, t_s, trace::EventKind::kFault, label, 0);
+}
 
 void Runtime::schedule_for(std::uint32_t rank, double delay_s,
-                           sim::Scheduler::Callback cb) {
-  sched_->schedule(rank_to_host_[rank], sched_->now() + delay_s,
+                           sim::ShardedEngine::Callback cb) {
+  engine_.schedule(rank_to_host_[rank], engine_.now() + delay_s,
                    std::move(cb));
 }
 
@@ -174,8 +148,8 @@ RunOutcome Runtime::run_outcome(const Program& program) {
   const auto ranks = static_cast<std::uint32_t>(rank_to_host_.size());
   support::check(program.ranks() == ranks, "Runtime::run",
                  "program rank count must match the runtime");
-  support::check(!parallel_ || config_.recv_timeout_s == 0.0, "Runtime::run",
-                 "the failure detector requires the serial engine");
+  support::check(engine_.shards() == 1 || config_.recv_timeout_s == 0.0,
+                 "Runtime::run", "the failure detector requires one shard");
 
   if (config_.verify) {
     const verify::Report report = verify::verify_program(program);
@@ -211,15 +185,15 @@ RunOutcome Runtime::run_outcome(const Program& program) {
     if (r == ranks - 1) next_tag_base_ = tag_base;  // consumed instances
   }
 
-  // Kick-off happens on the calling thread in rank order (the scheduler
+  // Kick-off happens on the calling thread in rank order (the engine
   // routes each event to its home shard deterministically).
   for (std::uint32_t r = 0; r < ranks; ++r) advance(r);
-  sched_->run_all();
+  engine_.run_all();
 
   flush_observability(ranks);
 
   RunOutcome outcome;
-  outcome.drained_s = sched_->now();
+  outcome.drained_s = engine_.now();
   std::uint32_t finished = 0;
   double makespan = 0.0;
   for (const auto& s : states_) {
@@ -258,9 +232,6 @@ void Runtime::flush_observability(std::uint32_t ranks) {
     if (m.retries != 0.0) retries_->add(m.retries);
     if (m.recv_timeouts != 0.0) recv_timeouts_->add(m.recv_timeouts);
   }
-  // The default CollectorSink drains its per-rank buffers rank-major
-  // here; external sinks get their post-run flush at the same boundary.
-  if (sink_ != nullptr) sink_->flush();
 }
 
 void Runtime::crash_rank(std::uint32_t rank) {
@@ -289,7 +260,7 @@ void Runtime::deliver(std::uint32_t dst_rank, std::uint32_t src_rank,
   s.mailbox.push(Mailbox::key(src_rank, tag), bytes);
   if (s.waiting && *s.waiting == key) {
     s.waiting.reset();
-    metrics_[dst_rank].time_wait += sched_->now() - s.wait_start;
+    metrics_[dst_rank].time_wait += engine_.now() - s.wait_start;
     advance(dst_rank);
   }
 }
@@ -324,7 +295,7 @@ void Runtime::on_recv_timeout(std::uint32_t rank, std::uint64_t epoch) {
   if (s.crashed || s.timed_out) return;
   if (!s.waiting || s.wait_epoch != epoch) return;  // stale timer
   s.timed_out = true;
-  const double now = sched_->now();
+  const double now = engine_.now();
   failure_.detected_s = std::max(failure_.detected_s, now);
   metrics_[rank].recv_timeouts += 1.0;
   metrics_[rank].time_wait += now - s.wait_start;
@@ -346,7 +317,7 @@ void Runtime::advance(std::uint32_t rank) {
   if (s.crashed || s.timed_out) return;  // fail-stop: no further progress
   while (s.pc < s.ops.size()) {
     const Op& op = s.ops[s.pc];
-    const double now = sched_->now();
+    const double now = engine_.now();
     switch (op.kind) {
       case Op::Kind::kCompute: {
         const double seconds = op.seconds * s.slow_factor;
@@ -429,7 +400,7 @@ void Runtime::advance(std::uint32_t rank) {
                       "unlowered collective reached execution");
     }
   }
-  s.finish_time = sched_->now();
+  s.finish_time = engine_.now();
   s.done = true;
 }
 

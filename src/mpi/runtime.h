@@ -12,25 +12,22 @@
 // turns a lost peer into a structured FailureReport — naming the dead
 // rank and every blocked op — instead of a hung event loop, and sends
 // can opt into retry-with-backoff when the network abandons a message.
-// Fault injection requires the serial engine (see below).
+// Fault injection requires a one-shard engine (see below).
 //
-// Engine notes: the runtime schedules through sim::Scheduler, homing
+// Engine notes: the runtime schedules on the sim::ShardedEngine, homing
 // every event on the host of the rank whose state it touches, so it runs
-// unchanged on the classic serial queue and on the sharded
-// conservative-lookahead engine. Under a parallel scheduler, per-rank
-// state is only ever touched by the owning shard's worker; cross-rank
-// effects travel through Network::send. Metric updates accumulate in
-// per-rank buckets flushed to the obs registry rank-major after the run
-// (the registry is single-threaded by design), and trace records go
-// through a trace::Sink whose contract matches shard ownership: emits
-// may race across ranks but never within one, and the default
-// CollectorSink buffers per rank and flushes rank-major — deterministic
-// for any worker count. set_trace_sink() swaps in a bounded
-// StreamingSink for runs too large to trace in full.
+// unchanged on one shard (the serial engine) and on many. Per-rank state
+// is only ever touched by the owning shard's worker; cross-rank effects
+// travel through Network::send. Metric updates accumulate in per-rank
+// buckets flushed to the obs registry rank-major after the run (the
+// registry is single-threaded by design), and trace records go to a
+// trace::StreamingSink whose contract matches shard ownership: emits may
+// race across ranks but never within one, and the sink keeps one ring
+// per rank that the caller drains rank-major — deterministic for any
+// shard or worker count.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,7 +35,7 @@
 #include "mpi/program.h"
 #include "net/network.h"
 #include "obs/metrics.h"
-#include "sim/scheduler.h"
+#include "sim/sharded.h"
 #include "trace/sink.h"
 #include "trace/trace.h"
 
@@ -60,7 +57,7 @@ struct RuntimeConfig {
   /// dead (the rank stops, the blocked op lands in the FailureReport).
   /// 0 disables detection — a lost peer then only surfaces when the
   /// event loop drains. Set it above the longest legitimate wait.
-  /// Must be 0 under a parallel scheduler (serial engine only).
+  /// Must be 0 with more than one shard (one-shard engine only).
   double recv_timeout_s = 0.0;
   /// Opt-in send retry: when the network abandons a message (link down
   /// past the retransmit budget), re-post it up to this many times with
@@ -109,16 +106,12 @@ class Runtime {
  public:
   /// `rank_to_host[r]` is the network vertex hosting rank r (several
   /// ranks may share one host — the dual-core Tibidabo nodes).
-  /// `trace` may be null.
-  Runtime(sim::Scheduler& sched, net::Network& network,
+  /// `sink` receives the trace records and may be null (no tracing); it
+  /// must outlive the runtime, and the caller closes/drains it after the
+  /// run.
+  Runtime(sim::ShardedEngine& engine, net::Network& network,
           std::vector<net::NodeId> rank_to_host, RuntimeConfig config,
-          trace::Trace* trace);
-
-  /// Convenience overload for the classic serial engine: wraps `queue`
-  /// in an internally owned QueueScheduler.
-  Runtime(sim::EventQueue& queue, net::Network& network,
-          std::vector<net::NodeId> rank_to_host, RuntimeConfig config,
-          trace::Trace* trace);
+          trace::StreamingSink* sink);
 
   /// Runs `program` to completion; returns the makespan (seconds from
   /// start to the last rank finishing). Throws on deadlock.
@@ -131,7 +124,7 @@ class Runtime {
 
   /// Fault injection: fail-stop `rank` at the current simulation time.
   /// The rank executes nothing further; messages to it are dropped.
-  /// Only valid while a run is in flight (schedule it on the queue).
+  /// Only valid while a run is in flight (schedule it on the engine).
   void crash_rank(std::uint32_t rank);
 
   /// Fault injection: multiplies the duration of `rank`'s subsequent
@@ -140,11 +133,10 @@ class Runtime {
   /// in flight.
   void set_rank_slowdown(std::uint32_t rank, double factor);
 
-  /// Replaces the record destination (default: a CollectorSink feeding
-  /// the constructor's Trace). The sink must outlive the runtime and
-  /// honour the Sink concurrency contract. Call before run(); the
-  /// caller finalizes/drains the sink itself afterwards.
-  void set_trace_sink(trace::Sink* sink);
+  /// Fault injection: records an instant kFault mark at `t_s` on
+  /// `rank`'s track, through the sink like every other record (capture
+  /// filters apply).
+  void mark_fault(std::uint32_t rank, double t_s, const std::string& label);
 
  private:
   /// Open-addressed (source, tag) -> FIFO-of-sizes map, replacing the
@@ -222,18 +214,14 @@ class Runtime {
               trace::EventKind kind, const std::string& label,
               std::uint64_t bytes);
   void schedule_for(std::uint32_t rank, double delay_s,
-                    sim::Scheduler::Callback cb);
+                    sim::ShardedEngine::Callback cb);
   void flush_observability(std::uint32_t ranks);
-  void init();
 
-  std::unique_ptr<sim::QueueScheduler> owned_;  ///< compat-ctor engine
-  sim::Scheduler* sched_;
+  sim::ShardedEngine& engine_;
   net::Network& network_;
   std::vector<net::NodeId> rank_to_host_;
   RuntimeConfig config_;
-  std::unique_ptr<trace::CollectorSink> owned_sink_;  ///< default sink
-  trace::Sink* sink_;  ///< where record() delivers; null = no tracing
-  bool parallel_;  ///< sched_->parallel(): sink emits may race per rank
+  trace::StreamingSink* sink_;  ///< where record() delivers; null = none
   // Registry instrumentation (handles resolved once in the constructor;
   // updates deferred to the post-run flush). Per-rank traffic plus the
   // collective / p2p-overhead / blocked-receive time split the paper's

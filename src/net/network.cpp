@@ -18,15 +18,8 @@ double backoff_delay(const LinkSpec& spec, std::uint32_t attempt) {
 }
 }  // namespace
 
-Network::Network(sim::Scheduler& sched, std::uint32_t mtu_bytes)
-    : sched_(&sched), mtu_(mtu_bytes) {
-  support::check(mtu_bytes >= 64, "Network", "MTU must be at least 64 bytes");
-}
-
-Network::Network(sim::EventQueue& queue, std::uint32_t mtu_bytes)
-    : owned_(std::make_unique<sim::QueueScheduler>(queue)),
-      sched_(owned_.get()),
-      mtu_(mtu_bytes) {
+Network::Network(sim::ShardedEngine& engine, std::uint32_t mtu_bytes)
+    : engine_(engine), mtu_(mtu_bytes) {
   support::check(mtu_bytes >= 64, "Network", "MTU must be at least 64 bytes");
 }
 
@@ -194,7 +187,7 @@ void Network::send(NodeId src, NodeId dst, std::uint64_t bytes,
 
   if (src == dst) {
     // Loopback: deliver immediately (caller models any memcpy cost).
-    sched_->schedule(dst, sched_->now(), std::move(on_delivered));
+    engine_.schedule(dst, engine_.now(), std::move(on_delivered));
     return;
   }
 
@@ -233,7 +226,7 @@ void Network::forward(std::uint32_t li, std::uint32_t frame_bytes, NodeId dst,
     release_ref(msg);
     return;
   }
-  const double now = sched_->now();
+  const double now = engine_.now();
 
   // A downed link transmits nothing: the frame sits with the sender and is
   // retried with backoff until the link returns or the budget runs out.
@@ -284,7 +277,7 @@ void Network::forward(std::uint32_t li, std::uint32_t frame_bytes, NodeId dst,
   // The continuation is homed on the receiving endpoint: cross-shard
   // frames carry at least the link latency of delay, which is what makes
   // the sharded engine's lookahead window sound.
-  sched_->schedule(next, arrival, [this, frame_bytes, dst, next, msg] {
+  engine_.schedule(next, arrival, [this, frame_bytes, dst, next, msg] {
     if (next != dst) {
       // The frame advanced a hop: its retransmit budget starts fresh.
       forward(hop_link(next, dst), frame_bytes, dst, 0, false, msg);
@@ -307,18 +300,18 @@ void Network::retransmit(std::uint32_t li, std::uint32_t frame_bytes,
   const LinkSpec& spec = spec_[li];
   if (attempt >= spec.max_retransmits) {
     stats_[li].gave_up += 1;
-    if (sched_->parallel()) {
+    if (engine_.shards() > 1) {
       // Message abandonment mutates shared message state from a switch
-      // shard; fault-injection scenarios must run the serial engine.
+      // shard; fault-injection scenarios must run one shard.
       support::fail("Network::retransmit",
-                    "message abandoned under the parallel engine; fault "
-                    "injection requires the serial engine");
+                    "message abandoned under the sharded engine; fault "
+                    "injection requires one shard");
     }
     if (!msg->failed) {
       msg->failed = true;
       if (msg->on_failed) {
         ++msg->refs;
-        sched_->schedule(from_[li], sched_->now(), [this, msg] {
+        engine_.schedule(from_[li], engine_.now(), [this, msg] {
           Callback cb = std::move(msg->on_failed);
           release_ref(msg);
           cb();
@@ -329,8 +322,8 @@ void Network::retransmit(std::uint32_t li, std::uint32_t frame_bytes,
     return;
   }
   stats_[li].retransmits += 1;
-  sched_->schedule(
-      from_[li], sched_->now() + backoff_delay(spec, attempt),
+  engine_.schedule(
+      from_[li], engine_.now() + backoff_delay(spec, attempt),
       [this, li, frame_bytes, dst, attempt, first_hop, msg] {
         forward(li, frame_bytes, dst, attempt + 1, first_hop, msg);
       });

@@ -7,6 +7,10 @@
 // the cause of the delayed all_to_all_v collectives in Fig. 4 — emerges
 // naturally from concurrent flows sharing an uplink.
 //
+// Engine notes: every frame hop is an event on the sim::ShardedEngine,
+// homed on the link's receiving endpoint, so the same model runs on one
+// shard (the serial engine) or on one shard per leaf-switch subtree.
+//
 // Layout notes (DESIGN.md §10): per-link state lives in parallel arrays
 // keyed by directed-link index — the hot fields a frame touches
 // (busy_until, bandwidth, latency, buffer limit) are separate from cold
@@ -19,11 +23,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "sim/scheduler.h"
+#include "sim/sharded.h"
 #include "support/arena.h"
 #include "support/rng.h"
 
@@ -74,11 +77,7 @@ class Network {
   /// congestion fidelity; large values coarsen messages into few frames —
   /// used to make month-long HPL runs simulable while keeping link
   /// serialization and queueing behaviour.
-  explicit Network(sim::Scheduler& sched, std::uint32_t mtu_bytes = kMtuBytes);
-
-  /// Convenience overload for the classic serial engine: wraps `queue`
-  /// in an internally owned QueueScheduler.
-  explicit Network(sim::EventQueue& queue,
+  explicit Network(sim::ShardedEngine& engine,
                    std::uint32_t mtu_bytes = kMtuBytes);
 
   std::uint32_t mtu() const { return mtu_; }
@@ -101,7 +100,8 @@ class Network {
   /// abandoned: `on_failed` (if given) fires once and `on_delivered`
   /// never does. Without `on_failed` an abandoned message is simply lost —
   /// the caller's own timeout must notice. Abandonment is a hard error
-  /// under a parallel scheduler (fault injection needs the serial engine).
+  /// with more than one shard (fault injection needs the one-shard
+  /// engine).
   void send(NodeId src, NodeId dst, std::uint64_t bytes,
             Callback on_delivered, Callback on_failed = nullptr);
 
@@ -161,7 +161,7 @@ class Network {
   /// Pool-allocated; `refs` counts in-flight frame chains (plus a pending
   /// on_failed dispatch) and frees the record when it reaches zero. All
   /// touches of one message happen on the destination's shard (or, for
-  /// failures, on the serial engine), so the counters stay plain.
+  /// failures, on the one-shard engine), so the counters stay plain.
   struct Message {
     std::uint64_t remaining = 0;
     std::uint32_t refs = 0;
@@ -183,8 +183,7 @@ class Network {
                   std::uint32_t attempt, bool first_hop, Message* msg);
   void release_ref(Message* msg);
 
-  std::unique_ptr<sim::QueueScheduler> owned_;  ///< compat-ctor engine
-  sim::Scheduler* sched_;
+  sim::ShardedEngine& engine_;
   std::uint32_t mtu_;
   std::vector<std::string> names_;
   std::vector<bool> is_switch_;

@@ -21,7 +21,7 @@
 // therefore updates rank-labeled instruments only from the shard that
 // owns the rank, and everything global (registration, snapshot(),
 // reset(), clear(), rollups, the time sampler) happens outside the run
-// or on the serial engine. The process-wide metrics() registry inherits
+// or on a one-shard engine. The process-wide metrics() registry inherits
 // this contract; tests that need a pristine registry call
 // reset_for_test() instead of relying on process isolation.
 #pragma once

@@ -1,24 +1,12 @@
 #include "obs/rollup.h"
 
+#include <cmath>
 #include <string>
-
-#include "sim/sharded.h"
 
 namespace mb::obs {
 
-void publish_event_queue(Registry& registry, const sim::EventQueue& queue) {
-  registry.gauge("sim.events_executed")
-      .set(static_cast<double>(queue.executed()));
-  registry.gauge("sim.events_scheduled")
-      .set(static_cast<double>(queue.scheduled()));
-  registry.gauge("sim.calendar_depth")
-      .set(static_cast<double>(queue.pending()));
-  registry.gauge("sim.calendar_max_depth")
-      .set(static_cast<double>(queue.max_pending()));
-}
-
-void publish_scheduler(Registry& registry, const sim::Scheduler& sched) {
-  const sim::SchedulerStats stats = sched.stats();
+void publish_scheduler(Registry& registry, const sim::ShardedEngine& engine) {
+  const sim::EngineStats stats = engine.stats();
   registry.gauge("sim.events_executed")
       .set(static_cast<double>(stats.executed));
   registry.gauge("sim.events_scheduled")
@@ -27,12 +15,10 @@ void publish_scheduler(Registry& registry, const sim::Scheduler& sched) {
       .set(static_cast<double>(stats.pending));
   registry.gauge("sim.calendar_max_depth")
       .set(static_cast<double>(stats.max_pending));
-  if (const auto* sharded = dynamic_cast<const sim::ShardedEngine*>(&sched)) {
-    registry.gauge("sim.shards").set(static_cast<double>(sharded->shards()));
-    registry.gauge("sim.lookahead_s").set(sharded->lookahead());
-    registry.gauge("sim.windows")
-        .set(static_cast<double>(sharded->windows()));
-  }
+  registry.gauge("sim.shards").set(static_cast<double>(engine.shards()));
+  if (std::isfinite(engine.lookahead()))
+    registry.gauge("sim.lookahead_s").set(engine.lookahead());
+  registry.gauge("sim.windows").set(static_cast<double>(engine.windows()));
 }
 
 void publish_machine(Registry& registry, const sim::Machine& machine) {

@@ -11,20 +11,17 @@
 #include <string_view>
 
 #include "obs/metrics.h"
-#include "sim/event_queue.h"
 #include "sim/machine.h"
-#include "sim/scheduler.h"
+#include "sim/sharded.h"
 
 namespace mb::obs {
 
-/// Publishes DES engine gauges: sim.events_executed, sim.events_scheduled,
-/// sim.calendar_depth (pending now) and sim.calendar_max_depth.
-void publish_event_queue(Registry& registry, const sim::EventQueue& queue);
-
-/// Same gauges from any Scheduler's aggregate stats (summed over shards
-/// for the parallel engine), plus sim.shards / sim.lookahead_s /
-/// sim.windows when the scheduler is a ShardedEngine.
-void publish_scheduler(Registry& registry, const sim::Scheduler& sched);
+/// Publishes DES engine gauges, summed over shards: sim.events_executed,
+/// sim.events_scheduled, sim.calendar_depth (pending now),
+/// sim.calendar_max_depth, plus sim.shards and sim.windows. The finite
+/// lookahead of a multi-shard engine goes to sim.lookahead_s; one shard
+/// has none (it is +infinity, which JSON cannot carry).
+void publish_scheduler(Registry& registry, const sim::ShardedEngine& engine);
 
 /// Publishes per-level cache gauges (cache.accesses / cache.hits /
 /// cache.misses / cache.evictions / cache.writebacks, labeled

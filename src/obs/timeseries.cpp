@@ -119,28 +119,35 @@ void TimeSampler::add_probe(std::string name, Labels labels,
   data_.series.push_back(std::move(s));
 }
 
-void TimeSampler::arm(sim::EventQueue& queue, double interval_s,
+void TimeSampler::arm(sim::ShardedEngine& engine, double interval_s,
                       std::size_t max_samples) {
   check(!armed_, "TimeSampler", "arm() called twice");
+  check(engine.shards() == 1, "TimeSampler",
+        "sampling reads global state and needs a one-shard engine");
   check(interval_s > 0.0, "TimeSampler", "interval must be positive");
   check(max_samples > 0, "TimeSampler", "max_samples must be positive");
   armed_ = true;
   max_samples_ = max_samples;
   data_.interval_s = interval_s;
-  queue.schedule_in(interval_s,
-                    [this, &queue, interval_s] { step(queue, interval_s); });
+  schedule(engine, interval_s);
 }
 
-void TimeSampler::step(sim::EventQueue& queue, double interval_s) {
-  data_.times_s.push_back(queue.now());
+void TimeSampler::schedule(sim::ShardedEngine& engine, double interval_s) {
+  // One shard owns every node, so the home node is immaterial.
+  engine.schedule(0, engine.now() + interval_s,
+                  [this, &engine, interval_s] { step(engine, interval_s); });
+}
+
+void TimeSampler::step(sim::ShardedEngine& engine, double interval_s) {
+  data_.times_s.push_back(engine.now());
   for (std::size_t i = 0; i < probes_.size(); ++i)
     data_.series[i].values.push_back(probes_[i].fn());
-  // The executing event is already popped, so pending() == 0 means the
+  // The executing event is already popped, so an empty calendar means the
   // run has drained: keep this final sample and let the loop terminate
   // instead of rescheduling forever.
-  if (queue.pending() == 0 || data_.times_s.size() >= max_samples_) return;
-  queue.schedule_in(interval_s,
-                    [this, &queue, interval_s] { step(queue, interval_s); });
+  if (engine.stats().pending == 0 || data_.times_s.size() >= max_samples_)
+    return;
+  schedule(engine, interval_s);
 }
 
 TimeSeries TimeSampler::take() { return std::move(data_); }

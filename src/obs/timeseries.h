@@ -8,9 +8,9 @@
 // grid is deterministic — identical runs produce byte-identical
 // mb-timeseries artifacts, and sampling adds no wall-clock timers.
 //
-// Serial engine only (like fault injection): the sampler reads global
+// One-shard engine only (like fault injection): the sampler reads global
 // state — queue depth, link counters — which has no single consistent
-// owner under the sharded engine.
+// owner once the topology is split across shards.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "sim/event_queue.h"
+#include "sim/sharded.h"
 
 namespace mb::obs {
 
@@ -60,12 +60,12 @@ void prune_series(TimeSeries& ts, std::string_view name_prefix,
 ///
 ///   TimeSampler sampler;
 ///   sampler.add_probe("sim.pending_events",
-///                     [&] { return double(queue.pending()); });
-///   sampler.arm(queue, 0.5);
+///                     [&] { return double(engine.stats().pending); });
+///   sampler.arm(engine, 0.5);
 ///   ... run ...
 ///   result.timeseries = sampler.take();
 ///
-/// The sampler stops itself: when its own event finds the queue
+/// The sampler stops itself: when its own event finds the engine
 /// otherwise empty the run has drained (that final sample is kept), so
 /// it never holds the event loop open. `max_samples` bounds memory on
 /// very long runs.
@@ -77,9 +77,10 @@ class TimeSampler {
     add_probe(std::move(name), Labels{}, std::move(probe));
   }
 
-  /// Schedules the first sample at now() + interval_s. Call after the
-  /// probes are registered and before the run. One arm() per sampler.
-  void arm(sim::EventQueue& queue, double interval_s,
+  /// Schedules the first sample at now() + interval_s on a configured
+  /// one-shard engine. Call after the probes are registered and before
+  /// the run. One arm() per sampler.
+  void arm(sim::ShardedEngine& engine, double interval_s,
            std::size_t max_samples = 4096);
 
   std::size_t samples() const { return data_.times_s.size(); }
@@ -89,7 +90,8 @@ class TimeSampler {
   TimeSeries take();
 
  private:
-  void step(sim::EventQueue& queue, double interval_s);
+  void schedule(sim::ShardedEngine& engine, double interval_s);
+  void step(sim::ShardedEngine& engine, double interval_s);
 
   struct Probe {
     std::string name;

@@ -88,6 +88,7 @@ std::uint32_t ShardedEngine::workers() const {
 }
 
 std::uint32_t ShardedEngine::shard_of(std::uint32_t node) const {
+  if (nshards_ == 1) return 0;
   support::check(node < node_to_shard_.size(), "ShardedEngine::shard_of",
                  "node outside the configured topology");
   return node_to_shard_[node];
@@ -195,8 +196,8 @@ double ShardedEngine::run_all() {
   return final_time;
 }
 
-SchedulerStats ShardedEngine::stats() const {
-  SchedulerStats total;
+EngineStats ShardedEngine::stats() const {
+  EngineStats total;
   for (const auto& shard : shards_) {
     total.executed += shard->queue.executed();
     total.scheduled += shard->queue.scheduled();

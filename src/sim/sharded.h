@@ -1,5 +1,11 @@
-// Conservative-lookahead parallel DES engine (Chandy–Misra–Bryant style,
-// barrier-synchronized windows).
+// The DES engine: conservative-lookahead parallel discrete-event
+// simulation (Chandy–Misra–Bryant style, barrier-synchronized windows).
+//
+// The network and MPI runtime schedule every continuation through this
+// engine. Each schedule() names a *home* node: the topology node whose
+// shard must execute the callback. Model code computes the home as "the
+// node whose state the callback touches" (a link's receiving endpoint, a
+// rank's host).
 //
 // The topology is partitioned into shards (one per leaf-switch subtree
 // plus one for the root switch; see apps/cluster.cpp), each with its own
@@ -13,6 +19,11 @@
 // current window. Shards therefore drain [T, T+L) with no inbound
 // surprises, and cross-shard events ride per-(src,dst) outboxes that are
 // merged at the next barrier in fixed shard order.
+//
+// The serial engine is one shard: unbounded lookahead, so a single window
+// drains the whole run in (time, insertion) order on the calling thread.
+// Runs that touch cross-shard state at arbitrary times (fault injection,
+// the failure detector, the time-series sampler) use it.
 //
 // Determinism: each shard's queue sees schedules in an order that depends
 // only on the simulation, never on thread timing — local schedules in
@@ -29,30 +40,51 @@
 #include <mutex>
 #include <vector>
 
-#include "sim/scheduler.h"
+#include "sim/event_queue.h"
 #include "support/executor.h"
 
 namespace mb::sim {
 
-class ShardedEngine final : public Scheduler {
+/// Event counters, summed over shards.
+struct EngineStats {
+  std::uint64_t executed = 0;
+  std::uint64_t scheduled = 0;
+  std::size_t pending = 0;
+  std::size_t max_pending = 0;
+};
+
+class ShardedEngine {
  public:
+  using Callback = EventQueue::Callback;
+
   /// `jobs` bounds the worker count; the effective count is
   /// min(jobs, shard count), each worker owning shards round-robin.
   explicit ShardedEngine(std::uint32_t jobs);
-  ~ShardedEngine() override;
+  ~ShardedEngine();
 
   /// Supplies the partition once the topology exists: `node_to_shard[n]`
   /// is the shard owning topology node n, `lookahead_s` the minimum
-  /// cross-shard link latency (+infinity when nshards == 1). Must be
-  /// called before the first schedule(); lookahead must be > 0.
+  /// cross-shard link latency (+infinity when nshards == 1; the map may
+  /// then be empty, since one shard owns every node). Must be called
+  /// before the first schedule(); lookahead must be > 0.
   void configure(std::vector<std::uint32_t> node_to_shard,
                  std::uint32_t nshards, double lookahead_s);
 
-  double now() const override;
-  void schedule(std::uint32_t home, double time_s, Callback cb) override;
-  double run_all() override;
-  bool parallel() const override { return true; }
-  SchedulerStats stats() const override;
+  /// Current simulated time as seen by the calling context. Outside any
+  /// event callback this is the global committed time; inside one it is
+  /// the executing shard's local clock.
+  double now() const;
+
+  /// Schedules `cb` at absolute time `time_s` on `home`'s shard.
+  /// `time_s` must be >= now(); cross-shard schedules must additionally
+  /// respect the lookahead.
+  void schedule(std::uint32_t home, double time_s, Callback cb);
+
+  /// Runs the simulation to completion; returns the final simulated time
+  /// (the max over shards).
+  double run_all();
+
+  EngineStats stats() const;
 
   std::uint32_t shards() const { return nshards_; }
   std::uint32_t workers() const;

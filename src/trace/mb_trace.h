@@ -22,9 +22,9 @@
 //   records: { u32 rank, u8 kind, u32 label_id, u64 bytes,
 //              u64 t0_bits, u64 t1_bits }
 //
-// Record order is preserved verbatim; the streaming sink writes
-// rank-major, which is also the canonical order the sharded engine
-// flushes in — so files are byte-identical for any --sim-jobs.
+// Record order is preserved verbatim; the trace sink writes rank-major,
+// the same canonical order it drains in-memory traces in — so files are
+// byte-identical for any --sim-jobs.
 #pragma once
 
 #include <cstdint>

@@ -103,30 +103,6 @@ std::vector<std::uint32_t> sample_ranks(std::uint32_t total,
   return pool;
 }
 
-CollectorSink::CollectorSink(Trace& out, std::uint32_t ranks, bool parallel)
-    : out_(out), parallel_(parallel) {
-  if (parallel_) buffers_.assign(ranks, {});
-}
-
-void CollectorSink::emit(Record r) {
-  if (parallel_) {
-    support::check(r.rank < buffers_.size(), "CollectorSink",
-                   "record rank out of range");
-    buffers_[r.rank].push_back(std::move(r));
-  } else {
-    out_.add(std::move(r));
-  }
-}
-
-void CollectorSink::flush() {
-  // Rank-major drain: output becomes independent of how the sharded
-  // engine interleaved ranks across workers.
-  for (auto& buf : buffers_) {
-    for (auto& r : buf) out_.add(std::move(r));
-    buf.clear();
-  }
-}
-
 StreamingSink::StreamingSink(std::uint32_t total_ranks, SinkConfig config)
     : config_(std::move(config)), total_ranks_(total_ranks) {
   if (!config_.rank_list.empty()) {
@@ -339,15 +315,19 @@ void StreamingSink::finalize_spill() {
   std::remove(spill_tmp_path_.c_str());
 }
 
-void StreamingSink::drain(Trace& out) const {
-  for (std::uint32_t slot = 0; slot < rings_.size(); ++slot) {
-    const RankRing& ring = rings_[slot];
+void StreamingSink::drain(Trace& out) {
+  for (RankRing& ring : rings_) {
     const std::size_t n = ring.slots.size();
     // Oldest-first: a wrapped ring's oldest record sits at head.
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t at = ring.wrapped ? (ring.head + i) % n : i;
-      out.add(ring.slots[at]);
+      out.add(std::move(ring.slots[at]));
     }
+    // Free as we go: the trace grows while the rings shrink, so a full
+    // capture never holds two copies of every record.
+    std::vector<Record>().swap(ring.slots);
+    ring.head = 0;
+    ring.wrapped = false;
   }
   if (!config_.tool_version.empty())
     out.set_provenance(config_.tool_version, config_.seed);

@@ -1,18 +1,12 @@
-// Streaming trace capture.
+// Trace capture.
 //
-// PR 6 scaled the DES to 10k+ simulated ranks; a fully traced BigDFT
-// run at that scale emits hundreds of millions of records, so "append
-// every Record to one vector" stops being an option. This module turns
-// the trace destination into an abstraction:
-//
-//   * Sink — where the MPI runtime delivers records.
-//   * CollectorSink — the classic behaviour (everything into a Trace),
-//     including the rank-major buffering the sharded engine needs.
-//   * StreamingSink — bounded per-rank ring buffers with deterministic
-//     rank sampling, event-kind filters, and optional spill-to-disk into
-//     the compact mb-trace v1 format. Memory is
-//     O(sampled_ranks × ring_capacity) regardless of run length, and
-//     spilled files are byte-identical for any --sim-jobs.
+// Every run delivers its records to one StreamingSink: per-rank ring
+// buffers with deterministic rank sampling, event-kind filters, and
+// optional spill-to-disk into the compact mb-trace v1 format. By default
+// it keeps every record of every rank (unbounded rings); capture options
+// bound it to O(sampled_ranks × ring_capacity) regardless of run length.
+// The sink drains rank-major, so in-memory traces and spilled files are
+// byte-identical for any --sim-jobs.
 #pragma once
 
 #include <cstdint>
@@ -46,43 +40,6 @@ std::vector<std::uint32_t> sample_ranks(std::uint32_t total,
                                         std::uint32_t count,
                                         std::uint64_t seed);
 
-/// Destination for trace records as the MPI runtime emits them.
-///
-/// Concurrency contract: emit() may be called concurrently for
-/// *different* ranks (the sharded engine's workers own disjoint rank
-/// sets) but never concurrently for the same rank. wants() must be safe
-/// to call concurrently and is a cheap pre-filter — callers may skip
-/// building the Record entirely when it returns false.
-class Sink {
- public:
-  virtual ~Sink() = default;
-
-  virtual bool wants(std::uint32_t rank, EventKind kind) const = 0;
-  virtual void emit(Record r) = 0;
-
-  /// Called once after the run completes, before results are read.
-  virtual void flush() = 0;
-};
-
-/// The classic destination: every record into a Trace. Serial runs
-/// append in arrival order (the historical behaviour); under the
-/// sharded engine records buffer per rank and flush() appends them
-/// rank-major — the canonical order that makes output independent of
-/// worker count.
-class CollectorSink final : public Sink {
- public:
-  CollectorSink(Trace& out, std::uint32_t ranks, bool parallel);
-
-  bool wants(std::uint32_t, EventKind) const override { return true; }
-  void emit(Record r) override;
-  void flush() override;
-
- private:
-  Trace& out_;
-  bool parallel_ = false;
-  std::vector<std::vector<Record>> buffers_;
-};
-
 struct SinkConfig {
   /// Rank selection: explicit `rank_list` wins; else `sample_count > 0`
   /// samples that many ranks with sample_ranks(seed); else all ranks.
@@ -93,7 +50,7 @@ struct SinkConfig {
   /// Records retained per sampled rank. Without a spill path the ring
   /// keeps the *newest* `ring_capacity` records (oldest are dropped and
   /// counted); with one, a full ring is flushed to disk as a chunk and
-  /// nothing is lost. 0 = unbounded (the classic collector behaviour).
+  /// nothing is lost. 0 = unbounded (keep every record).
   std::uint32_t ring_capacity = 65536;
 
   /// Which event kinds to capture (see event_kind_bit / kAllEventKinds).
@@ -107,21 +64,26 @@ struct SinkConfig {
   std::string tool_version;
 };
 
-/// Bounded streaming sink. Typical lifecycle:
+/// Where the MPI runtime delivers trace records. Typical lifecycle:
 ///
 ///   StreamingSink sink(total_ranks, config);
-///   runtime.set_trace_sink(&sink);
+///   mpi::Runtime runtime(engine, network, hosts, mpi_config, &sink);
 ///   ... run ...
 ///   sink.close();                  // finalizes the spill file, if any
 ///   sink.drain(result.trace);      // no-spill mode: rank-major drain
-class StreamingSink final : public Sink {
+///
+/// Concurrency contract: emit() may be called concurrently for
+/// *different* ranks (the sharded engine's workers own disjoint rank
+/// sets) but never concurrently for the same rank. wants() is safe to
+/// call concurrently and is a cheap pre-filter — callers may skip
+/// building the Record entirely when it returns false.
+class StreamingSink {
  public:
   StreamingSink(std::uint32_t total_ranks, SinkConfig config);
-  ~StreamingSink() override;
+  ~StreamingSink();
 
-  bool wants(std::uint32_t rank, EventKind kind) const override;
-  void emit(Record r) override;
-  void flush() override {}
+  bool wants(std::uint32_t rank, EventKind kind) const;
+  void emit(Record r);
 
   /// Finalizes the capture. With a spill path: flushes the remaining
   /// rings, canonicalizes the chunked `<path>.tmp` into the final
@@ -129,10 +91,11 @@ class StreamingSink final : public Sink {
   /// a no-op. Idempotent; not safe concurrently with emit().
   void close();
 
-  /// Appends every retained record to `out`, ranks ascending and
-  /// oldest-first within a rank, and stamps provenance. Only meaningful
-  /// without a spill path (spilled records live in the file).
-  void drain(Trace& out) const;
+  /// Moves every retained record to `out`, ranks ascending and
+  /// oldest-first within a rank, freeing each rank's ring as it goes, and
+  /// stamps provenance. Only meaningful without a spill path (spilled
+  /// records live in the file); the rings are empty afterwards.
+  void drain(Trace& out);
 
   const std::vector<std::uint32_t>& sampled_ranks() const {
     return sampled_;

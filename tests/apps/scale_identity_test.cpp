@@ -1,10 +1,10 @@
-// Serial-vs-parallel byte-identity at scale: the sharded
-// conservative-lookahead engine must reproduce the classic serial
-// engine's results bit for bit — makespans compared as doubles (no
-// tolerance), drop counters exactly, and the Paraver trace bytes across
-// sharded worker counts. This is the run_campaign discipline applied to
-// the DES engine itself: parallelism is an implementation detail that
-// must be invisible in every observable output.
+// Serial-vs-parallel byte-identity at scale: the engine split into one
+// shard per leaf switch must reproduce the one-shard (serial) engine's
+// results bit for bit — makespans compared as doubles (no tolerance),
+// drop counters exactly, and the Paraver trace bytes for any shard or
+// worker count. This is the run_campaign discipline applied to the DES
+// engine itself: parallelism is an implementation detail that must be
+// invisible in every observable output.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -57,18 +57,19 @@ TEST(ScaleIdentity, Specfem1024RanksSerialVsSharded) {
   const AppRunResult sharded1 = run_specfem_1024(1);
   const AppRunResult sharded8 = run_specfem_1024(8);
 
-  // Classic serial engine vs sharded engine, any worker count: same
-  // makespan bits, same drop counters, same trace volume.
+  // One shard vs one per leaf switch, any worker count: same makespan
+  // bits, same drop counters.
   EXPECT_EQ(serial.makespan_s, sharded1.makespan_s);
   EXPECT_EQ(serial.makespan_s, sharded8.makespan_s);
   EXPECT_EQ(serial.network_drops, sharded1.network_drops);
   EXPECT_EQ(serial.network_drops, sharded8.network_drops);
-  EXPECT_EQ(serial.trace.size(), sharded8.trace.size());
   EXPECT_TRUE(serial.completed && sharded1.completed && sharded8.completed);
 
-  // Across sharded worker counts the whole trace is byte-identical
-  // (records flush rank-major for any worker count).
-  EXPECT_EQ(paraver_bytes(sharded1), paraver_bytes(sharded8));
+  // The whole trace is byte-identical: every run drains its sink
+  // rank-major, whichever way the engine was split.
+  const std::string serial_prv = paraver_bytes(serial);
+  EXPECT_EQ(serial_prv, paraver_bytes(sharded1));
+  EXPECT_EQ(serial_prv, paraver_bytes(sharded8));
 }
 
 TEST(ScaleIdentity, BigDftCongestionCollapseIdenticalAcrossEngines) {
@@ -82,7 +83,7 @@ TEST(ScaleIdentity, BigDftCongestionCollapseIdenticalAcrossEngines) {
   EXPECT_EQ(serial.makespan_s, sharded8.makespan_s);
   EXPECT_EQ(serial.network_drops, sharded8.network_drops);
   EXPECT_EQ(serial.network_retransmits, sharded8.network_retransmits);
-  EXPECT_EQ(serial.trace.size(), sharded8.trace.size());
+  EXPECT_EQ(paraver_bytes(serial), paraver_bytes(sharded8));
 }
 
 }  // namespace

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "apps/bigdft.h"
 #include "support/check.h"
+#include "trace/sink.h"
 #include "trace/trace.h"
 
 namespace mb::fault {
@@ -139,6 +143,90 @@ TEST(Chaos, CheckpointOverheadChargedOnCleanRun) {
   EXPECT_GT(r.recovery.checkpoint_write_s, 0.0);
   EXPECT_DOUBLE_EQ(r.recovery.lost_work_s, 0.0);
   EXPECT_DOUBLE_EQ(r.recovery.restart_s, 0.0);
+}
+
+// Fault marks travel through the trace sink like every other record, so
+// the capture options apply to them and they land in rank order. The
+// scenario mirrors examples/faults/slow_node.json: node 2 (ranks 4 and 5)
+// runs 5x slower from 0.2 s to 6 s.
+ChaosScenario slow_node_scenario() {
+  ChaosScenario s = base_scenario();
+  s.plan.slowdowns.push_back({2, 0.2, 6.0, 5.0});
+  return s;
+}
+
+// Node 2 crashes at 0.35 s; the restarted attempt completes.
+ChaosScenario recoverable_crash_scenario() {
+  ChaosScenario s = base_scenario();
+  s.plan.crashes.push_back({2, 0.35});
+  enable_checkpointing(s.plan);
+  return s;
+}
+
+std::size_t fault_marks(const trace::Trace& tr) {
+  std::size_t n = 0;
+  for (const trace::Record& rec : tr.records())
+    if (rec.kind == trace::EventKind::kFault) ++n;
+  return n;
+}
+
+TEST(Chaos, FaultMarksObeyTheKindFilter) {
+  ChaosScenario s = slow_node_scenario();
+  s.cluster.streaming_trace = true;
+  s.cluster.trace_sink.kind_mask =
+      trace::event_kind_bit(trace::EventKind::kCompute);
+  const ChaosResult r = run_chaos(s, small_bigdft(s.plan.seed));
+  ASSERT_TRUE(r.completed);
+  EXPECT_GT(r.trace.size(), 0u);
+  EXPECT_EQ(fault_marks(r.trace), 0u);
+
+  // Marks carried over from a failed attempt are filtered the same way.
+  ChaosScenario crash = recoverable_crash_scenario();
+  crash.cluster.streaming_trace = true;
+  crash.cluster.trace_sink.kind_mask = s.cluster.trace_sink.kind_mask;
+  const ChaosResult recovered = run_chaos(crash, small_bigdft(crash.plan.seed));
+  ASSERT_TRUE(recovered.recovered);
+  EXPECT_EQ(fault_marks(recovered.trace), 0u);
+}
+
+TEST(Chaos, FaultMarksObeyTheRankFilter) {
+  ChaosScenario s = slow_node_scenario();
+  s.cluster.streaming_trace = true;
+  s.cluster.trace_sink.rank_list = {0, 1};
+  const ChaosResult r = run_chaos(s, small_bigdft(s.plan.seed));
+  ASSERT_TRUE(r.completed);
+  EXPECT_GT(r.trace.size(), 0u);
+  for (const trace::Record& rec : r.trace.records())
+    EXPECT_LE(rec.rank, 1u) << trace::event_kind_name(rec.kind) << " "
+                            << rec.label;
+}
+
+TEST(Chaos, FaultMarksSitInRankOrder) {
+  const auto expect_rank_major = [](const trace::Trace& tr) {
+    for (std::size_t i = 1; i < tr.size(); ++i)
+      ASSERT_LE(tr.records()[i - 1].rank, tr.records()[i].rank)
+          << "record " << i;
+  };
+  ChaosScenario s = slow_node_scenario();
+  const ChaosResult r = run_chaos(s, small_bigdft(s.plan.seed));
+  ASSERT_TRUE(r.completed);
+  expect_rank_major(r.trace);
+  // Both slowdown marks sit on the slowed node's first rank.
+  std::vector<std::string> rank4_marks;
+  for (const trace::Record& rec : r.trace.records())
+    if (rec.kind == trace::EventKind::kFault) {
+      EXPECT_EQ(rec.rank, 4u);
+      rank4_marks.push_back(rec.label);
+    }
+  EXPECT_EQ(rank4_marks, (std::vector<std::string>{"slowdown:node2",
+                                                   "slowdown_end:node2"}));
+
+  // A recovered run re-emits the failed attempt's marks in rank order too.
+  const ChaosScenario crash = recoverable_crash_scenario();
+  const ChaosResult recovered = run_chaos(crash, small_bigdft(crash.plan.seed));
+  ASSERT_TRUE(recovered.recovered);
+  EXPECT_EQ(fault_marks(recovered.trace), 1u);
+  expect_rank_major(recovered.trace);
 }
 
 TEST(Chaos, RejectsPlanThatFailsLint) {

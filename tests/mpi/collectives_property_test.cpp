@@ -3,6 +3,7 @@
 // (every receive matched by a send) and actually executable end to end.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <tuple>
 
@@ -12,6 +13,8 @@
 
 namespace mb::mpi {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 enum class Coll { kBarrier, kBcast, kAllreduce, kAlltoallv, kGather, kScatter, kAllgather, kReduce };
 
@@ -64,36 +67,42 @@ TEST_P(CollectiveSchedule, EverySendHasAMatchingRecv) {
 
 TEST_P(CollectiveSchedule, ExecutesToCompletionOnACluster) {
   const auto [coll, ranks] = GetParam();
-  sim::EventQueue queue;
-  net::Network network(queue);
+  sim::ShardedEngine engine(1);
+  net::Network network(engine);
   const auto topo =
       net::build_tree(network, net::tibidabo_tree((ranks + 1) / 2));
+  engine.configure({}, 1, kInf);
   std::vector<net::NodeId> hosts;
   for (std::uint32_t r = 0; r < ranks; ++r)
     hosts.push_back(topo.hosts[r / 2]);
 
-  trace::Trace trace;
-  Runtime rt(queue, network, hosts, RuntimeConfig{}, &trace);
+  trace::SinkConfig keep_all;
+  keep_all.ring_capacity = 0;
+  trace::StreamingSink sink(ranks, keep_all);
+  Runtime rt(engine, network, hosts, RuntimeConfig{}, &sink);
   Program program(ranks);
   program.append_all(make(coll, ranks));
   const double makespan = rt.run(program);
   EXPECT_GT(makespan, 0.0);
   // Every rank records the collective exactly once.
+  trace::Trace trace;
+  sink.drain(trace);
   const auto recs = trace.filter(trace::EventKind::kCollective);
   EXPECT_EQ(recs.size(), ranks);
 }
 
 TEST_P(CollectiveSchedule, BackToBackInstancesDoNotCrossMatch) {
   const auto [coll, ranks] = GetParam();
-  sim::EventQueue queue;
-  net::Network network(queue);
+  sim::ShardedEngine engine(1);
+  net::Network network(engine);
   const auto topo =
       net::build_tree(network, net::tibidabo_tree((ranks + 1) / 2));
+  engine.configure({}, 1, kInf);
   std::vector<net::NodeId> hosts;
   for (std::uint32_t r = 0; r < ranks; ++r)
     hosts.push_back(topo.hosts[r / 2]);
 
-  Runtime rt(queue, network, hosts, RuntimeConfig{}, nullptr);
+  Runtime rt(engine, network, hosts, RuntimeConfig{}, nullptr);
   Program program(ranks);
   program.append_all(make(coll, ranks));
   program.append_all(make(coll, ranks));

@@ -1,5 +1,6 @@
 #include "mpi/runtime.h"
 
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -13,22 +14,29 @@ namespace mb::mpi {
 namespace {
 
 struct Harness {
-  sim::EventQueue queue;
-  net::Network network{queue};
+  sim::ShardedEngine engine{1};
+  net::Network network{engine};
   net::ClusterTopology topo;
   trace::Trace trace;
 
   explicit Harness(std::uint32_t nodes) {
     net::TreeParams params = net::tibidabo_tree(nodes);
     topo = net::build_tree(network, params);
+    engine.configure({}, 1, std::numeric_limits<double>::infinity());
   }
 
+  /// Runs with every record captured, then drains them into `trace`.
   double run(const Program& program, std::uint32_t ranks_per_node = 1) {
     std::vector<net::NodeId> rank_to_host;
     for (std::uint32_t r = 0; r < program.ranks(); ++r)
       rank_to_host.push_back(topo.hosts[r / ranks_per_node]);
-    Runtime rt(queue, network, rank_to_host, RuntimeConfig{}, &trace);
-    return rt.run(program);
+    trace::SinkConfig keep_all;
+    keep_all.ring_capacity = 0;
+    trace::StreamingSink sink(program.ranks(), keep_all);
+    Runtime rt(engine, network, rank_to_host, RuntimeConfig{}, &sink);
+    const double makespan = rt.run(program);
+    sink.drain(trace);
+    return makespan;
   }
 };
 
@@ -115,7 +123,7 @@ TEST(Runtime, VerifyOptOutFallsBackToRuntimeDeadlockCheck) {
   std::vector<net::NodeId> hosts{h.topo.hosts[0], h.topo.hosts[1]};
   RuntimeConfig config;
   config.verify = false;
-  Runtime rt(h.queue, h.network, hosts, config, nullptr);
+  Runtime rt(h.engine, h.network, hosts, config, nullptr);
   try {
     rt.run(p);
     FAIL() << "expected support::Error";
@@ -230,12 +238,12 @@ TEST(Runtime, CrashedPeerYieldsStructuredFailureReport) {
   std::vector<net::NodeId> hosts{h.topo.hosts[0], h.topo.hosts[1]};
   RuntimeConfig config;
   config.recv_timeout_s = 0.5;
-  Runtime rt(h.queue, h.network, hosts, config, nullptr);
+  Runtime rt(h.engine, h.network, hosts, config, nullptr);
   Program p(2);
   p.rank(0).push_back(Op::recv(1, 5));
   p.rank(1).push_back(Op::compute(0.2));
   p.rank(1).push_back(Op::send(0, 1000, 5));
-  h.queue.schedule_in(0.1, [&] { rt.crash_rank(1); });
+  h.engine.schedule(0, 0.1, [&] { rt.crash_rank(1); });
 
   const RunOutcome outcome = rt.run_outcome(p);
   EXPECT_FALSE(outcome.completed);
@@ -263,13 +271,13 @@ TEST(Runtime, SendRetryRecoversFromTransientOutage) {
   config.max_send_retries = 3;
   config.send_retry_base_s = 5.0;
   obs::metrics().reset_for_test();
-  Runtime rt(h.queue, h.network, hosts, config, nullptr);
+  Runtime rt(h.engine, h.network, hosts, config, nullptr);
 
   // The host link is down long enough for the network to exhaust its
   // per-frame retransmit budget and abandon the message; the runtime's
   // send retry re-posts it once the link is back.
   h.network.set_link_state(h.topo.hosts[0], h.topo.leaf_switches[0], false);
-  h.queue.schedule_in(60.0, [&] {
+  h.engine.schedule(0, 60.0, [&] {
     h.network.set_link_state(h.topo.hosts[0], h.topo.leaf_switches[0],
                              true);
   });
@@ -286,13 +294,13 @@ TEST(Runtime, SendRetryRecoversFromTransientOutage) {
 TEST(Runtime, SlowdownStretchesSubsequentCompute) {
   Harness h(2);
   std::vector<net::NodeId> hosts{h.topo.hosts[0], h.topo.hosts[1]};
-  Runtime rt(h.queue, h.network, hosts, RuntimeConfig{}, nullptr);
+  Runtime rt(h.engine, h.network, hosts, RuntimeConfig{}, nullptr);
   Program p(2);
   p.rank(0).push_back(Op::compute(0.1));
   p.rank(0).push_back(Op::compute(1.0));
   // Fires between the two ops: only the second is stretched (Fig. 5
   // degraded mode, ~5x slower).
-  h.queue.schedule_in(0.05, [&] { rt.set_rank_slowdown(0, 5.0); });
+  h.engine.schedule(0, 0.05, [&] { rt.set_rank_slowdown(0, 5.0); });
 
   EXPECT_NEAR(rt.run(p), 0.1 + 5.0, 1e-9);
   EXPECT_THROW(rt.set_rank_slowdown(0, 0.5), support::Error);  // < 1
@@ -303,14 +311,14 @@ TEST(Runtime, RanksMismatchRejected) {
   Harness h(2);
   Program p(3);
   std::vector<net::NodeId> hosts{h.topo.hosts[0], h.topo.hosts[1]};
-  Runtime rt(h.queue, h.network, hosts, RuntimeConfig{}, nullptr);
+  Runtime rt(h.engine, h.network, hosts, RuntimeConfig{}, nullptr);
   EXPECT_THROW(rt.run(p), support::Error);
 }
 
 TEST(Runtime, RankOnSwitchRejected) {
   Harness h(2);
   std::vector<net::NodeId> hosts{h.topo.root_switch};
-  EXPECT_THROW(Runtime(h.queue, h.network, hosts, RuntimeConfig{}, nullptr),
+  EXPECT_THROW(Runtime(h.engine, h.network, hosts, RuntimeConfig{}, nullptr),
                support::Error);
 }
 

@@ -2,6 +2,8 @@
 // collective communication (the straggler pathology of real clusters).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "mpi/runtime.h"
 #include "net/topology.h"
 #include "support/check.h"
@@ -10,12 +12,13 @@ namespace mb::net {
 namespace {
 
 struct Cluster {
-  sim::EventQueue queue;
-  Network net{queue};
+  sim::ShardedEngine engine{1};
+  Network net{engine};
   ClusterTopology topo;
 
   explicit Cluster(std::uint32_t nodes) {
     topo = build_tree(net, tibidabo_tree(nodes));
+    engine.configure({}, 1, std::numeric_limits<double>::infinity());
   }
 };
 
@@ -24,8 +27,8 @@ TEST(FaultInjection, DegradedLinkSlowsItsFlows) {
     Cluster c(4);
     double t = -1;
     c.net.send(c.topo.hosts[0], c.topo.hosts[1], 1 << 20,
-               [&] { t = c.queue.now(); });
-    c.queue.run();
+               [&] { t = c.engine.now(); });
+    c.engine.run_all();
     return t;
   }();
 
@@ -33,8 +36,8 @@ TEST(FaultInjection, DegradedLinkSlowsItsFlows) {
   c.net.degrade_link(c.topo.hosts[0], c.topo.leaf_switches[0], 0.1, 1e-3);
   double t = -1;
   c.net.send(c.topo.hosts[0], c.topo.hosts[1], 1 << 20,
-             [&] { t = c.queue.now(); });
-  c.queue.run();
+             [&] { t = c.engine.now(); });
+  c.engine.run_all();
   EXPECT_GT(t, 5.0 * healthy_time);
 }
 
@@ -43,8 +46,8 @@ TEST(FaultInjection, OtherFlowsUnaffected) {
   c.net.degrade_link(c.topo.hosts[0], c.topo.leaf_switches[0], 0.1, 1e-3);
   double t = -1;
   c.net.send(c.topo.hosts[2], c.topo.hosts[3], 1 << 20,
-             [&] { t = c.queue.now(); });
-  c.queue.run();
+             [&] { t = c.engine.now(); });
+  c.engine.run_all();
   EXPECT_LT(t, 0.1);  // the healthy pair still runs at full speed
 }
 
@@ -57,7 +60,7 @@ TEST(FaultInjection, StragglerStallsTheWholeCollective) {
     std::vector<NodeId> hosts;
     for (std::uint32_t r = 0; r < 16; ++r)
       hosts.push_back(c.topo.hosts[r / 2]);
-    mpi::Runtime rt(c.queue, c.net, hosts, mpi::RuntimeConfig{}, nullptr);
+    mpi::Runtime rt(c.engine, c.net, hosts, mpi::RuntimeConfig{}, nullptr);
     mpi::Program prog(16);
     prog.append_all(mpi::Op::allreduce(1 << 20));
     return rt.run(prog);
@@ -72,11 +75,10 @@ TEST(FaultInjection, DownedLinkBlocksUntilRestored) {
   const NodeId host = c.topo.hosts[0];
   const NodeId leaf = c.topo.leaf_switches[0];
   c.net.set_link_state(host, leaf, false);
-  c.queue.schedule_in(1.0,
-                      [&] { c.net.set_link_state(host, leaf, true); });
+  c.engine.schedule(0, 1.0, [&] { c.net.set_link_state(host, leaf, true); });
   double t = -1;
-  c.net.send(host, c.topo.hosts[1], 100, [&] { t = c.queue.now(); });
-  c.queue.run();
+  c.net.send(host, c.topo.hosts[1], 100, [&] { t = c.engine.now(); });
+  c.engine.run_all();
   // The frame sat out the outage on retransmit timers; it cannot have
   // arrived before the link came back.
   EXPECT_GT(t, 1.0);
@@ -94,11 +96,10 @@ TEST(FaultInjection, RetransmitBackoffIsExponential) {
   const NodeId host = c.topo.hosts[0];
   const NodeId leaf = c.topo.leaf_switches[0];
   c.net.set_link_state(host, leaf, false);
-  c.queue.schedule_in(0.5,
-                      [&] { c.net.set_link_state(host, leaf, true); });
+  c.engine.schedule(0, 0.5, [&] { c.net.set_link_state(host, leaf, true); });
   double t = -1;
-  c.net.send(host, c.topo.hosts[1], 100, [&] { t = c.queue.now(); });
-  c.queue.run();
+  c.net.send(host, c.topo.hosts[1], 100, [&] { t = c.engine.now(); });
+  c.engine.run_all();
   EXPECT_GT(t, 0.775);
   EXPECT_LT(t, 0.85);
   EXPECT_EQ(c.net.link_stats(host, leaf).retransmits, 5u);
@@ -113,7 +114,7 @@ TEST(FaultInjection, PermanentOutageGivesUpAndReportsFailure) {
   int failures = 0;
   c.net.send(host, c.topo.hosts[1], 100, [&] { delivered = true; },
              [&] { ++failures; });
-  c.queue.run();
+  c.engine.run_all();
   EXPECT_FALSE(delivered);
   EXPECT_EQ(failures, 1);  // on_failed fires exactly once
   EXPECT_GT(c.net.link_stats(host, leaf).gave_up, 0u);
@@ -128,7 +129,7 @@ TEST(FaultInjection, InjectedLossStillDeliversEverything) {
   const int messages = 50;
   for (int m = 0; m < messages; ++m)
     c.net.send(host, c.topo.hosts[1], 4000, [&] { ++delivered; });
-  c.queue.run();
+  c.engine.run_all();
   EXPECT_EQ(delivered, messages);  // retransmission hides the loss
   const auto& stats = c.net.link_stats(host, leaf);
   EXPECT_GT(stats.injected_losses, 0u);

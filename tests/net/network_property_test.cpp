@@ -2,19 +2,24 @@
 // timing sanity under randomized traffic on every topology size.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "net/topology.h"
 #include "support/rng.h"
 
 namespace mb::net {
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 class TopologySweep : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(TopologySweep, EveryMessageDeliveredExactlyOnce) {
   const std::uint32_t nodes = GetParam();
-  sim::EventQueue queue;
-  Network net(queue);
+  sim::ShardedEngine engine(1);
+  Network net(engine);
   const auto topo = build_tree(net, tibidabo_tree(nodes));
+  engine.configure({}, 1, kInf);
 
   support::Rng rng(nodes);
   const int messages = 200;
@@ -25,14 +30,14 @@ TEST_P(TopologySweep, EveryMessageDeliveredExactlyOnce) {
     const std::uint64_t bytes = rng.uniform_u64(0, 64 * 1024);
     net.send(src, dst, bytes, [&delivered] { ++delivered; });
   }
-  queue.run();
+  engine.run_all();
   EXPECT_EQ(delivered, messages);
 }
 
 TEST_P(TopologySweep, RoutesAreSymmetricInHops) {
   const std::uint32_t nodes = GetParam();
-  sim::EventQueue queue;
-  Network net(queue);
+  sim::ShardedEngine engine(1);
+  Network net(engine);
   const auto topo = build_tree(net, tibidabo_tree(nodes));
   support::Rng rng(nodes * 7);
   for (int i = 0; i < 50; ++i) {
@@ -52,13 +57,14 @@ TEST_P(TopologySweep, LargerMessagesNeverArriveEarlier) {
   // On an otherwise idle network, delivery time is monotone in size.
   double prev = 0.0;
   for (const std::uint64_t bytes : {1024ull, 64ull * 1024, 1ull << 20}) {
-    sim::EventQueue queue;
-    Network net(queue);
+    sim::ShardedEngine engine(1);
+    Network net(engine);
     const auto topo = build_tree(net, tibidabo_tree(nodes));
+    engine.configure({}, 1, kInf);
     double t = -1;
     net.send(topo.hosts[0], topo.hosts[nodes - 1], bytes,
-             [&] { t = queue.now(); });
-    queue.run();
+             [&] { t = engine.now(); });
+    engine.run_all();
     EXPECT_GT(t, prev);
     prev = t;
   }
@@ -67,13 +73,14 @@ TEST_P(TopologySweep, LargerMessagesNeverArriveEarlier) {
 TEST_P(TopologySweep, LinkStatsConserveBytes) {
   const std::uint32_t nodes = GetParam();
   if (nodes < 2) return;
-  sim::EventQueue queue;
-  Network net(queue);
+  sim::ShardedEngine engine(1);
+  Network net(engine);
   const auto topo = build_tree(net, tibidabo_tree(nodes));
+  engine.configure({}, 1, kInf);
   const std::uint64_t bytes = 100 * 1000;
   int done = 0;
   net.send(topo.hosts[0], topo.hosts[1], bytes, [&] { ++done; });
-  queue.run();
+  engine.run_all();
   // First hop carries every payload byte exactly once (no drops expected
   // for a single flow).
   const auto& s = net.link_stats(topo.hosts[0], topo.leaf_switches[0]);
@@ -84,9 +91,10 @@ TEST_P(TopologySweep, LinkStatsConserveBytes) {
 TEST_P(TopologySweep, ByteConservationUnderLoss) {
   const std::uint32_t nodes = GetParam();
   if (nodes < 2) return;
-  sim::EventQueue queue;
-  Network net(queue);
+  sim::ShardedEngine engine(1);
+  Network net(engine);
   const auto topo = build_tree(net, tibidabo_tree(nodes));
+  engine.configure({}, 1, kInf);
 
   // Every host link is lossy; retransmission must still deliver every
   // message exactly once, with every payload byte intact.
@@ -112,7 +120,7 @@ TEST_P(TopologySweep, ByteConservationUnderLoss) {
       bytes_delivered += bytes;
     });
   }
-  queue.run();
+  engine.run_all();
   EXPECT_EQ(delivered, messages);
   EXPECT_EQ(bytes_delivered, bytes_sent);
 

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "support/check.h"
 #include "support/units.h"
 
 namespace mb::net {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 LinkSpec gig() {
   LinkSpec l;
@@ -16,8 +20,9 @@ LinkSpec gig() {
 }
 
 struct Fixture {
-  sim::EventQueue queue;
-  Network net{queue};
+  Fixture() { engine.configure({}, 1, kInf); }  // the one-shard engine
+  sim::ShardedEngine engine{1};
+  Network net{engine};
 };
 
 TEST(Network, SingleLinkLatencyAndBandwidth) {
@@ -28,8 +33,8 @@ TEST(Network, SingleLinkLatencyAndBandwidth) {
   f.net.finalize_routes();
 
   double delivered = -1;
-  f.net.send(a, b, 1000, [&] { delivered = f.queue.now(); });
-  f.queue.run();
+  f.net.send(a, b, 1000, [&] { delivered = f.engine.now(); });
+  f.engine.run_all();
   // One frame: (1000+38 overhead bytes) / 125e6 B/s + 10us latency.
   EXPECT_NEAR(delivered, 1038.0 / 125e6 + 10e-6, 1e-9);
 }
@@ -43,8 +48,8 @@ TEST(Network, MultiFrameMessagePipelines) {
 
   double delivered = -1;
   const std::uint64_t bytes = 10 * Network::kMtuBytes;
-  f.net.send(a, b, bytes, [&] { delivered = f.queue.now(); });
-  f.queue.run();
+  f.net.send(a, b, bytes, [&] { delivered = f.engine.now(); });
+  f.engine.run_all();
   // Frames serialize on the link: ~10 frame times + one latency.
   const double frame_t = (1500.0 + 38) / 125e6;
   EXPECT_NEAR(delivered, 10 * frame_t + 10e-6, frame_t * 0.2);
@@ -61,8 +66,8 @@ TEST(Network, TwoHopStoreAndForward) {
   EXPECT_EQ(f.net.route_hops(a, b), 2u);
 
   double delivered = -1;
-  f.net.send(a, b, 100, [&] { delivered = f.queue.now(); });
-  f.queue.run();
+  f.net.send(a, b, 100, [&] { delivered = f.engine.now(); });
+  f.engine.run_all();
   const double frame_t = 138.0 / 125e6;
   EXPECT_NEAR(delivered, 2 * frame_t + 2 * 10e-6, 1e-9);
 }
@@ -80,9 +85,9 @@ TEST(Network, OutputPortContentionSerializes) {
 
   const std::uint64_t bytes = 100 * Network::kMtuBytes;
   double t1 = -1, t2 = -1;
-  f.net.send(s1, d, bytes, [&] { t1 = f.queue.now(); });
-  f.net.send(s2, d, bytes, [&] { t2 = f.queue.now(); });
-  f.queue.run();
+  f.net.send(s1, d, bytes, [&] { t1 = f.engine.now(); });
+  f.net.send(s2, d, bytes, [&] { t2 = f.engine.now(); });
+  f.engine.run_all();
 
   // Compare with a single flow of the same size.
   Fixture g;
@@ -93,8 +98,8 @@ TEST(Network, OutputPortContentionSerializes) {
   g.net.add_link(gsw, b, gig());
   g.net.finalize_routes();
   double solo = -1;
-  g.net.send(a, b, bytes, [&] { solo = g.queue.now(); });
-  g.queue.run();
+  g.net.send(a, b, bytes, [&] { solo = g.engine.now(); });
+  g.engine.run_all();
 
   EXPECT_GT(std::max(t1, t2), 1.8 * solo);
   const auto& stats = f.net.link_stats(sw, d);
@@ -119,7 +124,7 @@ TEST(Network, BufferOverflowDropsAndRetransmits) {
   int done = 0;
   f.net.send(s1, d, bytes, [&] { ++done; });
   f.net.send(s2, d, bytes, [&] { ++done; });
-  const double end = f.queue.run();
+  const double end = f.engine.run_all();
   EXPECT_EQ(done, 2);
   EXPECT_GT(f.net.link_stats(sw, d).drops, 0u);
   EXPECT_GT(end, 0.01);  // at least one retransmit timeout elapsed
@@ -135,7 +140,7 @@ TEST(Network, NoDropsWithDeepBuffers) {
   f.net.finalize_routes();
   int done = 0;
   f.net.send(s1, d, 1000 * Network::kMtuBytes, [&] { ++done; });
-  f.queue.run();
+  f.engine.run_all();
   EXPECT_EQ(done, 1);
   EXPECT_EQ(f.net.link_stats(sw, d).drops, 0u);
 }
@@ -147,8 +152,8 @@ TEST(Network, LoopbackDeliversImmediately) {
   f.net.add_link(a, b, gig());
   f.net.finalize_routes();
   double t = -1;
-  f.net.send(a, a, 1 << 20, [&] { t = f.queue.now(); });
-  f.queue.run();
+  f.net.send(a, a, 1 << 20, [&] { t = f.engine.now(); });
+  f.engine.run_all();
   EXPECT_DOUBLE_EQ(t, 0.0);
 }
 
@@ -159,8 +164,8 @@ TEST(Network, ZeroByteMessageStillOneFrame) {
   f.net.add_link(a, b, gig());
   f.net.finalize_routes();
   double t = -1;
-  f.net.send(a, b, 0, [&] { t = f.queue.now(); });
-  f.queue.run();
+  f.net.send(a, b, 0, [&] { t = f.engine.now(); });
+  f.engine.run_all();
   EXPECT_GT(t, 0.0);
 }
 

@@ -6,8 +6,8 @@ namespace mb::net {
 namespace {
 
 TEST(Topology, SmallClusterUsesSingleSwitch) {
-  sim::EventQueue q;
-  Network net(q);
+  sim::ShardedEngine engine(1);
+  Network net(engine);
   const auto topo = build_tree(net, tibidabo_tree(16));
   EXPECT_EQ(topo.hosts.size(), 16u);
   EXPECT_EQ(topo.leaf_switches.size(), 1u);
@@ -16,8 +16,8 @@ TEST(Topology, SmallClusterUsesSingleSwitch) {
 }
 
 TEST(Topology, LargeClusterBuildsTwoLevels) {
-  sim::EventQueue q;
-  Network net(q);
+  sim::ShardedEngine engine(1);
+  Network net(engine);
   const auto topo = build_tree(net, tibidabo_tree(100));
   EXPECT_EQ(topo.hosts.size(), 100u);
   EXPECT_EQ(topo.leaf_switches.size(), 3u);  // ceil(100/48)
@@ -27,8 +27,8 @@ TEST(Topology, LargeClusterBuildsTwoLevels) {
 }
 
 TEST(Topology, ExactlyFullSwitch) {
-  sim::EventQueue q;
-  Network net(q);
+  sim::ShardedEngine engine(1);
+  Network net(engine);
   const auto topo = build_tree(net, tibidabo_tree(48));
   EXPECT_EQ(topo.leaf_switches.size(), 1u);
   EXPECT_EQ(topo.hosts.size(), 48u);
@@ -52,8 +52,8 @@ TEST(Topology, UpgradedTreeIsFaster) {
 }
 
 TEST(Topology, SingleNodeDegenerate) {
-  sim::EventQueue q;
-  Network net(q);
+  sim::ShardedEngine engine(1);
+  Network net(engine);
   const auto topo = build_tree(net, tibidabo_tree(1));
   EXPECT_EQ(topo.hosts.size(), 1u);
 }

@@ -2,26 +2,65 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "arch/platforms.h"
+#include "obs/profile.h"
 #include "support/rng.h"
 
 namespace mb::obs {
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 TEST(Rollup, EventQueueGaugesTrackTheCalendar) {
-  sim::EventQueue queue;
+  sim::ShardedEngine engine(1);
+  engine.configure({}, 1, kInf);
   // Three simultaneous pending events drive the high-water mark to 3.
-  queue.schedule_in(1.0, [] {});
-  queue.schedule_in(2.0, [] {});
-  queue.schedule_in(3.0, [] {});
-  queue.run();
+  engine.schedule(0, 1.0, [] {});
+  engine.schedule(0, 2.0, [] {});
+  engine.schedule(0, 3.0, [] {});
+  engine.run_all();
 
   Registry r;
-  publish_event_queue(r, queue);
+  publish_scheduler(r, engine);
   EXPECT_DOUBLE_EQ(r.gauge("sim.events_executed").value(), 3.0);
   EXPECT_DOUBLE_EQ(r.gauge("sim.events_scheduled").value(), 3.0);
   EXPECT_DOUBLE_EQ(r.gauge("sim.calendar_depth").value(), 0.0);
   EXPECT_DOUBLE_EQ(r.gauge("sim.calendar_max_depth").value(), 3.0);
+}
+
+TEST(Rollup, OneShardPublishesNoInfiniteLookahead) {
+  // One shard has no cross-shard link, so its lookahead is +infinity.
+  // JSON cannot carry that (JsonWriter writes null and the profile and
+  // report readers reject the document), so the gauge is left out.
+  sim::ShardedEngine engine(1);
+  engine.configure({}, 1, kInf);
+  engine.schedule(0, 1.0, [] {});
+  engine.run_all();
+
+  Registry r;
+  publish_scheduler(r, engine);
+  for (const MetricSample& m : r.snapshot())
+    EXPECT_NE(m.name, "sim.lookahead_s");
+  EXPECT_DOUBLE_EQ(r.gauge("sim.shards").value(), 1.0);
+  EXPECT_DOUBLE_EQ(r.gauge("sim.windows").value(), 1.0);
+  const Profile p = capture_profile(Profiler{}, r, "mbctl", "fig4");
+  EXPECT_NO_THROW(profile_from_json(to_json(p)));
+}
+
+TEST(Rollup, ShardedEnginePublishesItsLookahead) {
+  sim::ShardedEngine engine(2);
+  engine.configure({0, 1}, 2, 0.25);
+  engine.schedule(0, 1.0, [] {});
+  engine.schedule(1, 1.0, [] {});
+  engine.run_all();
+
+  Registry r;
+  publish_scheduler(r, engine);
+  EXPECT_DOUBLE_EQ(r.gauge("sim.lookahead_s").value(), 0.25);
+  EXPECT_DOUBLE_EQ(r.gauge("sim.shards").value(), 2.0);
+  EXPECT_DOUBLE_EQ(r.gauge("sim.windows").value(), 1.0);
 }
 
 TEST(Rollup, MachineGaugesCoverEveryCacheLevel) {

@@ -2,24 +2,29 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/event_queue.h"
+#include <limits>
+
+#include "sim/sharded.h"
 #include "support/check.h"
 
 namespace mb::obs {
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 TEST(TimeSampler, SamplesOnSimTimeGridAndStops) {
-  sim::EventQueue queue;
+  sim::ShardedEngine engine(1);
+  engine.configure({}, 1, kInf);
   int work = 0;
-  // Work events at 0.05 s intervals keep the queue busy until t = 0.5.
+  // Work events at 0.05 s intervals keep the engine busy until t = 0.5.
   for (int i = 1; i <= 10; ++i)
-    queue.schedule_in(0.05 * i, [&work] { ++work; });
+    engine.schedule(0, 0.05 * i, [&work] { ++work; });
 
   TimeSampler sampler;
   sampler.add_probe("work.done",
                     [&work] { return static_cast<double>(work); });
-  sampler.arm(queue, 0.1);
-  queue.run();
+  sampler.arm(engine, 0.1);
+  engine.run_all();
 
   EXPECT_EQ(work, 10);
   const TimeSeries ts = sampler.take();
@@ -36,24 +41,34 @@ TEST(TimeSampler, SamplesOnSimTimeGridAndStops) {
 }
 
 TEST(TimeSampler, MaxSamplesBoundsMemory) {
-  sim::EventQueue queue;
+  sim::ShardedEngine engine(1);
+  engine.configure({}, 1, kInf);
   for (int i = 1; i <= 100; ++i)
-    queue.schedule_in(0.1 * i, [] {});
+    engine.schedule(0, 0.1 * i, [] {});
   TimeSampler sampler;
   sampler.add_probe("x", [] { return 1.0; });
-  sampler.arm(queue, 0.1, /*max_samples=*/5);
-  queue.run();
+  sampler.arm(engine, 0.1, /*max_samples=*/5);
+  engine.run_all();
   EXPECT_EQ(sampler.samples(), 5u);
 }
 
 TEST(TimeSampler, ProbesMustPrecedeArm) {
-  sim::EventQueue queue;
+  sim::ShardedEngine engine(1);
+  engine.configure({}, 1, kInf);
   TimeSampler sampler;
   sampler.add_probe("x", [] { return 0.0; });
-  sampler.arm(queue, 0.5);
+  sampler.arm(engine, 0.5);
   EXPECT_THROW(sampler.add_probe("y", [] { return 0.0; }),
                support::Error);
-  EXPECT_THROW(sampler.arm(queue, 0.5), support::Error);
+  EXPECT_THROW(sampler.arm(engine, 0.5), support::Error);
+}
+
+TEST(TimeSampler, RefusesAMultiShardEngine) {
+  // Probes read global state that no shard owns once the run is split.
+  sim::ShardedEngine engine(2);
+  engine.configure({0, 1}, 2, 1e-3);
+  TimeSampler sampler;
+  EXPECT_THROW(sampler.arm(engine, 0.5), support::Error);
 }
 
 TEST(TimeSeries, JsonRoundTrip) {

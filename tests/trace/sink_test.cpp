@@ -50,27 +50,39 @@ TEST(SampleRanks, DeterministicAndDistinct) {
   EXPECT_EQ(sample_ranks(4, 10, 1).size(), 4u);
 }
 
-TEST(CollectorSink, SerialAppendsInArrivalOrder) {
-  Trace out;
-  CollectorSink sink(out, 2, /*parallel=*/false);
-  EXPECT_TRUE(sink.wants(1, EventKind::kWait));
-  sink.emit(rec(1, 0, 1, EventKind::kCompute, "b"));
-  sink.emit(rec(0, 1, 2, EventKind::kCompute, "a"));
-  sink.flush();
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out.records()[0].rank, 1u);  // arrival order, not rank-major
-}
+TEST(StreamingSink, UnboundedDrainIsRankMajorAndMovesRecords) {
+  // The default capture of every run: all ranks, unbounded rings.
+  SinkConfig config;
+  config.ring_capacity = 0;
+  StreamingSink sink(3, config);
+  const std::string long_label(64, 'x');  // heap-allocated, not SSO
+  for (int i = 0; i < 100; ++i) {
+    sink.emit(rec(2, i, i + 1, EventKind::kCompute, "c"));
+    sink.emit(rec(0, i, i + 1, EventKind::kSend, long_label, 8));
+  }
+  sink.emit(rec(1, 0, 1, EventKind::kWait, "w"));
+  sink.close();
+  EXPECT_EQ(sink.total_emitted(), 201u);
+  EXPECT_EQ(sink.total_dropped(), 0u);
 
-TEST(CollectorSink, ParallelFlushesRankMajor) {
   Trace out;
-  CollectorSink sink(out, 2, /*parallel=*/true);
-  sink.emit(rec(1, 0, 1, EventKind::kCompute, "b"));
-  sink.emit(rec(0, 1, 2, EventKind::kCompute, "a"));
-  EXPECT_EQ(out.size(), 0u);  // buffered until flush
-  sink.flush();
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out.records()[0].rank, 0u);
-  EXPECT_EQ(out.records()[1].rank, 1u);
+  sink.drain(out);
+  ASSERT_EQ(out.size(), 201u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::uint32_t want = i < 100 ? 0u : (i == 100 ? 1u : 2u);
+    EXPECT_EQ(out.records()[i].rank, want) << "record " << i;
+  }
+  // Oldest-first within a rank, and labels intact after the move.
+  EXPECT_EQ(out.records()[0].t0, 0.0);
+  EXPECT_EQ(out.records()[99].t0, 99.0);
+  EXPECT_EQ(out.records()[99].label, long_label);
+  EXPECT_EQ(out.records()[200].t0, 99.0);
+
+  // The records were moved, not copied: the rings are empty, so a second
+  // drain adds nothing.
+  Trace again;
+  sink.drain(again);
+  EXPECT_EQ(again.size(), 0u);
 }
 
 TEST(StreamingSink, FiltersByRankAndKind) {

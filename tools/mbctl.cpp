@@ -238,14 +238,14 @@ using mb::support::kExitUsage;
       "platform: snowball | xeon | tegra2 | exynos5 | @file\n"
       "capture opts: [--trace-ranks all|N|R1,R2,...] [--trace-buffer N]\n"
       "[--trace-kinds all|k1,k2,...] [--timeseries-out PATH]\n"
-      "[--sample-interval X] — any --trace-* flag replaces the unbounded\n"
-      "trace collector with the bounded streaming sink: a count N samples\n"
+      "[--sample-interval X] — the trace keeps every record of every\n"
+      "rank unless a --trace-* flag bounds it: a count N samples\n"
       "N ranks deterministically from the seed, a comma list pins exact\n"
       "ranks, --trace-buffer caps records kept per rank (drop-oldest,\n"
       "default 65536) and --trace-kinds filters event kinds (compute,\n"
       "send, recv, wait, collective, fault). --timeseries-out samples\n"
       "run gauges every X simulated seconds (--sample-interval, default\n"
-      "0.1; forces the serial engine) into an mb-timeseries document\n"
+      "0.1; forces one shard) into an mb-timeseries document\n"
       "campaign opts: [--jobs N] [--no-cache] [--cache-dir PATH]\n"
       "[--cache-max-bytes N] — run the sweep on N worker threads\n"
       "(byte-identical output to --jobs 1) and cache simulation outcomes\n"
@@ -254,8 +254,8 @@ using mb::support::kExitUsage;
       "entries are quarantined (renamed *.quarantined) instead of\n"
       "re-parsed; campaign/cache totals are reported on stderr\n"
       "--sim-jobs N shards the cluster discrete-event simulation across N\n"
-      "workers under conservative lookahead; results are byte-identical to\n"
-      "the serial engine (0 = classic serial queue)\n"
+      "workers under conservative lookahead; results and traces are\n"
+      "byte-identical for any N (0 = one shard, the serial engine)\n"
       "--profile enables the scoped-span profiler and writes an mb-profile\n"
       "document (read it back with obs-report)\n"
       "--seed defaults to the MB_SEED environment variable when set\n"
