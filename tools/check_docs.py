@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
 """Docs consistency checker (no third-party dependencies).
 
-Run from the repository root (CI and the `docs_check` ctest both do):
+Run from the repository root with the mbctl binary (CI and the `docs_check`
+ctest both do):
 
-  python3 tools/check_docs.py
+  python3 tools/check_docs.py build/tools/mbctl
 
 Checks
-  1. The command set in mbctl's usage() text (tools/mbctl.cpp) matches the
-     set of `## \`command\`` sections in docs/cli.md — a new subcommand
-     cannot ship undocumented, and the doc cannot advertise a command that
-     no longer exists.
+  1. The commands of `mbctl help`, which mbctl generates from its command
+     table, match the `## \`command\`` sections of docs/cli.md in the same
+     order — a new subcommand cannot ship undocumented, and the doc cannot
+     advertise a command that no longer exists.
   2. docs/cli.md documents every exit code declared in
      src/support/exit_codes.h.
-  3. Every command whose usage() line advertises --sim-jobs documents the
-     flag in its docs/cli.md section (the parallel-DES knob must not ship
-     undocumented on any command that grows it).
+  3. Every flag the table declares for a command appears in that
+     command's docs/cli.md section; a flag of a shared group
+     (`[<name> opts]`) may appear under "Shared conventions" instead.
   4. Every relative markdown link in the curated docs resolves to an
      existing file (anchors are stripped; external URLs are ignored).
   5. Every JSON schema name a writer stamps in src/ ("schema",
@@ -24,6 +25,7 @@ Checks
 
 import os
 import re
+import subprocess
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -54,27 +56,32 @@ def read(path):
         return f.read()
 
 
-def usage_commands(mbctl_source):
-    """Command names from the usage() string literals in mbctl.cpp.
+def parse_help(text):
+    """Commands and flag groups of `mbctl help`, each mapped to its synopsis.
 
-    Command lines render as two spaces + name; continuation lines are
-    indented further and option/footer lines do not start with two spaces.
+    A command line is two spaces + name, a group line `<name> opts:`, and
+    continuation lines are indented further; everything else is notes.
     """
-    in_usage = False
-    commands = []
-    for line in mbctl_source.splitlines():
-        stripped = line.strip()
-        if '"usage: mbctl' in stripped:
-            in_usage = True
-            continue
-        if not in_usage:
-            continue
-        m = re.match(r'^"  ([a-z][a-z0-9-]*)[ \\]', stripped)
-        if m:
-            commands.append(m.group(1))
-        elif stripped.startswith('"platform:'):
-            break
-    return commands
+    commands, groups = {}, {}
+    entry = None
+    for line in text.splitlines():
+        command = re.match(r"^  ([a-z][a-z0-9-]*)(.*)$", line)
+        group = re.match(r"^([a-z]+) opts:(.*)$", line)
+        if command:
+            entry = (commands, command.group(1), command.group(2))
+        elif group:
+            entry = (groups, group.group(1), group.group(2))
+        elif entry and line.startswith("   "):
+            entry = (entry[0], entry[1], entry[2] + " " + line.strip())
+        else:
+            entry = None
+        if entry:
+            entry[0][entry[1]] = entry[2]
+    return commands, groups
+
+
+FLAG_RE = re.compile(r"--([a-z][a-z0-9-]*)")
+GROUP_RE = re.compile(r"\[([a-z]+) opts\]")
 
 
 def documented_commands(cli_md):
@@ -85,45 +92,24 @@ def declared_exit_codes(header):
     return re.findall(r"inline constexpr int kExit\w+ = (\d+);", header)
 
 
-def check_commands(errors):
-    usage = usage_commands(read("tools/mbctl.cpp"))
+def check_commands(errors, commands):
+    usage = list(commands)
     documented = documented_commands(read("docs/cli.md"))
     if not usage:
-        errors.append("could not parse any commands from mbctl usage()")
+        errors.append("could not parse any commands from `mbctl help`")
         return
     for missing in sorted(set(usage) - set(documented)):
-        errors.append(f"docs/cli.md: command `{missing}` is in mbctl "
-                      f"usage() but has no '## `{missing}`' section")
+        errors.append(f"docs/cli.md: command `{missing}` is in `mbctl "
+                      f"help` but has no '## `{missing}`' section")
     for stale in sorted(set(documented) - set(usage)):
-        errors.append(f"docs/cli.md: documents `{stale}`, which mbctl "
-                      "usage() no longer lists")
+        errors.append(f"docs/cli.md: documents `{stale}`, which `mbctl "
+                      "help` no longer lists")
     if usage == documented:
         return
     if set(usage) == set(documented):
         errors.append("docs/cli.md: command sections are ordered "
-                      f"differently from usage(): {documented} vs {usage}")
-
-
-def usage_flag_commands(mbctl_source, flag):
-    """Commands whose usage() lines (incl. continuations) mention flag."""
-    in_usage = False
-    current = None
-    hits = set()
-    for line in mbctl_source.splitlines():
-        stripped = line.strip()
-        if '"usage: mbctl' in stripped:
-            in_usage = True
-            continue
-        if not in_usage:
-            continue
-        if stripped.startswith('"platform:'):
-            break
-        m = re.match(r'^"  ([a-z][a-z0-9-]*)[ \\]', stripped)
-        if m:
-            current = m.group(1)
-        if current and flag in stripped:
-            hits.add(current)
-    return hits
+                      f"differently from `mbctl help`: {documented} vs "
+                      f"{usage}")
 
 
 def section_bodies(cli_md):
@@ -132,16 +118,31 @@ def section_bodies(cli_md):
     return {parts[i]: parts[i + 1] for i in range(1, len(parts), 2)}
 
 
-def check_sim_jobs(errors):
-    sections = section_bodies(read("docs/cli.md"))
-    commands = usage_flag_commands(read("tools/mbctl.cpp"), "--sim-jobs")
-    if not commands:
-        errors.append("mbctl usage() no longer advertises --sim-jobs on any "
-                      "command; update or drop this check")
-    for cmd in sorted(commands):
-        if "--sim-jobs" not in sections.get(cmd, ""):
-            errors.append(f"docs/cli.md: `{cmd}` takes --sim-jobs but its "
-                          "section does not document the flag")
+def mentions(text, flag):
+    return re.search(rf"--{re.escape(flag)}(?![a-z0-9-])", text) is not None
+
+
+def check_flags(errors, commands, groups):
+    cli_md = read("docs/cli.md")
+    sections = section_bodies(cli_md)
+    shared = re.search(r"^## Shared conventions$(.*?)^## ", cli_md,
+                       re.MULTILINE | re.DOTALL)
+    shared = shared.group(1) if shared else ""
+    for cmd, synopsis in commands.items():
+        body = sections.get(cmd, "")
+        for flag in FLAG_RE.findall(synopsis):
+            if not mentions(body, flag):
+                errors.append(f"docs/cli.md: `{cmd}` takes --{flag} but its "
+                              "section does not document the flag")
+        for group in GROUP_RE.findall(synopsis):
+            if group not in groups:
+                errors.append(f"`mbctl help`: `{cmd}` names [{group} opts], "
+                              "which the help text never spells out")
+            for flag in FLAG_RE.findall(groups.get(group, "")):
+                if not (mentions(body, flag) or mentions(shared, flag)):
+                    errors.append(f"docs/cli.md: `{cmd}` takes --{flag} "
+                                  f"({group} opts) but neither its section "
+                                  "nor Shared conventions documents it")
 
 
 def check_exit_codes(errors):
@@ -197,10 +198,17 @@ def check_links(errors):
 
 
 def main():
+    if len(sys.argv) != 2:
+        fail(["usage: check_docs.py <path to the mbctl binary>"])
+    help_run = subprocess.run([sys.argv[1], "help"], capture_output=True,
+                              text=True, check=False)
+    if help_run.returncode != 0:
+        fail([f"`{sys.argv[1]} help` exited {help_run.returncode}"])
+    commands, groups = parse_help(help_run.stderr)
     errors = []
-    check_commands(errors)
+    check_commands(errors, commands)
     check_exit_codes(errors)
-    check_sim_jobs(errors)
+    check_flags(errors, commands, groups)
     check_links(errors)
     check_schemas(errors)
     if errors:

@@ -1,105 +1,8 @@
 // mbctl — command-line front end to the montblanc toolkit.
 //
-//   mbctl platforms                      list built-in platforms
-//   mbctl version                        print the tool version
-//   mbctl show <platform>                print its text description
-//   mbctl topology <platform>            hwloc-style diagram
-//   mbctl roofline <platform>            DP/SP roofs and ridge
-//   mbctl membench <platform> [opts]     strided-bandwidth measurement
-//       --size-kb N --stride N --bits 32|64|128 --unroll N --passes N
-//       --reps N --seed N [campaign opts]
-//   mbctl latency <platform> [opts]      pointer-chase latency
-//       --size-kb N --hops N --reps N --seed N [campaign opts]
-//   mbctl tune-magicfilter <platform>    unroll sweep + sweet spot
-//       [campaign opts]
-//   mbctl bench-suite [opts]             curated deterministic suites
-//       --suite smoke|scaling --reps N --seed N [campaign opts]
-//       (scaling: cluster strong-scaling scenarios, --ranks R1,R2,...
-//       --sim-jobs N; the CI scaling-gate's wall-clock probe)
-//
-// Campaign opts (measurement sweeps): --jobs N shards independent
-// simulations across a work-stealing worker pool; output stays
-// byte-identical to the serial run (per-task seeds are pure functions of
-// the campaign seed + config, results commit in deterministic order).
-// --cache-dir PATH / --no-cache control the content-addressed result
-// cache (default .mb-cache): outcomes are keyed by (tool version, suite,
-// platform, point, seed, fault plan), so re-running a sweep replays
-// cached points and only simulates what changed.
-//   mbctl fig4 [opts]                    BigDFT-on-Tibidabo trace study
-//       --ranks N --iterations N --compute-s X --transpose-mb N --seed N
-//       --sim-jobs N --trace-out PATH --json PATH [capture opts]
-//   mbctl trace-export [opts]            cluster timeline -> trace file
-//       --input t.{prv,mbt} --format paraver|chrome|mb-trace --out PATH
-//       (no --input: runs the default fig4 scenario first; generating
-//       straight to mb-trace streams through the bounded spill sink)
-//   mbctl analyze [opts]                 automatic timeline analysis
-//       --trace t.{prv,mbt} --timeseries ts.json --delay-factor X
-//       --late-fraction X --top N --json PATH (no --trace: runs fig4)
-//       stragglers, wait attribution, critical path, link hotspots
-//   mbctl obs-report <profile.json>      render a profile document
-//       --top N (siblings sort by exclusive time; keep the N worst)
-//
-// Capture opts (fig4, trace-export, analyze, chaos): --trace-ranks
-// all|N|R1,R2,... --trace-buffer N --trace-kinds k1,k2,... switch the
-// run to the bounded streaming trace sink (deterministic rank sampling,
-// drop-oldest rings); --timeseries-out PATH --sample-interval X sample
-// run gauges on the simulated-time grid into an mb-timeseries document.
-//   mbctl compare <baseline.json> <candidate.json> [opts]
-//       --threshold-sigma X --min-rel X
-//       --budget-s X --wall-clock-s T   (wall-clock budget gate: exit 3
-//       when the externally measured candidate wall time T exceeds X)
-//   mbctl lint <platform|tree>           platform/model linter (pass 2)
-//       targets: any <platform>, tibidabo-tree, upgraded-tree [--nodes N]
-//       --json PATH
-//   mbctl verify-mpi <app> [opts]        static MPI program verifier (pass 1)
-//       apps: fig4 | bigdft | hpl | specfem | demo-deadlock
-//       --ranks N --json PATH [--cost: also run the pass-3 cost
-//       interpreter and PERF rules when the program verifies clean]
-//   mbctl analyze-static <app> [opts]    abstract cost interpreter (pass 3)
-//       apps: fig4 | bigdft | hpl | specfem
-//       --ranks N --tree tibidabo|upgraded --mtu N --faults plan.json
-//       --seed N --json PATH — predicts per-rank/aggregate traffic,
-//       makespan lower/upper bounds and buffer pressure WITHOUT running
-//       the DES, then applies the PERF001-PERF006 rule pack; --json
-//       writes the versioned mb-static-analysis document
-//
-// lint and verify-mpi exit 0 when no error-severity findings exist and 3
-// otherwise (same convention as compare); --json writes the versioned
-// mb-diagnostics document for CI.
-//   mbctl fuzz [opts]                    differential fuzzing harness
-//       generates one seeded MPI program per seed in --seeds A..B and
-//       cross-checks verifier vs DES, static bounds vs measured makespan,
-//       serial vs sharded engine, and chaos-recovery determinism; any
-//       disagreement writes an mb-repro bundle under --bundle-dir and
-//       exits 3
-//   mbctl replay <bundle.json>           re-execute an mb-repro bundle
-//       byte-identically and re-check every recorded digest; --sim-jobs
-//       overrides the sharded worker count (digests must not change)
-//   mbctl advise <bigdft|magicfilter>    performance advisor (src/advise)
-//       bigdft: runs the (optionally faulted) cluster scenario once,
-//       cross-references the timeline analysis with the static cost and
-//       PERF passes, and emits ranked mb-advice recommendations (migrate
-//       a slowed node's ranks, switch the allreduce algorithm, retune
-//       the checkpoint interval); magicfilter: sweeps the unroll
-//       variants on --platform and cites the hierarchical-roofline
-//       placement of the current one. --apply re-measures every
-//       appliable recommendation — baseline vs candidate arms through
-//       the campaign cache — and records accepted/rejected through the
-//       compare noise gate; --json writes the mb-advice document
-//
-// Every measuring command accepts --json <path> and then also writes a
-// machine-readable mb-bench-report document (core/bench_report.h). compare
-// reads two such documents and exits 3 when a regression is confirmed
-// beyond the pooled measurement noise.
-//
-// The global flag `--profile <out.json>` (any command, any position)
-// enables the scoped-span profiler for the run and writes an mb-profile
-// document (obs/profile.h) next to the command's normal output; reports
-// written while profiling additionally embed the metrics snapshot so
-// `compare` can attribute a regression to a phase.
-//
-// <platform> is a built-in name (snowball, xeon, tegra2, exynos5) or
-// @path/to/file.platform in the arch::platform_io text format.
+// The command table at the end of this file declares every command, its
+// positional arguments and the flags it takes; `mbctl help` prints the
+// usage generated from it. docs/cli.md is the full reference.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -110,8 +13,12 @@
 #include <functional>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "advise/advice.h"
@@ -174,108 +81,241 @@ using mb::support::kExitFindings;
 using mb::support::kExitOk;
 using mb::support::kExitUsage;
 
-[[noreturn]] void usage(const std::string& error = {}) {
-  if (!error.empty()) std::cerr << "error: " << error << "\n\n";
-  std::cerr <<
-      "usage: mbctl [--profile PATH] <command> [args]\n"
-      "  platforms\n"
-      "  version\n"
-      "  show <platform>\n"
-      "  topology <platform>\n"
-      "  roofline <platform> [--json PATH]\n"
-      "  membench <platform> [--size-kb N] [--stride N] [--bits B]\n"
-      "           [--unroll N] [--passes N] [--reps N] [--seed N]\n"
-      "           [--json PATH] [campaign opts]\n"
-      "  latency <platform> [--size-kb N] [--hops N] [--reps N] [--seed N]\n"
-      "           [--json PATH] [campaign opts]\n"
-      "  tune-magicfilter <platform> [--json PATH] [campaign opts]\n"
-      "  bench-suite [--suite smoke|scaling] [--reps N] [--seed N]\n"
-      "           [--ranks R1,R2,...] [--sim-jobs N] [--json PATH]\n"
-      "           [campaign opts]\n"
-      "  fig4 [--ranks N] [--iterations N] [--compute-s X]\n"
-      "           [--transpose-mb N] [--seed N] [--sim-jobs N]\n"
-      "           [--trace-out PATH] [--json PATH] [capture opts]\n"
-      "  trace-export [--input trace.{prv,mbt}]\n"
-      "           [--format paraver|chrome|mb-trace] [--out PATH]\n"
-      "           [--delay-factor X] [fig4 options] [capture opts]\n"
-      "  analyze [--trace trace.{prv,mbt}] [--timeseries ts.json]\n"
-      "           [--delay-factor X] [--late-fraction X] [--top N]\n"
-      "           [--json PATH] [fig4 options] [capture opts]\n"
-      "  obs-report <profile.json> [--top N]\n"
-      "  compare <baseline.json> <candidate.json> [--threshold-sigma X]\n"
-      "           [--min-rel X] [--budget-s X --wall-clock-s T]\n"
-      "  lint <platform|tibidabo-tree|upgraded-tree> [--nodes N]\n"
-      "           [--json PATH]\n"
-      "  verify-mpi <fig4|bigdft|hpl|specfem|demo-deadlock> [--ranks N]\n"
-      "           [--cost] [--tree tibidabo|upgraded] [--mtu N] [--seed N]\n"
-      "           [--json PATH] [app opts]\n"
-      "  analyze-static <fig4|bigdft|hpl|specfem> [--ranks N]\n"
-      "           [--tree tibidabo|upgraded] [--mtu N] [--faults plan.json]\n"
-      "           [--seed N] [--json PATH] [app opts]\n"
-      "           (app opts: bigdft/fig4 --iterations N --compute-s X\n"
-      "           --transpose-mb N; hpl --n N --block N; specfem --steps N\n"
-      "           --compute-s X --halo-kb N)\n"
-      "  chaos <bigdft|hpl|specfem> --faults plan.json [--ranks N]\n"
-      "           [--checkpoint on|off] [--checkpoint-interval X]\n"
-      "           [--checkpoint-mb N] [--recv-timeout X] [--send-retries N]\n"
-      "           [--max-restarts N] [--seed N] [--trace-out PATH]\n"
-      "           [--json PATH] [capture opts]\n"
-      "  fuzz [--seeds A..B] [--pattern halo|alltoall|pipeline|\n"
-      "           master-worker|mixed] [--ranks N] [--rounds N]\n"
-      "           [--min-bytes N] [--max-bytes N] [--defect-rate X]\n"
-      "           [--tree tibidabo|upgraded] [--sim-jobs N] [--jobs N]\n"
-      "           [--chaos-every N] [--seed N] [--bundle-dir PATH]\n"
-      "           [--bundle-out PATH] [--pretend-clean] [--json PATH]\n"
-      "  replay <bundle.json> [--sim-jobs N] [--jobs N]\n"
-      "           [--bundle-out PATH]\n"
-      "  advise <bigdft|magicfilter> [--apply] [--reps N] [--seed N]\n"
-      "           [--json PATH] [campaign opts]\n"
-      "           (bigdft: [--faults plan.json] [--ranks N]\n"
-      "           [--iterations N] [--compute-s X] [--transpose-mb N]\n"
-      "           [--recv-timeout X] [--send-retries N] [--max-restarts N]\n"
-      "           [--tree tibidabo|upgraded] [--mtu N];\n"
-      "           magicfilter: [--platform P] [--unroll N])\n"
-      "platform: snowball | xeon | tegra2 | exynos5 | @file\n"
-      "capture opts: [--trace-ranks all|N|R1,R2,...] [--trace-buffer N]\n"
-      "[--trace-kinds all|k1,k2,...] [--timeseries-out PATH]\n"
-      "[--sample-interval X] — the trace keeps every record of every\n"
-      "rank unless a --trace-* flag bounds it: a count N samples\n"
-      "N ranks deterministically from the seed, a comma list pins exact\n"
-      "ranks, --trace-buffer caps records kept per rank (drop-oldest,\n"
-      "default 65536) and --trace-kinds filters event kinds (compute,\n"
-      "send, recv, wait, collective, fault). --timeseries-out samples\n"
-      "run gauges every X simulated seconds (--sample-interval, default\n"
-      "0.1; forces one shard) into an mb-timeseries document\n"
-      "campaign opts: [--jobs N] [--no-cache] [--cache-dir PATH]\n"
-      "[--cache-max-bytes N] — run the sweep on N worker threads\n"
-      "(byte-identical output to --jobs 1) and cache simulation outcomes\n"
-      "content-addressed under PATH (default .mb-cache); with a byte\n"
-      "budget the oldest entries are evicted after the run, and corrupt\n"
-      "entries are quarantined (renamed *.quarantined) instead of\n"
-      "re-parsed; campaign/cache totals are reported on stderr\n"
-      "--sim-jobs N shards the cluster discrete-event simulation across N\n"
-      "workers under conservative lookahead; results and traces are\n"
-      "byte-identical for any N (0 = one shard, the serial engine)\n"
-      "--profile enables the scoped-span profiler and writes an mb-profile\n"
-      "document (read it back with obs-report)\n"
-      "--seed defaults to the MB_SEED environment variable when set\n"
-      "exit codes (all commands): 0 = success, 2 = usage error, 3 = the\n"
-      "run worked but the answer is bad (error findings, confirmed\n"
-      "regression, or an unrecovered chaos scenario)\n";
-  // Usage errors abort before any worker pool is spawned, so the
-  // multi-thread exit() hazard does not apply.
+/// Prints `error` (when given) and the usage generated from the command
+/// table on stderr, then exits 2 (0 without an error). Defined after the
+/// table.
+[[noreturn]] void usage(const std::string& error = {});
+
+// --------------------------------------------------------------------------
+// Flags, flag groups and the command table's types.
+
+/// Flags several commands share and one function below reads. usage()
+/// shows a group as `[<name> opts]` and spells it out once.
+struct FlagGroup {
+  std::string_view name;
+  std::string_view flags;  ///< synopsis, as for Command
+};
+
+constexpr FlagGroup kFlagGroups[] = {
+    {"bigdft",
+     "[--ranks N] [--iterations N] [--compute-s X] [--transpose-mb N]"},
+    {"hpl", "[--ranks N] [--n N] [--block N]"},
+    {"specfem", "[--ranks N] [--steps N] [--compute-s X] [--halo-kb N]"},
+    {"recovery", "[--recv-timeout X] [--send-retries N] [--max-restarts N]"},
+    {"capture",
+     "[--trace-ranks all|N|R1,R2,...] [--trace-buffer N] "
+     "[--trace-kinds all|k1,k2,...] [--timeseries-out PATH] "
+     "[--sample-interval X]"},
+    {"campaign",
+     "[--jobs N] [--no-cache] [--cache-dir PATH] [--cache-max-bytes N]"},
+};
+
+class Options;
+using Args = std::vector<std::string>;
+
+/// One mbctl command and the handler that runs it with its positional
+/// arguments and flags.
+struct Command {
+  std::string_view name;
+  /// What the command takes, as usage() prints it: positionals (`<arg>`,
+  /// all required), flags (`[--flag VALUE]`, `[--flag]` without a value,
+  /// `--flag VALUE` when required) and flag groups (`[<name> opts]`).
+  std::string_view synopsis;
+  int (*run)(const Args& args, const Options& opts);
+};
+
+/// Splits a synopsis into its items; a bracketed item and a required
+/// `--flag VALUE` stay one item each.
+std::vector<std::string> synopsis_items(std::string_view synopsis) {
+  std::vector<std::string> items;
+  std::size_t at = synopsis.find_first_not_of(' ');
+  while (at != std::string_view::npos) {
+    const bool bracketed = synopsis[at] == '[';
+    std::size_t end = synopsis.find(bracketed ? "] " : " ", at);
+    if (bracketed && end != std::string_view::npos) ++end;
+    if (synopsis.substr(at, 2) == "--" && end != std::string_view::npos)
+      end = synopsis.find(' ', end + 1);
+    items.emplace_back(synopsis.substr(at, end - at));
+    at = synopsis.find_first_not_of(' ', end);
+  }
+  return items;
+}
+
+/// One declared flag; an empty `value` means it takes none.
+struct Flag {
+  std::string name;
+  std::string value;
+  bool required = false;
+};
+
+/// The flags a synopsis declares, its flag groups' included.
+std::vector<Flag> declared_flags(std::string_view synopsis) {
+  std::vector<Flag> flags;
+  for (const std::string& item : synopsis_items(synopsis)) {
+    const bool optional = item.front() == '[';
+    const std::string text =
+        optional ? item.substr(1, item.size() - 2) : item;
+    if (text.rfind("--", 0) == 0) {
+      const auto space = text.find(' ');
+      flags.push_back(
+          {text.substr(2, space - 2),
+           space == std::string::npos ? "" : text.substr(space + 1),
+           !optional});
+    } else if (optional) {  // "[<name> opts]"
+      const std::string name = text.substr(0, text.find(' '));
+      const FlagGroup* group =
+          std::find_if(std::begin(kFlagGroups), std::end(kFlagGroups),
+                       [&](const FlagGroup& g) { return g.name == name; });
+      mb::support::check(group != std::end(kFlagGroups), "command table",
+                         "unknown flag group " + item);
+      const auto more = declared_flags(group->flags);
+      flags.insert(flags.end(), more.begin(), more.end());
+    }
+  }
+  return flags;
+}
+
+/// `text` as an unsigned integer; nullopt unless all of it parses.
+std::optional<std::uint64_t> parse_u64(const std::string& text) {
+  try {
+    std::size_t used = 0;
+    const std::uint64_t v = std::stoull(text, &used);
+    if (used != text.size()) return std::nullopt;
+    return v;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
+/// The flags of one invocation. A flag its command does not declare is a
+/// usage error; a handler reading an undeclared flag is a bug in the
+/// command table.
+class Options {
+ public:
+  Options(const Command& command, const Args& args, std::size_t first)
+      : command_(command.name), flags_(declared_flags(command.synopsis)) {
+    for (std::size_t i = first; i < args.size(); ++i) {
+      const std::string& key = args[i];
+      if (key.rfind("--", 0) != 0) usage("unexpected argument " + key);
+      const std::string name = key.substr(2);
+      const Flag* flag = declared(name);
+      if (flag == nullptr) usage(command_ + " does not take " + key);
+      if (flag->value.empty()) {
+        values_[name] = "1";
+        continue;
+      }
+      if (i + 1 >= args.size()) usage(key + " needs a value");
+      values_[name] = args[++i];
+    }
+    for (const Flag& flag : flags_) {
+      if (flag.required && values_.count(flag.name) == 0)
+        usage(command_ + " needs --" + flag.name + " " + flag.value);
+    }
+  }
+
+  const std::string& command() const { return command_; }
+
+  bool has(const std::string& key) const { return value(key) != nullptr; }
+
+  std::uint64_t get_u64(const std::string& key,
+                        std::uint64_t fallback) const {
+    const std::string* text = value(key);
+    if (text == nullptr) return fallback;
+    if (const auto v = parse_u64(*text)) return *v;
+    usage("--" + key + " expects an integer, got '" + *text + "'");
+  }
+
+  double get_f64(const std::string& key, double fallback) const {
+    const std::string* text = value(key);
+    if (text == nullptr) return fallback;
+    try {
+      std::size_t used = 0;
+      const double v = std::stod(*text, &used);
+      if (used != text->size()) throw std::invalid_argument(*text);
+      return v;
+    } catch (const std::exception&) {
+      usage("--" + key + " expects a number, got '" + *text + "'");
+    }
+  }
+
+  std::string get_str(const std::string& key, std::string fallback) const {
+    const std::string* text = value(key);
+    return text == nullptr ? fallback : *text;
+  }
+
+ private:
+  const Flag* declared(std::string_view name) const {
+    for (const Flag& flag : flags_)
+      if (flag.name == name) return &flag;
+    return nullptr;
+  }
+
+  /// The value given for `key`, or nullptr when absent.
+  const std::string* value(const std::string& key) const {
+    mb::support::check(declared(key) != nullptr, "command table",
+                       command_ + " reads --" + key +
+                           ", which it does not declare");
+    const auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
+  std::string command_;
+  std::vector<Flag> flags_;
+  std::map<std::string, std::string> values_;
+};
+
+/// Seed resolution shared by every seeded command: --seed wins, then the
+/// MB_SEED environment variable (CI sets it once for a whole pipeline so
+/// each step need not thread it through), then the command's default.
+std::uint64_t effective_seed(const Options& opts, std::uint64_t fallback) {
+  if (opts.has("seed")) return opts.get_u64("seed", fallback);
+  // Read during single-threaded argument parsing, before any worker pool
+  // exists, so the mt-unsafe getenv race cannot occur.
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  std::exit(error.empty() ? kExitOk : kExitUsage);
+  if (const char* env = std::getenv("MB_SEED")) {
+    if (const auto v = parse_u64(env)) return *v;
+    usage("MB_SEED expects an integer, got '" + std::string(env) + "'");
+  }
+  return fallback;
+}
+
+// --------------------------------------------------------------------------
+// Files named on the command line.
+
+/// Opens an input file; one that cannot be opened is a usage error
+/// (exit 2) whichever command names it.
+std::ifstream open_input(const std::string& path, const std::string& what,
+                         std::ios::openmode mode = std::ios::in) {
+  std::ifstream in(path, mode);
+  if (!in) usage("cannot open " + what + " " + path);
+  return in;
+}
+
+/// The whole of a small text input (JSON documents, platform files).
+std::string read_input(const std::string& path, const std::string& what) {
+  std::ifstream in = open_input(path, what);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Opens `path`, streams `write` into it, fails on an open or write error
+/// and reports `wrote <path> (<note>)` on stderr. Nothing is assembled as
+/// one string first: Paraver and mb-trace files can be large.
+void write_output(const std::string& path, const std::string& note,
+                  const std::function<void(std::ostream&)>& write,
+                  std::ios::openmode mode = std::ios::out) {
+  std::ofstream out(path, mode);
+  if (!out) throw mb::support::Error("cannot open " + path + " for writing");
+  write(out);
+  if (!out) throw mb::support::Error("write to " + path + " failed");
+  std::cerr << "wrote " << path << " (" << note << ")\n";
 }
 
 mb::arch::Platform resolve_platform(const std::string& spec) {
-  if (!spec.empty() && spec[0] == '@') {
-    std::ifstream in(spec.substr(1));
-    if (!in) usage("cannot open platform file " + spec.substr(1));
-    std::ostringstream text;
-    text << in.rdbuf();
-    return mb::arch::parse_platform(text.str());
-  }
+  if (!spec.empty() && spec[0] == '@')
+    return mb::arch::parse_platform(
+        read_input(spec.substr(1), "platform file"));
   if (spec == "snowball") return mb::arch::snowball();
   if (spec == "xeon" || spec == "xeon_x5550") return mb::arch::xeon_x5550();
   if (spec == "tegra2") return mb::arch::tegra2_node();
@@ -283,95 +323,39 @@ mb::arch::Platform resolve_platform(const std::string& spec) {
   usage("unknown platform '" + spec + "'");
 }
 
-/// Trivial --key value option scanner. A few flags take no value
-/// (kValueless); everything else consumes the next argument.
-class Options {
- public:
-  Options(const std::vector<std::string>& args, std::size_t first) {
-    static const std::vector<std::string> kValueless = {
-        "no-cache", "cost", "pretend-clean", "apply"};
-    for (std::size_t i = first; i < args.size(); ++i) {
-      const std::string& key = args[i];
-      if (key.rfind("--", 0) != 0) usage("unexpected argument " + key);
-      const std::string name = key.substr(2);
-      if (std::find(kValueless.begin(), kValueless.end(), name) !=
-          kValueless.end()) {
-        values_[name] = "1";
-        continue;
-      }
-      if (i + 1 >= args.size()) usage(key + " needs a value");
-      values_[name] = args[++i];
-    }
+/// Reads a trace file, sniffing the format: mb-trace v1 (binary) or the
+/// Paraver text dump. Returns the capture-time drop count (mb-trace only).
+std::uint64_t load_trace(const std::string& path, mb::trace::Trace& trace) {
+  std::ifstream in = open_input(path, "trace", std::ios::binary);
+  if (mb::trace::is_mb_trace(in)) {
+    mb::trace::MbTraceFile file = mb::trace::read_mb_trace(in);
+    trace = std::move(file.trace);
+    return file.meta.dropped;
   }
-
-  bool has(const std::string& key) const { return values_.count(key) != 0; }
-
-  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    try {
-      std::size_t used = 0;
-      const std::uint64_t v = std::stoull(it->second, &used);
-      if (used != it->second.size()) throw std::invalid_argument(it->second);
-      return v;
-    } catch (const std::exception&) {
-      usage("--" + key + " expects an integer, got '" + it->second + "'");
-    }
-  }
-
-  double get_f64(const std::string& key, double fallback) {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    try {
-      std::size_t used = 0;
-      const double v = std::stod(it->second, &used);
-      if (used != it->second.size()) throw std::invalid_argument(it->second);
-      return v;
-    } catch (const std::exception&) {
-      usage("--" + key + " expects a number, got '" + it->second + "'");
-    }
-  }
-
-  std::string get_str(const std::string& key, std::string fallback) {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return it->second;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
-
-/// Seed resolution shared by every seeded command: --seed wins, then the
-/// MB_SEED environment variable (CI sets it once for a whole pipeline so
-/// each step need not thread it through), then the command's default.
-std::uint64_t effective_seed(Options& opts, std::uint64_t fallback) {
-  if (opts.has("seed")) return opts.get_u64("seed", fallback);
-  // Read during single-threaded argument parsing, before any worker pool
-  // exists, so the mt-unsafe getenv race cannot occur.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  if (const char* env = std::getenv("MB_SEED")) {
-    const std::string text(env);
-    try {
-      std::size_t used = 0;
-      const std::uint64_t v = std::stoull(text, &used);
-      if (used != text.size()) throw std::invalid_argument(text);
-      return v;
-    } catch (const std::exception&) {
-      usage("MB_SEED expects an integer, got '" + text + "'");
-    }
-  }
-  return fallback;
+  trace = mb::trace::parse_paraver(in);
+  return 0;
 }
+
+/// Loads the --faults plan into `plan`; false when the flag is absent.
+bool load_fault_plan(const Options& opts, mb::fault::FaultPlan& plan) {
+  if (!opts.has("faults")) return false;
+  plan = mb::fault::plan_from_json(
+      read_input(opts.get_str("faults", ""), "fault plan"));
+  return true;
+}
+
+// --------------------------------------------------------------------------
+// Flag-group readers.
 
 // Defined with the lint/verify-mpi commands below; used by every scenario
 // command that validates configuration through lint rules.
 void enforce_clean(const mb::verify::Report& report);
 
-/// Applies the shared capture opts (see usage()) to a cluster config:
-/// any --trace-* flag switches the run to the bounded streaming sink,
-/// --timeseries-out arms the metrics time sampler.
-void apply_capture_options(Options& opts, mb::apps::ClusterConfig& cluster,
+/// Applies the capture opts to a cluster config: any --trace-* flag
+/// switches the run to the bounded streaming sink, --timeseries-out arms
+/// the metrics time sampler.
+void apply_capture_options(const Options& opts,
+                           mb::apps::ClusterConfig& cluster,
                            std::uint64_t seed) {
   if (opts.has("trace-ranks") || opts.has("trace-buffer") ||
       opts.has("trace-kinds")) {
@@ -382,36 +366,25 @@ void apply_capture_options(Options& opts, mb::apps::ClusterConfig& cluster,
     sink.ring_capacity = static_cast<std::uint32_t>(
         opts.get_u64("trace-buffer", sink.ring_capacity));
     const std::string spec = opts.get_str("trace-ranks", "all");
+    const std::string bad =
+        "--trace-ranks expects all, a count, or a comma list of rank ids, "
+        "got '" +
+        spec + "'";
     if (spec.find(',') != std::string::npos) {
       std::stringstream ss(spec);
       std::string token;
       while (std::getline(ss, token, ',')) {
         if (token.empty()) continue;
-        try {
-          std::size_t used = 0;
-          sink.rank_list.push_back(
-              static_cast<std::uint32_t>(std::stoul(token, &used)));
-          if (used != token.size()) throw std::invalid_argument(token);
-        } catch (const std::exception&) {
-          usage("--trace-ranks expects all, a count, or a comma list of "
-                "rank ids, got '" +
-                spec + "'");
-        }
+        const auto rank = parse_u64(token);
+        if (!rank) usage(bad);
+        sink.rank_list.push_back(static_cast<std::uint32_t>(*rank));
       }
       if (sink.rank_list.empty())
         usage("--trace-ranks rank list is empty: '" + spec + "'");
     } else if (spec != "all") {
-      try {
-        std::size_t used = 0;
-        sink.sample_count =
-            static_cast<std::uint32_t>(std::stoul(spec, &used));
-        if (used != spec.size() || sink.sample_count == 0)
-          throw std::invalid_argument(spec);
-      } catch (const std::exception&) {
-        usage("--trace-ranks expects all, a count, or a comma list of "
-              "rank ids, got '" +
-              spec + "'");
-      }
+      sink.sample_count =
+          static_cast<std::uint32_t>(parse_u64(spec).value_or(0));
+      if (sink.sample_count == 0) usage(bad);
     }
     if (opts.has("trace-kinds")) {
       try {
@@ -431,37 +404,19 @@ void apply_capture_options(Options& opts, mb::apps::ClusterConfig& cluster,
 }
 
 /// Writes the mb-timeseries artifact when --timeseries-out was given.
-void write_timeseries_artifact(Options& opts, mb::obs::TimeSeries& ts,
+void write_timeseries_artifact(const Options& opts, mb::obs::TimeSeries& ts,
                                std::uint64_t seed) {
   if (!opts.has("timeseries-out")) return;
   ts.tool_version = std::string(mb::support::version());
   ts.seed = seed;
-  const std::string path = opts.get_str("timeseries-out", "");
-  std::ofstream out(path);
-  if (!out) throw mb::support::Error("cannot open " + path + " for writing");
-  out << mb::obs::to_json(ts) << '\n';
-  if (!out) throw mb::support::Error("write to " + path + " failed");
-  std::cerr << "wrote " << path << " (" << ts.times_s.size()
-            << " samples, " << ts.series.size() << " series)\n";
+  write_output(opts.get_str("timeseries-out", ""),
+               std::to_string(ts.times_s.size()) + " samples, " +
+                   std::to_string(ts.series.size()) + " series",
+               [&](std::ostream& out) { out << mb::obs::to_json(ts) << '\n'; });
 }
 
-/// Reads a trace file, sniffing the format: mb-trace v1 (binary) or the
-/// Paraver text dump. Returns the capture-time drop count (mb-trace only).
-std::uint64_t load_trace(const std::string& path, mb::trace::Trace& trace) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw mb::support::Error("cannot open trace " + path);
-  if (mb::trace::is_mb_trace(in)) {
-    mb::trace::MbTraceFile file = mb::trace::read_mb_trace(in);
-    trace = std::move(file.trace);
-    return file.meta.dropped;
-  }
-  trace = mb::trace::parse_paraver(in);
-  return 0;
-}
-
-/// Campaign knobs shared by every sweeping command: --jobs, --no-cache,
-/// --cache-dir, --cache-max-bytes (see the campaign-opts note in usage()).
-mb::core::CampaignOptions campaign_options(Options& opts) {
+/// Campaign knobs shared by every sweeping command (campaign opts).
+mb::core::CampaignOptions campaign_options(const Options& opts) {
   mb::core::CampaignOptions co;
   co.jobs = static_cast<std::uint32_t>(opts.get_u64("jobs", 1));
   if (co.jobs == 0) usage("--jobs must be at least 1");
@@ -471,18 +426,171 @@ mb::core::CampaignOptions campaign_options(Options& opts) {
   return co;
 }
 
-/// Runs a campaign and reports its totals on stderr — never on stdout,
-/// where steal counts (timing-dependent) would break byte-identity.
-mb::core::CampaignResult run_campaign_reported(
-    const std::vector<mb::core::CampaignTask>& tasks,
-    const mb::core::CampaignOptions& co) {
-  auto result = mb::core::run_campaign(tasks, co);
-  std::cerr << mb::core::campaign_summary(result.stats, co) << "\n";
-  return result;
+/// The compare noise gate (--threshold-sigma, --min-rel), shared by
+/// compare and advise --apply.
+mb::core::CompareOptions compare_options(const Options& opts) {
+  mb::core::CompareOptions co;
+  co.threshold_sigma = opts.get_f64("threshold-sigma", co.threshold_sigma);
+  co.min_rel_delta = opts.get_f64("min-rel", co.min_rel_delta);
+  return co;
+}
+
+/// The guarded-apply knobs of both advise modes.
+mb::advise::ApplyOptions apply_options(const Options& opts) {
+  mb::advise::ApplyOptions apply;
+  apply.campaign = campaign_options(opts);
+  apply.compare = compare_options(opts);
+  apply.reps = static_cast<std::uint32_t>(opts.get_u64("reps", 3));
+  return apply;
+}
+
+/// Failure detection and restart knobs of a chaos run (recovery opts).
+struct Recovery {
+  double recv_timeout_s = 2.0;
+  std::uint32_t send_retries = 3;
+  std::uint32_t max_restarts = 8;
+};
+
+Recovery read_recovery(const Options& opts) {
+  Recovery r;
+  r.recv_timeout_s = opts.get_f64("recv-timeout", r.recv_timeout_s);
+  r.send_retries = static_cast<std::uint32_t>(
+      opts.get_u64("send-retries", r.send_retries));
+  r.max_restarts = static_cast<std::uint32_t>(
+      opts.get_u64("max-restarts", r.max_restarts));
+  return r;
+}
+
+/// A chaos scenario on a `nodes`-board Tibidabo cluster.
+mb::fault::ChaosScenario chaos_scenario(std::uint32_t nodes,
+                                        const Recovery& recovery) {
+  mb::fault::ChaosScenario scenario;
+  scenario.cluster = mb::apps::tibidabo_cluster(nodes);
+  scenario.cluster.mpi.recv_timeout_s = recovery.recv_timeout_s;
+  scenario.cluster.mpi.max_send_retries = recovery.send_retries;
+  scenario.max_restarts = recovery.max_restarts;
+  return scenario;
+}
+
+/// The --tree switch generation: tibidabo (default) or upgraded.
+std::string read_tree(const Options& opts) {
+  std::string tree = opts.get_str("tree", "tibidabo");
+  if (tree != "tibidabo" && tree != "upgraded")
+    usage("--tree expects tibidabo|upgraded, got '" + tree + "'");
+  return tree;
+}
+
+// --------------------------------------------------------------------------
+// App programs: every cluster command builds its program here.
+
+using AppParams = std::variant<mb::apps::BigDftParams, mb::apps::HplParams,
+                               mb::apps::SpecfemParams>;
+
+/// An app a command can run, with that command's defaults (docs/cli.md,
+/// "App options"); the app flags override them.
+struct App {
+  std::string_view name;
+  AppParams defaults;
+};
+
+/// fig4, trace-export, analyze: the paper's Fig. 4 run, as in
+/// bench/fig4_trace.cpp — 36 ranks on 18 dual-core boards, 12 SCF
+/// iterations, the borderline-incast 12 MiB transpose.
+const std::vector<App> kFig4Apps = {
+    {"bigdft", mb::apps::BigDftParams{.ranks = 36,
+                                      .iterations = 12,
+                                      .compute_s_per_iter = 2.0,
+                                      .transpose_bytes = 12ull << 20}}};
+/// chaos, advise: small runs that a fault plan can still hurt.
+const std::vector<App> kChaosApps = {
+    {"bigdft", mb::apps::BigDftParams{.ranks = 8,
+                                      .iterations = 6,
+                                      .compute_s_per_iter = 1.0,
+                                      .transpose_bytes = 8ull << 20}},
+    {"hpl", mb::apps::HplParams{.ranks = 16, .n = 4096, .block = 64}},
+    {"specfem", mb::apps::SpecfemParams{}}};
+/// verify-mpi, analyze-static: the params structs' own defaults; `fig4` is
+/// bigdft at the Fig. 4 rank count.
+const std::vector<App> kStaticApps = {
+    {"fig4", mb::apps::BigDftParams{.ranks = 36}},
+    {"bigdft", mb::apps::BigDftParams{}},
+    {"hpl", mb::apps::HplParams{}},
+    {"specfem", mb::apps::SpecfemParams{}}};
+
+/// Reads the app flags of `name` over its defaults in `apps`, seeds it
+/// from `seed` and lints its rank count.
+AppParams read_app(const std::vector<App>& apps, const std::string& name,
+                   const Options& opts, std::uint64_t seed) {
+  const auto app = std::find_if(apps.begin(), apps.end(),
+                                [&](const App& a) { return a.name == name; });
+  if (app == apps.end()) {
+    std::string known;
+    for (const App& a : apps)
+      known += (known.empty() ? "" : "|") + std::string(a.name);
+    usage("unknown " + opts.command() + " app '" + name +
+          "' (" + known + ")");
+  }
+  AppParams params = app->defaults;
+  std::visit(
+      [&](auto& p) {
+        using P = std::decay_t<decltype(p)>;
+        p.ranks = static_cast<std::uint32_t>(opts.get_u64("ranks", p.ranks));
+        if constexpr (std::is_same_v<P, mb::apps::BigDftParams>) {
+          p.iterations = static_cast<std::uint32_t>(
+              opts.get_u64("iterations", p.iterations));
+          p.compute_s_per_iter =
+              opts.get_f64("compute-s", p.compute_s_per_iter);
+          p.transpose_bytes =
+              opts.get_u64("transpose-mb", p.transpose_bytes >> 20) << 20;
+          p.seed = seed;
+        } else if constexpr (std::is_same_v<P, mb::apps::HplParams>) {
+          p.n = static_cast<std::uint32_t>(opts.get_u64("n", p.n));
+          p.block = static_cast<std::uint32_t>(opts.get_u64("block", p.block));
+        } else {
+          p.steps = static_cast<std::uint32_t>(opts.get_u64("steps", p.steps));
+          p.compute_s_per_step =
+              opts.get_f64("compute-s", p.compute_s_per_step);
+          p.halo_bytes = opts.get_u64("halo-kb", p.halo_bytes >> 10) << 10;
+          p.seed = seed;
+        }
+        enforce_clean(mb::verify::lint_rank_count(p.ranks, 2, "--ranks"));
+      },
+      params);
+  return params;
+}
+
+mb::mpi::Program app_program(const AppParams& params) {
+  return std::visit(
+      [](const auto& p) {
+        using P = std::decay_t<decltype(p)>;
+        if constexpr (std::is_same_v<P, mb::apps::BigDftParams>) {
+          return mb::apps::bigdft_program(p);
+        } else if constexpr (std::is_same_v<P, mb::apps::HplParams>) {
+          return mb::apps::hpl_program(p);
+        } else {
+          return mb::apps::specfem_program(p);
+        }
+      },
+      params);
 }
 
 // --------------------------------------------------------------------------
 // Structured-report helpers.
+
+/// A report stamped with this tool, `suite` and `seed`; `reps` > 0 also
+/// records the measurement plan (that many repetitions under `seed`).
+mb::core::BenchReport new_report(std::string suite, std::uint64_t seed,
+                                 std::uint32_t reps = 0) {
+  mb::core::BenchReport report;
+  report.suite = std::move(suite);
+  report.tool = "mbctl";
+  report.seed = seed;
+  if (reps > 0) {
+    report.plan.repetitions = reps;
+    report.plan.seed = seed;
+  }
+  return report;
+}
 
 mb::core::PlatformInfo platform_info(const mb::arch::Platform& p) {
   mb::core::PlatformInfo info;
@@ -500,12 +608,9 @@ void write_report(mb::core::BenchReport& report, const std::string& path) {
   // attribute an end-to-end regression to the phase whose counters moved.
   if (mb::obs::profiler().enabled() && report.metrics.empty())
     report.metrics = mb::obs::metrics().snapshot();
-  std::ofstream out(path);
-  if (!out) throw mb::support::Error("cannot open " + path + " for writing");
-  out << mb::core::to_json(report);
-  if (!out) throw mb::support::Error("write to " + path + " failed");
-  std::cerr << "wrote " << path << " (" << report.records.size()
-            << " benchmark records)\n";
+  write_output(path,
+               std::to_string(report.records.size()) + " benchmark records",
+               [&](std::ostream& out) { out << mb::core::to_json(report); });
 }
 
 void add_record(mb::core::BenchReport& report, std::string name,
@@ -519,6 +624,16 @@ void add_record(mb::core::BenchReport& report, std::string name,
   record.direction = direction;
   record.samples = std::move(samples);
   report.records.push_back(std::move(record));
+}
+
+/// Runs a campaign and reports its totals on stderr — never on stdout,
+/// where steal counts (timing-dependent) would break byte-identity.
+mb::core::CampaignResult run_campaign_reported(
+    const std::vector<mb::core::CampaignTask>& tasks,
+    const mb::core::CampaignOptions& co) {
+  auto result = mb::core::run_campaign(tasks, co);
+  std::cerr << mb::core::campaign_summary(result.stats, co) << "\n";
+  return result;
 }
 
 /// Runs `measure` on `reps` independently seeded machines (fresh physical
@@ -539,7 +654,7 @@ std::vector<double> run_reps(
 // --------------------------------------------------------------------------
 // Commands.
 
-int cmd_platforms() {
+int cmd_platforms(const Args& /*args*/, const Options& /*opts*/) {
   mb::support::Table table({"Name", "Cores", "Freq (GHz)", "Peak DP GF",
                             "Peak SP GF", "Power (W)"});
   for (const auto& p : mb::arch::all_builtin_platforms()) {
@@ -553,17 +668,8 @@ int cmd_platforms() {
   return 0;
 }
 
-int cmd_show(const mb::arch::Platform& p) {
-  std::cout << mb::arch::serialize_platform(p);
-  return 0;
-}
-
-int cmd_topology(const mb::arch::Platform& p) {
-  std::cout << mb::arch::render_topology(p);
-  return 0;
-}
-
-int cmd_roofline(const mb::arch::Platform& p, Options& opts) {
+int cmd_roofline(const Args& args, const Options& opts) {
+  const auto p = resolve_platform(args[0]);
   const auto dp = mb::sim::dp_roofline(p);
   const auto sp = mb::sim::sp_roofline(p);
   std::cout << p.name << '\n'
@@ -593,10 +699,8 @@ int cmd_roofline(const mb::arch::Platform& p, Options& opts) {
   std::cout << "  vector speedup: " << fmt_fixed(hier.vector_speedup(), 2)
             << "x over scalar\n";
   if (opts.has("json")) {
-    mb::core::BenchReport report;
-    report.suite = "roofline";
-    report.tool = "mbctl";
-    report.seed = effective_seed(opts, 0);  // analytic, but CI keys on it
+    // Analytic, but CI keys on the seed.
+    auto report = new_report("roofline", effective_seed(opts, 0));
     report.add_platform(platform_info(p));
     const std::string base = "roofline/" + p.name;
     using D = mb::core::Direction;
@@ -617,7 +721,8 @@ int cmd_roofline(const mb::arch::Platform& p, Options& opts) {
   return 0;
 }
 
-int cmd_membench(const mb::arch::Platform& p, Options& opts) {
+int cmd_membench(const Args& args, const Options& opts) {
+  const auto p = resolve_platform(args[0]);
   mb::kernels::MembenchParams params;
   params.array_bytes = opts.get_u64("size-kb", 48) * 1024;
   params.stride_elems =
@@ -673,12 +778,7 @@ int cmd_membench(const mb::arch::Platform& p, Options& opts) {
               << fmt_fixed(sum.max, 3) << ")\n";
   }
   if (opts.has("json")) {
-    mb::core::BenchReport report;
-    report.suite = "membench";
-    report.tool = "mbctl";
-    report.seed = seed;
-    report.plan.repetitions = reps;
-    report.plan.seed = seed;
+    auto report = new_report("membench", seed, reps);
     report.add_platform(platform_info(p));
     std::ostringstream name;
     name << "membench/" << p.name << "/size_kb="
@@ -691,7 +791,8 @@ int cmd_membench(const mb::arch::Platform& p, Options& opts) {
   return 0;
 }
 
-int cmd_latency(const mb::arch::Platform& p, Options& opts) {
+int cmd_latency(const Args& args, const Options& opts) {
+  const auto p = resolve_platform(args[0]);
   mb::kernels::LatencyParams params;
   params.buffer_bytes = opts.get_u64("size-kb", 1024) * 1024;
   params.hops = static_cast<std::uint32_t>(opts.get_u64("hops", 4096));
@@ -735,12 +836,7 @@ int cmd_latency(const mb::arch::Platform& p, Options& opts) {
   if (reps > 1) std::cout << " mean of " << reps << " reps";
   std::cout << "\n";
   if (opts.has("json")) {
-    mb::core::BenchReport report;
-    report.suite = "latency";
-    report.tool = "mbctl";
-    report.seed = seed;
-    report.plan.repetitions = reps;
-    report.plan.seed = seed;
+    auto report = new_report("latency", seed, reps);
     report.add_platform(platform_info(p));
     std::ostringstream name;
     name << "latency/" << p.name << "/size_kb="
@@ -752,16 +848,32 @@ int cmd_latency(const mb::arch::Platform& p, Options& opts) {
   return 0;
 }
 
-int cmd_tune_magicfilter(const mb::arch::Platform& p, Options& opts) {
-  const std::uint64_t seed = effective_seed(opts, 1);
-  const auto co = campaign_options(opts);
+/// The magicfilter instance every unroll sweep and advise arm measures.
+mb::kernels::MagicfilterParams magicfilter_params(std::uint32_t unroll) {
+  mb::kernels::MagicfilterParams params;
+  params.n = 20;
+  params.dims = 1;
+  params.unroll = unroll;
+  return params;
+}
+
+/// The unroll degrees the magicfilter sweep covers.
+mb::core::ParamSpace unroll_space() {
   mb::core::ParamSpace space;
   space.add_range("unroll", 1, 12);
+  return space;
+}
 
-  // One task per unroll degree, each on its own machine whose RNG seed is
-  // derived from the campaign seed + the point's config hash — points are
-  // independent, so the sweep shards across --jobs and caches per point
-  // while staying byte-identical to the serial walk.
+/// The magicfilter unroll sweep over unroll_space() on `p`. One campaign task
+/// per degree, each on its own machine whose RNG seed is derived from the
+/// campaign seed + the point's cache key — points are independent, so the
+/// sweep shards across --jobs and caches per point while staying
+/// byte-identical to the serial walk. tune-magicfilter and advise
+/// magicfilter both run it, so either warms the other's cache.
+std::vector<mb::advise::KernelSweepPoint> sweep_magicfilter(
+    const mb::arch::Platform& p, std::uint64_t seed,
+    const mb::core::CampaignOptions& co) {
+  const mb::core::ParamSpace space = unroll_space();
   std::vector<mb::core::CampaignTask> tasks;
   for (std::size_t i = 0; i < space.size(); ++i) {
     mb::core::CampaignTask task;
@@ -773,24 +885,32 @@ int cmd_tune_magicfilter(const mb::arch::Platform& p, Options& opts) {
       mb::sim::Machine machine(
           p, mb::sim::PagePolicy::kConsecutive,
           mb::support::Rng(mb::support::derive_seed(key.seed, key.hash())));
-      mb::kernels::MagicfilterParams params;
-      params.n = 20;
-      params.dims = 1;
-      params.unroll = unroll;
       return std::vector<double>{
-          mb::kernels::magicfilter_run(machine, params).cycles_per_output};
+          mb::kernels::magicfilter_run(machine, magicfilter_params(unroll))
+              .cycles_per_output};
     };
     tasks.push_back(std::move(task));
   }
   const auto campaign = run_campaign_reported(tasks, co);
+  std::vector<mb::advise::KernelSweepPoint> sweep;
+  for (std::size_t i = 0; i < space.size(); ++i)
+    sweep.push_back({static_cast<std::uint32_t>(space.at(i).get("unroll")),
+                     campaign.samples[i].at(0)});
+  return sweep;
+}
 
+int cmd_tune_magicfilter(const Args& args, const Options& opts) {
+  const auto p = resolve_platform(args[0]);
+  const std::uint64_t seed = effective_seed(opts, 1);
+  const auto sweep = sweep_magicfilter(p, seed, campaign_options(opts));
+
+  const mb::core::ParamSpace space = unroll_space();
   std::vector<double> cycles;
   mb::support::Table table({"Unroll", "Cycles/output"});
-  for (std::size_t i = 0; i < space.size(); ++i) {
-    cycles.push_back(campaign.samples[i].at(0));
-    table.add_row(
-        {std::to_string(static_cast<std::uint32_t>(space.at(i).get("unroll"))),
-         fmt_fixed(cycles.back(), 1)});
+  for (const auto& point : sweep) {
+    cycles.push_back(point.cycles_per_output);
+    table.add_row({std::to_string(point.unroll),
+                   fmt_fixed(point.cycles_per_output, 1)});
   }
   std::cout << table;
   const auto spot = mb::core::sweet_spot(space, cycles,
@@ -798,10 +918,7 @@ int cmd_tune_magicfilter(const mb::arch::Platform& p, Options& opts) {
   std::cout << "sweet spot: unroll in [" << spot.lo << ", " << spot.hi
             << "]\n";
   if (opts.has("json")) {
-    mb::core::BenchReport report;
-    report.suite = "tune-magicfilter";
-    report.tool = "mbctl";
-    report.seed = seed;
+    auto report = new_report("tune-magicfilter", seed);
     report.add_platform(platform_info(p));
     for (std::size_t i = 0; i < space.size(); ++i) {
       add_record(report,
@@ -831,21 +948,17 @@ std::vector<std::uint32_t> parse_rank_list(const std::string& text) {
   std::stringstream in(text);
   std::string item;
   while (std::getline(in, item, ',')) {
-    try {
-      std::size_t used = 0;
-      const unsigned long v = std::stoul(item, &used);
-      if (used != item.size() || v == 0) throw std::invalid_argument(item);
-      ranks.push_back(static_cast<std::uint32_t>(v));
-    } catch (const std::exception&) {
+    const auto v = parse_u64(item);
+    if (!v || *v == 0)
       usage("--ranks expects a comma list of rank counts, got '" + text +
             "'");
-    }
+    ranks.push_back(static_cast<std::uint32_t>(*v));
   }
   if (ranks.empty()) usage("--ranks expects at least one rank count");
   return ranks;
 }
 
-int cmd_bench_scaling(Options& opts) {
+int cmd_bench_scaling(const Options& opts) {
   const std::uint64_t seed = effective_seed(opts, 2013);
   const auto sim_jobs =
       static_cast<std::uint32_t>(opts.get_u64("sim-jobs", 0));
@@ -853,12 +966,7 @@ int cmd_bench_scaling(Options& opts) {
   for (const std::uint32_t ranks : rank_list)
     enforce_clean(mb::verify::lint_rank_count(ranks, 2, "--ranks"));
 
-  mb::core::BenchReport report;
-  report.suite = "bench-scaling";
-  report.tool = "mbctl";
-  report.seed = seed;
-  report.plan.repetitions = 1;
-  report.plan.seed = seed;
+  auto report = new_report("bench-scaling", seed, 1);
   using D = mb::core::Direction;
 
   // The scenarios deliberately exaggerate communication density (tiny
@@ -950,7 +1058,7 @@ int cmd_bench_scaling(Options& opts) {
   return 0;
 }
 
-int cmd_bench_suite(Options& opts) {
+int cmd_bench_suite(const Args& /*args*/, const Options& opts) {
   const std::string suite = opts.get_str("suite", "smoke");
   if (suite == "scaling") return cmd_bench_scaling(opts);
   if (suite != "smoke") usage("--suite expects smoke|scaling");
@@ -967,13 +1075,7 @@ int cmd_bench_suite(Options& opts) {
   const auto xeon = mb::arch::xeon_x5550();
   const auto tegra2 = mb::arch::tegra2_node();
 
-  mb::core::BenchReport report;
-  report.suite = "bench-suite";
-  report.tool = "mbctl";
-  report.seed = seed;
-  report.plan.repetitions = reps;
-  report.plan.fresh_machine_per_rep = true;
-  report.plan.seed = seed;
+  auto report = new_report("bench-suite", seed, reps);
   report.add_platform(platform_info(snowball));
   report.add_platform(platform_info(xeon));
   report.add_platform(platform_info(tegra2));
@@ -1183,34 +1285,27 @@ int cmd_bench_suite(Options& opts) {
   if (opts.has("json")) write_report(report, opts.get_str("json", ""));
   return 0;
 }
-
 // --------------------------------------------------------------------------
 // fig4 / trace-export / obs-report: the paper's Sec. IV tracing workflow.
 
-/// Runs the Fig. 4 BigDFT-on-Tibidabo scenario with CLI overrides. The
-/// defaults match bench/fig4_trace.cpp: 36 ranks on 18 dual-core boards,
-/// 12 SCF iterations, the borderline-incast 12 MiB transpose.
-mb::apps::AppRunResult run_fig4_scenario(Options& opts,
+/// Runs the Fig. 4 BigDFT-on-Tibidabo scenario (kFig4Apps) with CLI
+/// overrides.
+mb::apps::AppRunResult run_fig4_scenario(const Options& opts,
                                          const std::string& spill_path = {}) {
-  mb::apps::BigDftParams params;
-  params.ranks = static_cast<std::uint32_t>(opts.get_u64("ranks", 36));
-  params.iterations =
-      static_cast<std::uint32_t>(opts.get_u64("iterations", 12));
-  params.compute_s_per_iter = opts.get_f64("compute-s", 2.0);
-  params.transpose_bytes = opts.get_u64("transpose-mb", 12) << 20;
-  params.seed = effective_seed(opts, 1);
-  enforce_clean(mb::verify::lint_rank_count(params.ranks, 2, "--ranks"));
+  const std::uint64_t seed = effective_seed(opts, 1);
+  const mb::mpi::Program program =
+      app_program(read_app(kFig4Apps, "bigdft", opts, seed));
   mb::apps::ClusterConfig cluster =
-      mb::apps::tibidabo_cluster(params.ranks / 2);
+      mb::apps::tibidabo_cluster(program.ranks() / 2);
   cluster.sim_jobs =
       static_cast<std::uint32_t>(opts.get_u64("sim-jobs", 0));
-  apply_capture_options(opts, cluster, params.seed);
+  apply_capture_options(opts, cluster, seed);
   if (!spill_path.empty()) {
     // Stream straight into the mb-trace file: memory stays bounded no
     // matter how many records the run emits.
     cluster.streaming_trace = true;
     cluster.trace_sink.spill_path = spill_path;
-    cluster.trace_sink.seed = params.seed;
+    cluster.trace_sink.seed = seed;
     cluster.trace_sink.tool_version = std::string(mb::support::version());
     if (cluster.trace_sink.ring_capacity == 0)
       cluster.trace_sink.ring_capacity = 65536;
@@ -1218,10 +1313,9 @@ mb::apps::AppRunResult run_fig4_scenario(Options& opts,
   mb::apps::AppRunResult result;
   {
     mb::obs::ScopedSpan span(mb::obs::profiler(), "fig4/simulate");
-    result = mb::apps::run_bigdft(cluster, params);
+    result = mb::apps::run_on_cluster(cluster, program);
   }
-  result.trace.set_provenance(std::string(mb::support::version()),
-                              params.seed);
+  result.trace.set_provenance(std::string(mb::support::version()), seed);
   if (result.trace_dropped > 0) {
     std::cerr << "trace: ring overflow dropped " << result.trace_dropped
               << " record(s); raise --trace-buffer or narrow "
@@ -1230,7 +1324,7 @@ mb::apps::AppRunResult run_fig4_scenario(Options& opts,
   return result;
 }
 
-int cmd_fig4(Options& opts) {
+int cmd_fig4(const Args& /*args*/, const Options& opts) {
   auto result = run_fig4_scenario(opts);
   write_timeseries_artifact(opts, result.timeseries,
                             effective_seed(opts, 1));
@@ -1272,21 +1366,13 @@ int cmd_fig4(Options& opts) {
             << mb::trace::render_gantt(result.trace, gopt) << '\n';
 
   if (opts.has("trace-out")) {
-    const std::string path = opts.get_str("trace-out", "");
-    std::ofstream out(path);
-    if (!out)
-      throw mb::support::Error("cannot open " + path + " for writing");
-    result.trace.write_paraver(out);
-    if (!out) throw mb::support::Error("write to " + path + " failed");
-    std::cerr << "wrote " << path << " (" << result.trace.size()
-              << " trace records)\n";
+    write_output(opts.get_str("trace-out", ""),
+                 std::to_string(result.trace.size()) + " trace records",
+                 [&](std::ostream& out) { result.trace.write_paraver(out); });
   }
 
   if (opts.has("json")) {
-    mb::core::BenchReport report;
-    report.suite = "fig4";
-    report.tool = "mbctl";
-    report.seed = effective_seed(opts, 1);
+    auto report = new_report("fig4", effective_seed(opts, 1));
     using D = mb::core::Direction;
     add_record(report, "fig4/makespan", "tibidabo", "seconds", "s",
                D::kMinimize, {result.makespan_s});
@@ -1300,7 +1386,7 @@ int cmd_fig4(Options& opts) {
   return 0;
 }
 
-int cmd_trace_export(Options& opts) {
+int cmd_trace_export(const Args& /*args*/, const Options& opts) {
   const std::string format = opts.get_str("format", "chrome");
   if (format != "chrome" && format != "paraver" && format != "mb-trace")
     usage("--format must be 'paraver', 'chrome' or 'mb-trace', got '" +
@@ -1330,43 +1416,40 @@ int cmd_trace_export(Options& opts) {
   }
 
   mb::obs::ScopedSpan span(mb::obs::profiler(), "trace-export/write");
-  std::ofstream file;
-  std::ostream* os = &std::cout;
-  if (opts.has("out")) {
-    const std::string path = opts.get_str("out", "");
-    file.open(path, format == "mb-trace"
-                        ? std::ios::out | std::ios::binary
-                        : std::ios::out);
-    if (!file)
-      throw mb::support::Error("cannot open " + path + " for writing");
-    os = &file;
+  const auto write = [&](std::ostream& os) {
+    if (format == "chrome") {
+      mb::obs::ChromeTraceOptions copt;
+      copt.delay_factor = opts.get_f64("delay-factor", 2.0);
+      mb::obs::write_chrome_trace(os, trace, copt);
+    } else if (format == "mb-trace") {
+      mb::trace::MbTraceMeta meta;
+      meta.tool_version = trace.has_provenance()
+                              ? trace.tool_version()
+                              : std::string(mb::support::version());
+      meta.seed =
+          trace.has_provenance() ? trace.seed() : effective_seed(opts, 1);
+      meta.total_ranks = trace.ranks();
+      meta.dropped = dropped;
+      mb::trace::write_mb_trace(os, trace, meta);
+    } else {
+      trace.write_paraver(os);
+    }
+  };
+  if (!opts.has("out")) {
+    write(std::cout);
+    if (!std::cout) throw mb::support::Error("trace-export write failed");
+    return 0;
   }
-  if (format == "chrome") {
-    mb::obs::ChromeTraceOptions copt;
-    copt.delay_factor = opts.get_f64("delay-factor", 2.0);
-    mb::obs::write_chrome_trace(*os, trace, copt);
-  } else if (format == "mb-trace") {
-    mb::trace::MbTraceMeta meta;
-    meta.tool_version = trace.has_provenance()
-                            ? trace.tool_version()
-                            : std::string(mb::support::version());
-    meta.seed =
-        trace.has_provenance() ? trace.seed() : effective_seed(opts, 1);
-    meta.total_ranks = trace.ranks();
-    meta.dropped = dropped;
-    mb::trace::write_mb_trace(*os, trace, meta);
-  } else {
-    trace.write_paraver(*os);
-  }
-  if (!*os) throw mb::support::Error("trace-export write failed");
-  if (opts.has("out"))
-    std::cerr << "wrote " << opts.get_str("out", "") << " (" << format
-              << ", " << trace.size() << " records, " << trace.ranks()
-              << " ranks)\n";
+  write_output(opts.get_str("out", ""),
+               format + ", " + std::to_string(trace.size()) + " records, " +
+                   std::to_string(trace.ranks()) + " ranks",
+               write,
+               format == "mb-trace" ? std::ios::out | std::ios::binary
+                                    : std::ios::out);
   return 0;
 }
 
-int cmd_analyze(Options& opts) {
+int cmd_analyze(const Args& /*args*/, const Options& opts) {
   mb::obs::AnalysisOptions aopt;
   aopt.delay_factor = opts.get_f64("delay-factor", aopt.delay_factor);
   aopt.late_fraction = opts.get_f64("late-fraction", aopt.late_fraction);
@@ -1389,12 +1472,8 @@ int cmd_analyze(Options& opts) {
     dropped = result.trace_dropped;
   }
   if (opts.has("timeseries")) {
-    const std::string path = opts.get_str("timeseries", "");
-    std::ifstream in(path);
-    if (!in) throw mb::support::Error("cannot open timeseries " + path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    timeseries = mb::obs::timeseries_from_json(text.str());
+    timeseries = mb::obs::timeseries_from_json(
+        read_input(opts.get_str("timeseries", ""), "timeseries"));
   }
 
   mb::obs::Analysis analysis;
@@ -1408,45 +1487,30 @@ int cmd_analyze(Options& opts) {
     std::cerr << "note: capture dropped " << dropped
               << " record(s); wait totals are a lower bound\n";
   if (opts.has("json")) {
-    const std::string path = opts.get_str("json", "");
-    std::ofstream out(path);
-    if (!out)
-      throw mb::support::Error("cannot open " + path + " for writing");
-    out << mb::obs::to_json(analysis) << '\n';
-    if (!out) throw mb::support::Error("write to " + path + " failed");
-    std::cerr << "wrote " << path << " (mb-analysis v"
-              << analysis.schema_version << ")\n";
+    write_output(opts.get_str("json", ""),
+                 "mb-analysis v" + std::to_string(analysis.schema_version),
+                 [&](std::ostream& out) {
+                   out << mb::obs::to_json(analysis) << '\n';
+                 });
   }
   return 0;
 }
 
-int cmd_obs_report(const std::string& path, Options& opts) {
-  std::ifstream in(path);
-  if (!in) throw mb::support::Error("cannot open profile " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
+int cmd_obs_report(const Args& args, const Options& opts) {
+  const std::string text = read_input(args[0], "profile");
   mb::obs::SpanRenderOptions ropt;  // hotspot sort is the default
   ropt.top = static_cast<std::size_t>(opts.get_u64("top", 0));
-  std::cout << mb::obs::render_profile(mb::obs::profile_from_json(text.str()),
+  std::cout << mb::obs::render_profile(mb::obs::profile_from_json(text),
                                        ropt);
   return 0;
 }
 
-mb::core::BenchReport load_report(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw mb::support::Error("cannot open report " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return mb::core::report_from_json(text.str());
-}
-
-int cmd_compare(const std::string& baseline_path,
-                const std::string& candidate_path, Options& opts) {
-  const auto baseline = load_report(baseline_path);
-  const auto candidate = load_report(candidate_path);
-  mb::core::CompareOptions copts;
-  copts.threshold_sigma = opts.get_f64("threshold-sigma", 3.0);
-  copts.min_rel_delta = opts.get_f64("min-rel", 0.02);
+int cmd_compare(const Args& args, const Options& opts) {
+  const auto baseline =
+      mb::core::report_from_json(read_input(args[0], "report"));
+  const auto candidate =
+      mb::core::report_from_json(read_input(args[1], "report"));
+  const mb::core::CompareOptions copts = compare_options(opts);
   // Wall-clock budget gate (the scaling-gate CI job): the caller times
   // the candidate run externally and passes the measurement in, so the
   // deterministic report itself never carries machine-speed numbers.
@@ -1554,27 +1618,20 @@ int cmd_compare(const std::string& baseline_path,
   std::cout << "verdict: OK\n";
   return kExitOk;
 }
-
-int cmd_version() {
-  std::cout << "mbctl " << mb::support::version() << '\n';
-  return 0;
-}
-
 // --------------------------------------------------------------------------
 // lint / verify-mpi: the static verification layer (src/verify).
 
 void write_diagnostics_json(const mb::verify::Report& report,
                             const std::string& source,
                             const std::string& path, std::uint64_t seed) {
-  std::ofstream out(path);
-  if (!out) throw mb::support::Error("cannot open " + path + " for writing");
-  out << mb::verify::diagnostics_to_json(report, source, seed);
-  if (!out) throw mb::support::Error("write to " + path + " failed");
-  std::cerr << "wrote " << path << " (" << report.findings().size()
-            << " finding(s))\n";
+  write_output(path, std::to_string(report.findings().size()) + " finding(s)",
+               [&](std::ostream& out) {
+                 out << mb::verify::diagnostics_to_json(report, source, seed);
+               });
 }
 
-int cmd_lint(const std::string& target, Options& opts) {
+int cmd_lint(const Args& args, const Options& opts) {
+  const std::string& target = args[0];
   mb::verify::Report report;
   std::string source;
   if (target == "tibidabo-tree" || target == "upgraded-tree") {
@@ -1622,94 +1679,29 @@ mb::mpi::Program demo_deadlock_program() {
   return program;
 }
 
-/// Builds the app program the static passes (verify-mpi, analyze-static)
-/// target. The per-app knobs mirror chaos/fig4 so a predicted scenario is
-/// the same one the DES commands run.
-mb::mpi::Program build_static_target(const std::string& app, Options& opts,
-                                     std::uint64_t seed,
-                                     const std::string& command) {
-  if (app == "fig4" || app == "bigdft") {
-    mb::apps::BigDftParams params;
-    params.ranks = static_cast<std::uint32_t>(
-        opts.get_u64("ranks", app == "fig4" ? 36 : 8));
-    params.iterations = static_cast<std::uint32_t>(
-        opts.get_u64("iterations", params.iterations));
-    params.compute_s_per_iter =
-        opts.get_f64("compute-s", params.compute_s_per_iter);
-    params.transpose_bytes =
-        opts.get_u64("transpose-mb", params.transpose_bytes >> 20) << 20;
-    params.seed = seed;
-    enforce_clean(mb::verify::lint_rank_count(params.ranks, 2, "--ranks"));
-    return mb::apps::bigdft_program(params);
-  }
-  if (app == "hpl") {
-    mb::apps::HplParams params;
-    params.ranks = static_cast<std::uint32_t>(opts.get_u64("ranks", 16));
-    params.n = static_cast<std::uint32_t>(opts.get_u64("n", params.n));
-    params.block =
-        static_cast<std::uint32_t>(opts.get_u64("block", params.block));
-    enforce_clean(mb::verify::lint_rank_count(params.ranks, 2, "--ranks"));
-    return mb::apps::hpl_program(params);
-  }
-  if (app == "specfem") {
-    mb::apps::SpecfemParams params;
-    params.ranks = static_cast<std::uint32_t>(opts.get_u64("ranks", 8));
-    params.steps =
-        static_cast<std::uint32_t>(opts.get_u64("steps", params.steps));
-    params.compute_s_per_step =
-        opts.get_f64("compute-s", params.compute_s_per_step);
-    params.halo_bytes = opts.get_u64("halo-kb", params.halo_bytes >> 10)
-                        << 10;
-    params.seed = seed;
-    enforce_clean(mb::verify::lint_rank_count(params.ranks, 2, "--ranks"));
-    return mb::apps::specfem_program(params);
-  }
-  usage("unknown " + command + " app '" + app + "'");
-}
-
 /// The platform half of an analyze-static / verify-mpi --cost question:
 /// --tree picks the switch generation, --mtu the frame granularity. The
 /// node count follows the program (2 ranks per node, as every cluster
 /// command packs them).
 mb::verify::CostDescriptor descriptor_for(const mb::mpi::Program& program,
-                                          Options& opts) {
+                                          const Options& opts) {
   mb::verify::CostDescriptor d;
   const std::uint32_t nodes = program.ranks() / d.cores_per_node;
-  const std::string tree = opts.get_str("tree", "tibidabo");
-  if (tree == "tibidabo") {
-    d.tree = mb::net::tibidabo_tree(nodes);
-  } else if (tree == "upgraded") {
-    d.tree = mb::net::upgraded_tree(nodes);
-  } else {
-    usage("--tree expects tibidabo|upgraded, got '" + tree + "'");
-  }
+  d.tree = read_tree(opts) == "tibidabo" ? mb::net::tibidabo_tree(nodes)
+                                         : mb::net::upgraded_tree(nodes);
   d.mtu_bytes =
       static_cast<std::uint32_t>(opts.get_u64("mtu", d.mtu_bytes));
   if (d.mtu_bytes == 0) usage("--mtu must be positive");
   return d;
 }
 
-/// Loads the optional --faults plan (PERF004 input). Returns false when
-/// the flag is absent.
-bool load_fault_plan(Options& opts, mb::fault::FaultPlan& plan) {
-  if (!opts.has("faults")) return false;
-  const std::string path = opts.get_str("faults", "");
-  std::ifstream in(path);
-  if (!in) usage("cannot open fault plan " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  plan = mb::fault::plan_from_json(text.str());
-  return true;
-}
-
-int cmd_verify_mpi(const std::string& app, Options& opts) {
+int cmd_verify_mpi(const Args& args, const Options& opts) {
+  const std::string& app = args[0];
   const std::uint64_t seed = effective_seed(opts, 1);
-  mb::mpi::Program program =
+  const mb::mpi::Program program =
       app == "demo-deadlock"
           ? demo_deadlock_program()
-          : build_static_target(app, opts, seed,
-                                "verify-mpi (fig4|bigdft|hpl|specfem|"
-                                "demo-deadlock)");
+          : app_program(read_app(kStaticApps, app, opts, seed));
 
   auto report = mb::verify::verify_program(program);
   std::cout << "verify-mpi " << app << " (" << program.ranks()
@@ -1746,10 +1738,11 @@ int cmd_verify_mpi(const std::string& app, Options& opts) {
 // --------------------------------------------------------------------------
 // analyze-static: the pass-3 abstract cost interpreter (src/verify).
 
-int cmd_analyze_static(const std::string& app, Options& opts) {
+int cmd_analyze_static(const Args& args, const Options& opts) {
+  const std::string& app = args[0];
   const std::uint64_t seed = effective_seed(opts, 1);
-  mb::mpi::Program program = build_static_target(
-      app, opts, seed, "analyze-static (fig4|bigdft|hpl|specfem)");
+  const mb::mpi::Program program =
+      app_program(read_app(kStaticApps, app, opts, seed));
 
   // Bounds are only defined for programs that verify clean: a deadlocked
   // or unmatched schedule never finishes, so there is nothing to bound.
@@ -1774,20 +1767,18 @@ int cmd_analyze_static(const std::string& app, Options& opts) {
                                  with_plan ? &plan : nullptr);
   }
 
-  std::cout << "=== analyze-static: " << app << " on "
-            << opts.get_str("tree", "tibidabo") << " tree ===\n"
+  std::cout << "=== analyze-static: " << app << " on " << read_tree(opts)
+            << " tree ===\n"
             << mb::verify::render_cost(cost) << "perf rules:\n"
             << mb::verify::render_diagnostics(perf);
 
   if (opts.has("json")) {
-    const std::string path = opts.get_str("json", "");
-    std::ofstream out(path);
-    if (!out)
-      throw mb::support::Error("cannot open " + path + " for writing");
-    out << mb::verify::static_analysis_to_json(cost, app, seed, perf);
-    if (!out) throw mb::support::Error("write to " + path + " failed");
-    std::cerr << "wrote " << path << " (" << perf.findings().size()
-              << " finding(s))\n";
+    write_output(
+        opts.get_str("json", ""),
+        std::to_string(perf.findings().size()) + " finding(s)",
+        [&](std::ostream& out) {
+          out << mb::verify::static_analysis_to_json(cost, app, seed, perf);
+        });
   }
   return perf.has_errors() ? kExitFindings : kExitOk;
 }
@@ -1796,14 +1787,10 @@ int cmd_analyze_static(const std::string& app, Options& opts) {
 // chaos: fault-injection scenarios (src/fault) — run an application under
 // a declarative FaultPlan with failure detection and checkpoint/restart.
 
-int cmd_chaos(const std::string& app, Options& opts) {
-  if (!opts.has("faults")) usage("chaos needs --faults plan.json");
-  const std::string plan_path = opts.get_str("faults", "");
-  std::ifstream in(plan_path);
-  if (!in) usage("cannot open fault plan " + plan_path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  mb::fault::FaultPlan plan = mb::fault::plan_from_json(text.str());
+int cmd_chaos(const Args& args, const Options& opts) {
+  const std::string& app = args[0];
+  mb::fault::FaultPlan plan;
+  load_fault_plan(opts, plan);  // --faults is required: see the table
   plan.seed = effective_seed(opts, plan.seed);
 
   // Checkpoint-model overrides; setting an interval or size implies `on`.
@@ -1822,46 +1809,11 @@ int cmd_chaos(const std::string& app, Options& opts) {
         static_cast<double>(opts.get_u64("checkpoint-mb", 64) << 20);
   }
 
-  mb::mpi::Program program(1);
-  std::uint32_t ranks = 0;
-  if (app == "bigdft") {
-    mb::apps::BigDftParams params;
-    params.ranks = static_cast<std::uint32_t>(opts.get_u64("ranks", 8));
-    params.iterations =
-        static_cast<std::uint32_t>(opts.get_u64("iterations", 6));
-    params.compute_s_per_iter = opts.get_f64("compute-s", 1.0);
-    params.transpose_bytes = opts.get_u64("transpose-mb", 8) << 20;
-    params.seed = plan.seed;
-    ranks = params.ranks;
-    enforce_clean(mb::verify::lint_rank_count(ranks, 2, "--ranks"));
-    program = mb::apps::bigdft_program(params);
-  } else if (app == "hpl") {
-    mb::apps::HplParams params;
-    params.ranks = static_cast<std::uint32_t>(opts.get_u64("ranks", 16));
-    params.n = static_cast<std::uint32_t>(opts.get_u64("n", 4096));
-    params.block = static_cast<std::uint32_t>(opts.get_u64("block", 64));
-    ranks = params.ranks;
-    enforce_clean(mb::verify::lint_rank_count(ranks, 2, "--ranks"));
-    program = mb::apps::hpl_program(params);
-  } else if (app == "specfem") {
-    mb::apps::SpecfemParams params;
-    params.ranks = static_cast<std::uint32_t>(opts.get_u64("ranks", 8));
-    params.steps = static_cast<std::uint32_t>(opts.get_u64("steps", 20));
-    params.compute_s_per_step = opts.get_f64("compute-s", 6.0);
-    ranks = params.ranks;
-    enforce_clean(mb::verify::lint_rank_count(ranks, 2, "--ranks"));
-    program = mb::apps::specfem_program(params);
-  } else {
-    usage("unknown chaos app '" + app + "' (bigdft|hpl|specfem)");
-  }
-
-  mb::fault::ChaosScenario scenario;
-  scenario.cluster = mb::apps::tibidabo_cluster(ranks / 2);
-  scenario.cluster.mpi.recv_timeout_s = opts.get_f64("recv-timeout", 2.0);
-  scenario.cluster.mpi.max_send_retries =
-      static_cast<std::uint32_t>(opts.get_u64("send-retries", 3));
-  scenario.max_restarts =
-      static_cast<std::uint32_t>(opts.get_u64("max-restarts", 8));
+  const mb::mpi::Program program =
+      app_program(read_app(kChaosApps, app, opts, plan.seed));
+  const std::uint32_t ranks = program.ranks();
+  mb::fault::ChaosScenario scenario =
+      chaos_scenario(ranks / 2, read_recovery(opts));
   apply_capture_options(opts, scenario.cluster, plan.seed);
   enforce_clean(mb::verify::lint_fault_plan(plan, scenario.cluster.nodes));
   scenario.plan = plan;
@@ -1873,7 +1825,8 @@ int cmd_chaos(const std::string& app, Options& opts) {
   }
 
   const auto& rec = result.recovery;
-  std::cout << "=== chaos: " << app << " under " << plan_path << " ===\n"
+  std::cout << "=== chaos: " << app << " under "
+            << opts.get_str("faults", "") << " ===\n"
             << "ranks:            " << ranks << " on "
             << scenario.cluster.nodes << " nodes\n"
             << "outcome:          "
@@ -1898,21 +1851,14 @@ int cmd_chaos(const std::string& app, Options& opts) {
                               plan.seed);
   write_timeseries_artifact(opts, result.timeseries, plan.seed);
   if (opts.has("trace-out")) {
-    const std::string path = opts.get_str("trace-out", "");
-    std::ofstream out(path);
-    if (!out)
-      throw mb::support::Error("cannot open " + path + " for writing");
-    result.trace.write_paraver(out);
-    if (!out) throw mb::support::Error("write to " + path + " failed");
-    std::cerr << "wrote " << path << " (" << result.trace.size()
-              << " trace records, fault marks included)\n";
+    write_output(opts.get_str("trace-out", ""),
+                 std::to_string(result.trace.size()) +
+                     " trace records, fault marks included",
+                 [&](std::ostream& out) { result.trace.write_paraver(out); });
   }
 
   if (opts.has("json")) {
-    mb::core::BenchReport report;
-    report.suite = "chaos";
-    report.tool = "mbctl";
-    report.seed = plan.seed;
+    auto report = new_report("chaos", plan.seed);
     using D = mb::core::Direction;
     const std::string base = "chaos/" + app;
     add_record(report, base + "/time_to_solution", "tibidabo", "seconds",
@@ -1958,7 +1904,6 @@ int cmd_chaos(const std::string& app, Options& opts) {
   }
   return kExitOk;
 }
-
 // --------------------------------------------------------------------------
 // advise: recommendation engine + guarded apply (src/advise). The bigdft
 // mode measures the same scenario `chaos bigdft` runs (same defaults), so
@@ -1972,9 +1917,7 @@ struct BigDftArmConfig {
   mb::apps::BigDftParams params;
   mb::fault::FaultPlan plan;
   std::uint32_t nodes = 0;
-  double recv_timeout_s = 2.0;
-  std::uint32_t send_retries = 3;
-  std::uint32_t max_restarts = 8;
+  Recovery recovery;
   // Candidate-side deviations from the measured configuration.
   std::uint32_t extra_nodes = 0;        ///< spare nodes appended
   std::vector<std::uint32_t> rank_map;  ///< empty = node-major default
@@ -1994,12 +1937,9 @@ double measure_bigdft_arm(const BigDftArmConfig& cfg,
   if (!cfg.rewrite_allreduce_label.empty())
     program =
         mb::advise::rewrite_allreduce(program, cfg.rewrite_allreduce_label);
-  mb::fault::ChaosScenario scenario;
-  scenario.cluster = mb::apps::tibidabo_cluster(cfg.nodes + cfg.extra_nodes);
+  mb::fault::ChaosScenario scenario =
+      chaos_scenario(cfg.nodes + cfg.extra_nodes, cfg.recovery);
   scenario.cluster.rank_map = cfg.rank_map;
-  scenario.cluster.mpi.recv_timeout_s = cfg.recv_timeout_s;
-  scenario.cluster.mpi.max_send_retries = cfg.send_retries;
-  scenario.max_restarts = cfg.max_restarts;
   scenario.plan = cfg.plan;
   if (cfg.checkpoint_interval_s > 0.0) {
     scenario.plan.checkpoint.enabled = true;
@@ -2016,18 +1956,16 @@ double measure_bigdft_arm(const BigDftArmConfig& cfg,
 /// Shared tail of both advise modes: render to stdout, publish the
 /// advise.* counters, optionally write the mb-advice document.
 void write_advice_outputs(const mb::advise::AdviceReport& report,
-                          Options& opts) {
+                          const Options& opts) {
   std::cout << mb::advise::render_advice(report);
   mb::advise::publish_advice_metrics(report);
   if (opts.has("json")) {
-    const std::string path = opts.get_str("json", "");
-    std::ofstream out(path);
-    if (!out)
-      throw mb::support::Error("cannot open " + path + " for writing");
-    out << mb::advise::to_json(report) << '\n';
-    if (!out) throw mb::support::Error("write to " + path + " failed");
-    std::cerr << "wrote " << path << " (" << report.recommendations.size()
-              << " recommendation(s))\n";
+    write_output(opts.get_str("json", ""),
+                 std::to_string(report.recommendations.size()) +
+                     " recommendation(s)",
+                 [&](std::ostream& out) {
+                   out << mb::advise::to_json(report) << '\n';
+                 });
   }
 }
 
@@ -2035,14 +1973,8 @@ void write_advice_outputs(const mb::advise::AdviceReport& report,
 /// re-measures baseline vs candidate arms through the campaign cache and
 /// records the accepted/rejected verdict via the compare noise gate.
 void apply_bigdft(mb::advise::AdviceReport& report,
-                  const BigDftArmConfig& base, Options& opts) {
-  mb::advise::ApplyOptions apply;
-  apply.campaign = campaign_options(opts);
-  apply.compare.threshold_sigma =
-      opts.get_f64("threshold-sigma", apply.compare.threshold_sigma);
-  apply.compare.min_rel_delta =
-      opts.get_f64("min-rel", apply.compare.min_rel_delta);
-  apply.reps = static_cast<std::uint32_t>(opts.get_u64("reps", 3));
+                  const BigDftArmConfig& base, const Options& opts) {
+  mb::advise::ApplyOptions apply = apply_options(opts);
   apply.seed = base.plan.seed;
   apply.metric = "seconds";
   apply.unit = "s";
@@ -2056,9 +1988,9 @@ void apply_bigdft(mb::advise::AdviceReport& report,
       .u64(base.params.iterations)
       .f64(base.params.compute_s_per_iter)
       .u64(base.params.transpose_bytes)
-      .f64(base.recv_timeout_s)
-      .u64(base.send_retries)
-      .u64(base.max_restarts);
+      .f64(base.recovery.recv_timeout_s)
+      .u64(base.recovery.send_retries)
+      .u64(base.recovery.max_restarts);
   apply.config_hash = hasher.digest();
 
   const mb::advise::Arm baseline{"baseline",
@@ -2094,35 +2026,22 @@ void apply_bigdft(mb::advise::AdviceReport& report,
   report.applied = true;
 }
 
-int cmd_advise_bigdft(Options& opts) {
+int cmd_advise_bigdft(const Options& opts) {
   mb::fault::FaultPlan plan;
   load_fault_plan(opts, plan);
   plan.seed = effective_seed(opts, plan.seed);
 
   BigDftArmConfig cfg;
-  cfg.params.ranks = static_cast<std::uint32_t>(opts.get_u64("ranks", 8));
-  cfg.params.iterations =
-      static_cast<std::uint32_t>(opts.get_u64("iterations", 6));
-  cfg.params.compute_s_per_iter = opts.get_f64("compute-s", 1.0);
-  cfg.params.transpose_bytes = opts.get_u64("transpose-mb", 8) << 20;
-  cfg.params.seed = plan.seed;
-  enforce_clean(mb::verify::lint_rank_count(cfg.params.ranks, 2, "--ranks"));
+  cfg.params = std::get<mb::apps::BigDftParams>(
+      read_app(kChaosApps, "bigdft", opts, plan.seed));
   cfg.plan = plan;
   cfg.nodes = cfg.params.ranks / 2;
-  cfg.recv_timeout_s = opts.get_f64("recv-timeout", 2.0);
-  cfg.send_retries =
-      static_cast<std::uint32_t>(opts.get_u64("send-retries", 3));
-  cfg.max_restarts =
-      static_cast<std::uint32_t>(opts.get_u64("max-restarts", 8));
+  cfg.recovery = read_recovery(opts);
 
-  mb::mpi::Program program = mb::apps::bigdft_program(cfg.params);
+  const mb::mpi::Program program = mb::apps::bigdft_program(cfg.params);
 
   // Measure once: the run every piece of evidence points back into.
-  mb::fault::ChaosScenario scenario;
-  scenario.cluster = mb::apps::tibidabo_cluster(cfg.nodes);
-  scenario.cluster.mpi.recv_timeout_s = cfg.recv_timeout_s;
-  scenario.cluster.mpi.max_send_retries = cfg.send_retries;
-  scenario.max_restarts = cfg.max_restarts;
+  mb::fault::ChaosScenario scenario = chaos_scenario(cfg.nodes, cfg.recovery);
   enforce_clean(mb::verify::lint_fault_plan(plan, scenario.cluster.nodes));
   scenario.plan = plan;
   mb::fault::ChaosResult measured;
@@ -2173,45 +2092,15 @@ int cmd_advise_bigdft(Options& opts) {
   return kExitOk;
 }
 
-int cmd_advise_magicfilter(Options& opts) {
+int cmd_advise_magicfilter(const Options& opts) {
   const auto platform =
       resolve_platform(opts.get_str("platform", "tegra2"));
   const std::uint64_t seed = effective_seed(opts, 1);
   const auto current = static_cast<std::uint32_t>(opts.get_u64("unroll", 1));
   if (current < 1 || current > 12) usage("--unroll must be in 1..12");
-  const auto co = campaign_options(opts);
-
-  // Sweep every unroll variant under the exact cache keys tune-magicfilter
-  // uses: it is the same measurement, so a prior tune run warms this sweep
-  // and vice versa.
-  mb::core::ParamSpace space;
-  space.add_range("unroll", 1, 12);
-  std::vector<mb::core::CampaignTask> tasks;
-  for (std::size_t i = 0; i < space.size(); ++i) {
-    mb::core::CampaignTask task;
-    task.key = {std::string(mb::support::version()), "tune-magicfilter",
-                platform.name, space.at(i).to_string() + " n=20 dims=1",
-                seed, 0};
-    const auto unroll =
-        static_cast<std::uint32_t>(space.at(i).get("unroll"));
-    task.run = [&platform, unroll, key = task.key]() {
-      mb::sim::Machine machine(
-          platform, mb::sim::PagePolicy::kConsecutive,
-          mb::support::Rng(mb::support::derive_seed(key.seed, key.hash())));
-      mb::kernels::MagicfilterParams params;
-      params.n = 20;
-      params.dims = 1;
-      params.unroll = unroll;
-      return std::vector<double>{
-          mb::kernels::magicfilter_run(machine, params).cycles_per_output};
-    };
-    tasks.push_back(std::move(task));
-  }
-  const auto campaign = run_campaign_reported(tasks, co);
-  std::vector<mb::advise::KernelSweepPoint> sweep;
-  for (std::size_t i = 0; i < space.size(); ++i)
-    sweep.push_back({static_cast<std::uint32_t>(space.at(i).get("unroll")),
-                     campaign.samples[i].at(0)});
+  // The same measurement as tune-magicfilter, under the same cache keys.
+  const auto sweep =
+      sweep_magicfilter(platform, seed, campaign_options(opts));
 
   // Place the current variant on the hierarchical roofline — the
   // recommendation's evidence for what bounds the kernel and how much
@@ -2219,10 +2108,7 @@ int cmd_advise_magicfilter(Options& opts) {
   mb::sim::Machine machine(
       platform, mb::sim::PagePolicy::kConsecutive,
       mb::support::Rng(mb::support::derive_seed(seed, 0x616476)));
-  mb::kernels::MagicfilterParams params;
-  params.n = 20;
-  params.dims = 1;
-  params.unroll = current;
+  const mb::kernels::MagicfilterParams params = magicfilter_params(current);
   const auto run = mb::kernels::magicfilter_run(machine, params);
   const auto hier = mb::sim::hierarchical_dp_roofline(platform);
   const std::uint64_t working_set =
@@ -2238,13 +2124,7 @@ int cmd_advise_magicfilter(Options& opts) {
   mb::advise::rank_recommendations(report);
 
   if (opts.has("apply")) {
-    mb::advise::ApplyOptions apply;
-    apply.campaign = co;
-    apply.compare.threshold_sigma =
-        opts.get_f64("threshold-sigma", apply.compare.threshold_sigma);
-    apply.compare.min_rel_delta =
-        opts.get_f64("min-rel", apply.compare.min_rel_delta);
-    apply.reps = static_cast<std::uint32_t>(opts.get_u64("reps", 3));
+    mb::advise::ApplyOptions apply = apply_options(opts);
     apply.seed = seed;
     apply.metric = "cycles_per_output";
     apply.unit = "cycles";
@@ -2258,11 +2138,8 @@ int cmd_advise_magicfilter(Options& opts) {
           std::move(name), [&platform, unroll](std::uint64_t rep_seed) {
             mb::sim::Machine m(platform, mb::sim::PagePolicy::kConsecutive,
                                mb::support::Rng(rep_seed));
-            mb::kernels::MagicfilterParams p;
-            p.n = 20;
-            p.dims = 1;
-            p.unroll = unroll;
-            return mb::kernels::magicfilter_run(m, p).cycles_per_output;
+            return mb::kernels::magicfilter_run(m, magicfilter_params(unroll))
+                .cycles_per_output;
           }};
     };
     for (mb::advise::Recommendation& rec : report.recommendations) {
@@ -2279,12 +2156,12 @@ int cmd_advise_magicfilter(Options& opts) {
   return kExitOk;
 }
 
-int cmd_advise(const std::string& target, Options& opts) {
+int cmd_advise(const Args& args, const Options& opts) {
+  const std::string& target = args[0];
   if (target == "bigdft") return cmd_advise_bigdft(opts);
   if (target == "magicfilter") return cmd_advise_magicfilter(opts);
   usage("unknown advise target '" + target + "' (bigdft|magicfilter)");
 }
-
 // --------------------------------------------------------------------------
 // fuzz / replay: differential fuzzing and mb-repro record/replay.
 
@@ -2295,25 +2172,13 @@ struct SeedRange {
 
 /// "--seeds A..B" (half-open) or "--seeds N" (the single seed N).
 SeedRange parse_seed_range(const std::string& spec) {
-  SeedRange range;
   const auto dots = spec.find("..");
-  try {
-    std::size_t used = 0;
-    if (dots == std::string::npos) {
-      range.lo = std::stoull(spec, &used);
-      if (used != spec.size()) throw std::invalid_argument(spec);
-      range.hi = range.lo + 1;
-    } else {
-      const std::string lo = spec.substr(0, dots);
-      const std::string hi = spec.substr(dots + 2);
-      range.lo = std::stoull(lo, &used);
-      if (used != lo.size()) throw std::invalid_argument(spec);
-      range.hi = std::stoull(hi, &used);
-      if (used != hi.size()) throw std::invalid_argument(spec);
-    }
-  } catch (const std::exception&) {
+  const auto lo = parse_u64(spec.substr(0, dots));
+  const auto hi =
+      dots == std::string::npos ? lo : parse_u64(spec.substr(dots + 2));
+  if (!lo || !hi)
     usage("--seeds expects N or A..B (half-open), got '" + spec + "'");
-  }
+  const SeedRange range{*lo, dots == std::string::npos ? *lo + 1 : *hi};
   if (range.lo >= range.hi) usage("--seeds range is empty: '" + spec + "'");
   if (range.hi - range.lo > 1000000)
     usage("--seeds range covers more than 1e6 seeds");
@@ -2324,23 +2189,13 @@ void write_bundle_file(const mb::gen::ReproBundle& bundle,
                        const std::string& path) {
   const auto parent = std::filesystem::path(path).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent);
-  std::ofstream out(path);
-  if (!out) throw mb::support::Error("cannot open " + path + " for writing");
-  out << mb::gen::to_json(bundle) << '\n';
-  if (!out) throw mb::support::Error("write to " + path + " failed");
-  std::cerr << "wrote " << path << " (mb-repro bundle, oracle "
-            << bundle.oracle << ")\n";
+  write_output(path, "mb-repro bundle, oracle " + bundle.oracle,
+               [&](std::ostream& out) {
+                 out << mb::gen::to_json(bundle) << '\n';
+               });
 }
 
-mb::gen::ReproBundle load_bundle(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) usage("cannot open bundle " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return mb::gen::bundle_from_json(text.str());
-}
-
-int cmd_fuzz(Options& opts) {
+int cmd_fuzz(const Args& /*args*/, const Options& opts) {
   const SeedRange range = parse_seed_range(opts.get_str("seeds", "0..100"));
   const std::uint64_t base_seed = effective_seed(opts, 2013);
 
@@ -2370,9 +2225,7 @@ int cmd_fuzz(Options& opts) {
     usage("--defect-rate must be in [0, 1]");
 
   mb::gen::DiffConfig config;
-  config.tree = opts.get_str("tree", "tibidabo");
-  if (config.tree != "tibidabo" && config.tree != "upgraded")
-    usage("--tree expects tibidabo|upgraded");
+  config.tree = read_tree(opts);
   config.sim_jobs = static_cast<std::uint32_t>(opts.get_u64("sim-jobs", 2));
   config.pretend_clean = opts.has("pretend-clean");
   const std::uint64_t chaos_every = opts.get_u64("chaos-every", 25);
@@ -2457,10 +2310,7 @@ int cmd_fuzz(Options& opts) {
             << "discrepancies: " << discrepancies << "\n";
 
   if (opts.has("json")) {
-    mb::core::BenchReport report;
-    report.suite = "fuzz";
-    report.tool = "mbctl";
-    report.seed = base_seed;
+    auto report = new_report("fuzz", base_seed);
     using D = mb::core::Direction;
     add_record(report, "fuzz/programs", config.tree, "count", "programs",
                D::kMaximize, {static_cast<double>(n)});
@@ -2478,8 +2328,10 @@ int cmd_fuzz(Options& opts) {
   return discrepancies == 0 ? kExitOk : kExitFindings;
 }
 
-int cmd_replay(const std::string& path, Options& opts) {
-  const mb::gen::ReproBundle bundle = load_bundle(path);
+int cmd_replay(const Args& args, const Options& opts) {
+  const std::string& path = args[0];
+  const mb::gen::ReproBundle bundle =
+      mb::gen::bundle_from_json(read_input(path, "bundle"));
   if (bundle.tool_version != mb::support::version())
     std::cerr << "note: bundle was recorded by tool version "
               << bundle.tool_version << ", this is "
@@ -2563,84 +2415,179 @@ int cmd_replay(const std::string& path, Options& opts) {
   return kExitOk;
 }
 
-int dispatch(const std::vector<std::string>& args) {
-  const std::string& cmd = args[0];
-  if (cmd == "platforms") return cmd_platforms();
-  if (cmd == "version" || cmd == "--version" || cmd == "-V")
-    return cmd_version();
-  if (cmd == "help" || cmd == "--help" || cmd == "-h") usage();
-  if (cmd == "bench-suite") {
-    Options opts(args, 1);
-    return cmd_bench_suite(opts);
+// --------------------------------------------------------------------------
+// The command table: every command, its positionals and flags. Options
+// accepts exactly these flags, usage() is generated from them, and
+// tools/check_docs.py checks docs/cli.md against `mbctl help`.
+
+constexpr Command kCommands[] = {
+    {"platforms", "", cmd_platforms},
+    {"version", "",
+     [](const Args&, const Options&) {
+       std::cout << "mbctl " << mb::support::version() << '\n';
+       return 0;
+     }},
+    {"show", "<platform>",
+     [](const Args& args, const Options&) {
+       std::cout << mb::arch::serialize_platform(resolve_platform(args[0]));
+       return 0;
+     }},
+    {"topology", "<platform>",
+     [](const Args& args, const Options&) {
+       std::cout << mb::arch::render_topology(resolve_platform(args[0]));
+       return 0;
+     }},
+    {"roofline", "<platform> [--seed N] [--json PATH]", cmd_roofline},
+    {"membench",
+     "<platform> [--size-kb N] [--stride N] [--bits B] [--unroll N] "
+     "[--passes N] [--reps N] [--seed N] [--json PATH] [campaign opts]",
+     cmd_membench},
+    {"latency",
+     "<platform> [--size-kb N] [--hops N] [--reps N] [--seed N] "
+     "[--json PATH] [campaign opts]",
+     cmd_latency},
+    {"tune-magicfilter",
+     "<platform> [--seed N] [--json PATH] [campaign opts]",
+     cmd_tune_magicfilter},
+    {"bench-suite",
+     "[--suite smoke|scaling] [--reps N] [--ranks R1,R2,...] [--sim-jobs N] "
+     "[--seed N] [--json PATH] [campaign opts]",
+     cmd_bench_suite},
+    {"fig4",
+     "[--sim-jobs N] [--seed N] [--trace-out PATH] [--json PATH] "
+     "[bigdft opts] [capture opts]",
+     cmd_fig4},
+    {"trace-export",
+     "[--input trace.{prv,mbt}] [--format paraver|chrome|mb-trace] "
+     "[--out PATH] [--delay-factor X] [--sim-jobs N] [--seed N] "
+     "[bigdft opts] [capture opts]",
+     cmd_trace_export},
+    {"analyze",
+     "[--trace trace.{prv,mbt}] [--timeseries ts.json] [--delay-factor X] "
+     "[--late-fraction X] [--top N] [--sim-jobs N] [--seed N] [--json PATH] "
+     "[bigdft opts] [capture opts]",
+     cmd_analyze},
+    {"obs-report", "<profile.json> [--top N]", cmd_obs_report},
+    {"compare",
+     "<baseline.json> <candidate.json> [--threshold-sigma X] [--min-rel X] "
+     "[--budget-s X] [--wall-clock-s T]",
+     cmd_compare},
+    {"lint",
+     "<platform|tibidabo-tree|upgraded-tree> [--nodes N] [--seed N] "
+     "[--json PATH]",
+     cmd_lint},
+    {"verify-mpi",
+     "<fig4|bigdft|hpl|specfem|demo-deadlock> [--cost] "
+     "[--tree tibidabo|upgraded] [--mtu N] [--faults plan.json] [--seed N] "
+     "[--json PATH] [bigdft opts] [hpl opts] [specfem opts]",
+     cmd_verify_mpi},
+    {"analyze-static",
+     "<fig4|bigdft|hpl|specfem> [--tree tibidabo|upgraded] [--mtu N] "
+     "[--faults plan.json] [--seed N] [--json PATH] [bigdft opts] "
+     "[hpl opts] [specfem opts]",
+     cmd_analyze_static},
+    {"chaos",
+     "<bigdft|hpl|specfem> --faults plan.json [--checkpoint on|off] "
+     "[--checkpoint-interval X] [--checkpoint-mb N] [--seed N] "
+     "[--trace-out PATH] [--json PATH] [bigdft opts] [hpl opts] "
+     "[specfem opts] [recovery opts] [capture opts]",
+     cmd_chaos},
+    {"fuzz",
+     "[--seeds A..B] [--pattern halo|alltoall|pipeline|master-worker|mixed] "
+     "[--ranks N] [--rounds N] [--min-bytes N] [--max-bytes N] "
+     "[--defect-rate X] [--tree tibidabo|upgraded] [--sim-jobs N] [--jobs N] "
+     "[--chaos-every N] [--seed N] [--bundle-dir PATH] [--bundle-out PATH] "
+     "[--pretend-clean] [--json PATH]",
+     cmd_fuzz},
+    {"replay", "<bundle.json> [--sim-jobs N] [--jobs N] [--bundle-out PATH]",
+     cmd_replay},
+    {"advise",
+     "<bigdft|magicfilter> [--apply] [--reps N] [--threshold-sigma X] "
+     "[--min-rel X] [--faults plan.json] [--tree tibidabo|upgraded] "
+     "[--mtu N] [--platform P] [--unroll N] [--sim-jobs N] [--seed N] "
+     "[--json PATH] [bigdft opts] [recovery opts] [campaign opts]",
+     cmd_advise},
+};
+
+/// Prints `line` followed by `items`, wrapped at 78 columns; continuation
+/// lines are indented past the command names.
+void print_wrapped(std::string line, const std::vector<std::string>& items) {
+  for (const std::string& item : items) {
+    if (line.size() + 1 + item.size() > 78) {
+      std::cerr << line << '\n';
+      line = std::string(10, ' ');
+    }
+    line += ' ' + item;
   }
-  if (cmd == "fig4") {
-    Options opts(args, 1);
-    return cmd_fig4(opts);
+  std::cerr << line << '\n';
+}
+
+[[noreturn]] void usage(const std::string& error) {
+  if (!error.empty()) std::cerr << "error: " << error << "\n\n";
+  std::cerr << "usage: mbctl [--profile PATH] <command> [args]\n";
+  for (const Command& command : kCommands)
+    print_wrapped("  " + std::string(command.name),
+                  synopsis_items(command.synopsis));
+  for (const FlagGroup& group : kFlagGroups)
+    print_wrapped(std::string(group.name) + " opts:",
+                  synopsis_items(group.flags));
+  std::cerr <<
+      "platform: snowball | xeon | tegra2 | exynos5 | @file\n"
+      "bigdft/hpl/specfem opts: the app's knobs; each command has its own\n"
+      "defaults (docs/cli.md, App options)\n"
+      "recovery: failure-detection timeout in seconds, send retries and\n"
+      "restarts of a chaos run (defaults 2.0, 3, 8)\n"
+      "capture: the trace keeps every record of every rank unless a\n"
+      "--trace-* flag bounds it: a count N samples N ranks\n"
+      "deterministically from the seed, a comma list pins exact ranks,\n"
+      "--trace-buffer caps records kept per rank (drop-oldest, default\n"
+      "65536) and --trace-kinds filters event kinds (compute, send, recv,\n"
+      "wait, collective, fault). --timeseries-out samples run gauges every\n"
+      "X simulated seconds (--sample-interval, default 0.1; forces one\n"
+      "shard) into an mb-timeseries document\n"
+      "campaign: run the sweep on N worker threads (byte-identical output\n"
+      "to --jobs 1) and cache simulation outcomes content-addressed under\n"
+      "PATH (default .mb-cache); with a byte budget the oldest entries are\n"
+      "evicted after the run, and corrupt entries are quarantined (renamed\n"
+      "*.quarantined) instead of re-parsed; campaign/cache totals are\n"
+      "reported on stderr\n"
+      "--sim-jobs N shards the cluster discrete-event simulation across N\n"
+      "workers under conservative lookahead; results and traces are\n"
+      "byte-identical for any N (0 = one shard, the serial engine)\n"
+      "--profile enables the scoped-span profiler and writes an mb-profile\n"
+      "document (read it back with obs-report)\n"
+      "--seed defaults to the MB_SEED environment variable when set\n"
+      "exit codes (all commands): 0 = success, 2 = usage error (including\n"
+      "an unreadable input file), 3 = the run worked but the answer is bad\n"
+      "(error findings, confirmed regression, or an unrecovered chaos\n"
+      "scenario)\n";
+  // Usage errors abort before any worker pool is spawned, so the
+  // multi-thread exit() hazard does not apply.
+  // NOLINTNEXTLINE(concurrency-mt-unsafe)
+  std::exit(error.empty() ? kExitOk : kExitUsage);
+}
+
+int dispatch(const Args& args) {
+  std::string name = args[0];
+  if (name == "help" || name == "--help" || name == "-h") usage();
+  if (name == "--version" || name == "-V") name = "version";
+  const Command* command =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&](const Command& c) { return c.name == name; });
+  if (command == std::end(kCommands)) usage("unknown command '" + name + "'");
+  // Positionals lead every synopsis.
+  const auto items = synopsis_items(command->synopsis);
+  const auto count = static_cast<std::size_t>(
+      std::count_if(items.begin(), items.end(),
+                    [](const std::string& item) { return item[0] == '<'; }));
+  if (args.size() <= count) {
+    std::string needs;
+    for (std::size_t i = 0; i < count; ++i) needs += " " + items[i];
+    usage(name + " needs" + needs);
   }
-  if (cmd == "trace-export") {
-    Options opts(args, 1);
-    return cmd_trace_export(opts);
-  }
-  if (cmd == "analyze") {
-    Options opts(args, 1);
-    return cmd_analyze(opts);
-  }
-  if (cmd == "obs-report") {
-    if (args.size() < 2) usage("obs-report needs <profile.json>");
-    Options opts(args, 2);
-    return cmd_obs_report(args[1], opts);
-  }
-  if (cmd == "compare") {
-    if (args.size() < 3) usage("compare needs <baseline.json> <candidate.json>");
-    Options opts(args, 3);
-    return cmd_compare(args[1], args[2], opts);
-  }
-  if (cmd == "lint") {
-    if (args.size() < 2) usage("lint needs a platform or tree target");
-    Options opts(args, 2);
-    return cmd_lint(args[1], opts);
-  }
-  if (cmd == "verify-mpi") {
-    if (args.size() < 2)
-      usage("verify-mpi needs an app (fig4|bigdft|hpl|specfem|demo-deadlock)");
-    Options opts(args, 2);
-    return cmd_verify_mpi(args[1], opts);
-  }
-  if (cmd == "analyze-static") {
-    if (args.size() < 2)
-      usage("analyze-static needs an app (fig4|bigdft|hpl|specfem)");
-    Options opts(args, 2);
-    return cmd_analyze_static(args[1], opts);
-  }
-  if (cmd == "chaos") {
-    if (args.size() < 2) usage("chaos needs an app (bigdft|hpl|specfem)");
-    Options opts(args, 2);
-    return cmd_chaos(args[1], opts);
-  }
-  if (cmd == "fuzz") {
-    Options opts(args, 1);
-    return cmd_fuzz(opts);
-  }
-  if (cmd == "replay") {
-    if (args.size() < 2) usage("replay needs <bundle.json>");
-    Options opts(args, 2);
-    return cmd_replay(args[1], opts);
-  }
-  if (cmd == "advise") {
-    if (args.size() < 2) usage("advise needs a target (bigdft|magicfilter)");
-    Options opts(args, 2);
-    return cmd_advise(args[1], opts);
-  }
-  if (args.size() < 2) usage(cmd + " needs a platform argument");
-  const auto platform = resolve_platform(args[1]);
-  Options opts(args, 2);
-  if (cmd == "show") return cmd_show(platform);
-  if (cmd == "topology") return cmd_topology(platform);
-  if (cmd == "roofline") return cmd_roofline(platform, opts);
-  if (cmd == "membench") return cmd_membench(platform, opts);
-  if (cmd == "latency") return cmd_latency(platform, opts);
-  if (cmd == "tune-magicfilter") return cmd_tune_magicfilter(platform, opts);
-  usage("unknown command '" + cmd + "'");
+  const Options opts(*command, args, count + 1);
+  return command->run(Args(args.begin() + 1, args.begin() + 1 + count),
+                      opts);
 }
 
 }  // namespace
@@ -2681,14 +2628,9 @@ int main(int argc, char** argv) {
       }
       const auto profile = mb::obs::capture_profile(
           mb::obs::profiler(), mb::obs::metrics(), "mbctl", command);
-      std::ofstream out(profile_path);
-      if (!out)
-        throw mb::support::Error("cannot open " + profile_path +
-                                 " for writing");
-      out << mb::obs::to_json(profile);
-      if (!out)
-        throw mb::support::Error("write to " + profile_path + " failed");
-      std::cerr << "wrote profile " << profile_path << '\n';
+      write_output(profile_path, "mb-profile", [&](std::ostream& out) {
+        out << mb::obs::to_json(profile);
+      });
     }
     return rc;
   } catch (const std::exception& e) {
