@@ -8,8 +8,10 @@
 // emergent property the paper studies, not an input parameter.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mb::mpi {
@@ -62,6 +64,12 @@ struct Op {
 /// True for the kinds lower_collective() accepts.
 bool is_collective(Op::Kind kind);
 
+/// "compute", "send", ..., "alltoallv", ..., "end_group".
+std::string_view kind_name(Op::Kind kind);
+
+/// User tags stay below this; collective instances take the tags above.
+inline constexpr std::int32_t kUserTagLimit = 1 << 16;
+
 /// A program is one op list per rank.
 class Program {
  public:
@@ -90,11 +98,71 @@ class Program {
   std::vector<std::vector<Op>> per_rank_;
 };
 
-/// Lowers collectives to point-to-point ops (exposed for tests). The
-/// returned list contains only kCompute/kSend/kRecv plus group markers.
-/// `tag_base` must be unique per collective instance so rounds of
-/// different collectives never cross-match.
+/// One op of a lowered schedule. Labels, compute seconds and alltoallv
+/// counts stay on the user op it came from.
+struct LoweredOp {
+  Op::Kind kind = Op::Kind::kCompute;
+  std::uint32_t peer = 0;
+  std::int32_t tag = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// The step function of collective lowering: how many point-to-point ops
+/// `op` lowers to on `rank` (markers excluded), and the k-th of them,
+/// computed in O(1). `tag_base` must be unique per collective instance so
+/// rounds of different collectives never cross-match. Both throw
+/// support::Error for a non-collective op or an alltoallv whose counts do
+/// not name every rank.
+std::size_t collective_steps(const Op& op, std::uint32_t rank,
+                             std::uint32_t ranks);
+LoweredOp collective_step(const Op& op, std::uint32_t rank,
+                          std::uint32_t ranks, std::int32_t tag_base,
+                          std::size_t k);
+
+/// Tag base of a rank's `instance`-th collective: kUserTagLimit plus
+/// max(4096, 2 * ranks) per earlier instance, a stride wider than any
+/// collective's tag span. Throws support::Error when the instance's tags
+/// would pass INT32_MAX.
+std::int32_t collective_tag_base(std::size_t instance, std::uint32_t ranks);
+
+/// One collective's whole lowered sequence: a kBeginGroup marker, its
+/// collective_steps(), a kEndGroup marker (both markers carry op.label).
+/// Nothing in the simulator stores it; tests and benchmarks use it.
 std::vector<Op> lower_collective(const Op& op, std::uint32_t rank,
                                  std::uint32_t ranks, std::int32_t tag_base);
+
+/// Walks one rank's program in lowered order without storing it: user
+/// ops as written, each collective as lower_collective() at its
+/// instance's collective_tag_base(). Collective instances are counted per
+/// rank, so every rank must issue its collectives in the same order (the
+/// usual MPI requirement). The runtime, the verifier and the static cost
+/// walk all replay programs through it. `program` must outlive it.
+class Cursor {
+ public:
+  Cursor(const Program& program, std::uint32_t rank);
+
+  bool done() const { return user_ == ops_->size(); }
+  /// The current lowered op.
+  LoweredOp op() const;
+  /// The user op it comes from, and that op's index in program.rank(r).
+  const Op& user_op() const { return (*ops_)[user_]; }
+  std::size_t user_index() const { return user_; }
+  /// Its index in the lowered sequence (group markers count).
+  std::size_t index() const { return index_; }
+  void next();
+
+ private:
+  void enter();
+
+  const std::vector<Op>* ops_;
+  std::uint32_t rank_;
+  std::uint32_t ranks_;
+  std::size_t user_ = 0;
+  std::size_t step_ = 0;   ///< within the current user op
+  std::size_t steps_ = 0;  ///< lowered ops of the current user op
+  std::size_t instance_ = 0;
+  std::int32_t tag_base_ = 0;
+  std::size_t index_ = 0;
+};
 
 }  // namespace mb::mpi

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "support/check.h"
-#include "support/rng.h"
 #include "verify/mpi_verify.h"
 
 namespace mb::mpi {
@@ -27,52 +26,6 @@ std::string FailureReport::to_string() const {
        << b.op_index << (b.timed_out ? ", timed out]" : "]") << '\n';
   }
   return os.str();
-}
-
-void Runtime::Mailbox::push(std::uint64_t k, std::uint64_t bytes) {
-  if (keys_.empty() || (count_ + 1) * 2 > keys_.size()) grow();
-  const std::size_t i = locate(k);
-  if (keys_[i] == kEmpty) {
-    keys_[i] = k;
-    ++count_;
-  }
-  slots_[i].fifo.push_back(bytes);
-}
-
-bool Runtime::Mailbox::pop(std::uint64_t k, std::uint64_t& bytes) {
-  if (keys_.empty()) return false;
-  const std::size_t i = locate(k);
-  if (keys_[i] == kEmpty) return false;
-  Slot& slot = slots_[i];
-  if (slot.head == slot.fifo.size()) return false;
-  bytes = slot.fifo[slot.head++];
-  if (slot.head == slot.fifo.size()) {
-    slot.fifo.clear();  // keeps capacity for the next burst
-    slot.head = 0;
-  }
-  return true;
-}
-
-std::size_t Runtime::Mailbox::locate(std::uint64_t k) const {
-  const std::size_t mask = keys_.size() - 1;
-  std::uint64_t h = k;  // splitmix64 steps its argument; keep k intact
-  std::size_t i = support::splitmix64(h) & mask;
-  while (keys_[i] != kEmpty && keys_[i] != k) i = (i + 1) & mask;
-  return i;
-}
-
-void Runtime::Mailbox::grow() {
-  std::vector<std::uint64_t> old_keys = std::move(keys_);
-  std::vector<Slot> old_slots = std::move(slots_);
-  const std::size_t n = old_keys.empty() ? 8 : old_keys.size() * 2;
-  keys_.assign(n, kEmpty);
-  slots_.assign(n, Slot{});
-  for (std::size_t j = 0; j < old_keys.size(); ++j) {
-    if (old_keys[j] == kEmpty) continue;
-    const std::size_t i = locate(old_keys[j]);
-    keys_[i] = old_keys[j];
-    slots_[i] = std::move(old_slots[j]);
-  }
 }
 
 Runtime::Runtime(sim::ShardedEngine& engine, net::Network& network,
@@ -159,31 +112,40 @@ RunOutcome Runtime::run_outcome(const Program& program) {
     }
   }
 
-  // Lower collectives. Tag bases are assigned per collective *occurrence*,
-  // so the op sequences must contain collectives in the same order on
-  // every rank (the usual MPI requirement).
-  states_.assign(ranks, RankState{});
+  // What the runtime itself cannot survive, checked before the first
+  // event in one pass that stores nothing (each rank's cursor lowers its
+  // collectives on the fly). With verification off, nothing else keeps
+  // the ranks a message goes to inside the program.
+  for (std::uint32_t r = 0; r < ranks; ++r) {
+    std::size_t instances = 0;
+    for (std::size_t i = 0; i < program.rank(r).size(); ++i) {
+      const Op& op = program.rank(r)[i];
+      std::uint32_t to = 0;
+      if (is_collective(op.kind)) {
+        collective_tag_base(instances++, ranks);
+        collective_steps(op, r, ranks);  // alltoallv counts
+        if (op.kind == Op::Kind::kGather || op.kind == Op::Kind::kScatter)
+          to = op.root;
+      } else if (op.kind == Op::Kind::kSend || op.kind == Op::Kind::kRecv) {
+        support::check(op.tag < kUserTagLimit, "Runtime::run",
+                       "user tags must stay below 1<<16");
+        if (op.kind == Op::Kind::kSend) to = op.peer;
+      }
+      if (to >= ranks)
+        support::fail("Runtime::run",
+                      "rank " + std::to_string(r) + " op " +
+                          std::to_string(i) + ": " +
+                          std::string(kind_name(op.kind)) + " names rank " +
+                          std::to_string(to) + ", but the program has only " +
+                          std::to_string(ranks) + " ranks");
+    }
+  }
+  states_.clear();
+  states_.reserve(ranks);
+  for (std::uint32_t r = 0; r < ranks; ++r)
+    states_.emplace_back(program, r);
   metrics_.assign(ranks, RankMetrics{});
   failure_ = FailureReport{};
-  for (std::uint32_t r = 0; r < ranks; ++r) {
-    std::int32_t tag_base = next_tag_base_;
-    auto& ops = states_[r].ops;
-    for (const Op& op : program.rank(r)) {
-      if (is_collective(op.kind)) {
-        const auto lowered = lower_collective(op, r, ranks, tag_base);
-        ops.insert(ops.end(), lowered.begin(), lowered.end());
-        tag_base += 4096;
-      } else if (op.kind == Op::Kind::kSend ||
-                 op.kind == Op::Kind::kRecv) {
-        support::check(op.tag < (1 << 16), "Runtime::run",
-                       "user tags must stay below 1<<16");
-        ops.push_back(op);
-      } else {
-        ops.push_back(op);
-      }
-    }
-    if (r == ranks - 1) next_tag_base_ = tag_base;  // consumed instances
-  }
 
   // Kick-off happens on the calling thread in rank order (the engine
   // routes each event to its home shard deterministically).
@@ -256,9 +218,8 @@ void Runtime::deliver(std::uint32_t dst_rank, std::uint32_t src_rank,
                       std::int32_t tag, std::uint64_t bytes) {
   RankState& s = states_[dst_rank];
   if (s.crashed || s.timed_out) return;  // dead ranks receive nothing
-  const auto key = std::make_pair(src_rank, tag);
-  s.mailbox.push(Mailbox::key(src_rank, tag), bytes);
-  if (s.waiting && *s.waiting == key) {
+  s.mailbox.push(src_rank, tag, bytes);
+  if (s.waiting && *s.waiting == std::make_pair(src_rank, tag)) {
     s.waiting.reset();
     metrics_[dst_rank].time_wait += engine_.now() - s.wait_start;
     advance(dst_rank);
@@ -315,33 +276,32 @@ void Runtime::on_recv_timeout(std::uint32_t rank, std::uint64_t epoch) {
 void Runtime::advance(std::uint32_t rank) {
   RankState& s = states_[rank];
   if (s.crashed || s.timed_out) return;  // fail-stop: no further progress
-  while (s.pc < s.ops.size()) {
-    const Op& op = s.ops[s.pc];
+  Cursor& c = s.cursor;
+  while (!c.done()) {
+    const LoweredOp op = c.op();
     const double now = engine_.now();
     switch (op.kind) {
       case Op::Kind::kCompute: {
-        const double seconds = op.seconds * s.slow_factor;
+        const double seconds = c.user_op().seconds * s.slow_factor;
         record(rank, now, now + seconds, trace::EventKind::kCompute,
-               op.label, 0);
-        ++s.pc;
+               c.user_op().label, 0);
+        c.next();
         schedule_for(rank, seconds, [this, rank] { advance(rank); });
         return;
       }
       case Op::Kind::kSend: {
         const std::uint32_t dst = op.peer;
         const std::int32_t tag = op.tag;
-        const net::NodeId src_host = rank_to_host_[rank];
-        const net::NodeId dst_host = rank_to_host_[dst];
-        metrics_[rank].bytes_sent += static_cast<double>(op.bytes);
-        if (s.group_label.empty()) {
+        const std::uint64_t bytes = op.bytes;
+        metrics_[rank].bytes_sent += static_cast<double>(bytes);
+        if (!s.in_group) {
           metrics_[rank].time_p2p += config_.send_overhead_s;
           record(rank, now, now + config_.send_overhead_s,
-                 trace::EventKind::kSend, "send", op.bytes);
+                 trace::EventKind::kSend, "send", bytes);
         }
-        const std::uint64_t bytes = op.bytes;
-        if (src_host == dst_host) {
+        if (rank_to_host_[rank] == rank_to_host_[dst]) {
           const double t = config_.intra_latency_s +
-                           static_cast<double>(op.bytes) /
+                           static_cast<double>(bytes) /
                                config_.intra_bandwidth_bytes_per_s;
           schedule_for(rank, config_.send_overhead_s + t,
                        [this, dst, rank, tag, bytes] {
@@ -350,17 +310,17 @@ void Runtime::advance(std::uint32_t rank) {
         } else {
           post_send(rank, dst, tag, bytes, 0);
         }
-        ++s.pc;
+        c.next();
         schedule_for(rank, config_.send_overhead_s,
                      [this, rank] { advance(rank); });
         return;
       }
       case Op::Kind::kRecv: {
         std::uint64_t bytes = 0;
-        if (!s.mailbox.pop(Mailbox::key(op.peer, op.tag), bytes)) {
+        if (!s.mailbox.pop(op.peer, op.tag, bytes)) {
           s.waiting = std::make_pair(op.peer, op.tag);
           s.wait_start = now;
-          s.wait_op = s.pc;
+          s.wait_op = c.index();
           if (config_.recv_timeout_s > 0.0) {
             const std::uint64_t epoch = ++s.wait_epoch;
             schedule_for(rank, config_.recv_timeout_s,
@@ -371,30 +331,28 @@ void Runtime::advance(std::uint32_t rank) {
           return;
         }
         metrics_[rank].bytes_received += static_cast<double>(bytes);
-        if (s.group_label.empty()) {
+        if (!s.in_group) {
           metrics_[rank].time_p2p += config_.recv_overhead_s;
           record(rank, now, now + config_.recv_overhead_s,
                  trace::EventKind::kRecv, "recv", bytes);
         }
-        ++s.pc;
+        c.next();
         schedule_for(rank, config_.recv_overhead_s,
                      [this, rank] { advance(rank); });
         return;
       }
-      case Op::Kind::kBeginGroup: {
+      case Op::Kind::kBeginGroup:
         s.group_start = now;
-        s.group_label = op.label;
-        ++s.pc;
+        s.in_group = !c.user_op().label.empty();
+        c.next();
         break;
-      }
-      case Op::Kind::kEndGroup: {
+      case Op::Kind::kEndGroup:
         metrics_[rank].time_collective += now - s.group_start;
         record(rank, s.group_start, now, trace::EventKind::kCollective,
-               op.label, 0);
-        s.group_label.clear();
-        ++s.pc;
+               c.user_op().label, 0);
+        s.in_group = false;
+        c.next();
         break;
-      }
       default:
         support::fail("Runtime::advance",
                       "unlowered collective reached execution");

@@ -3,9 +3,11 @@
 // Each rank is a little state machine advancing through its op list:
 // compute schedules a wakeup, buffered sends hand the payload to the
 // (simulated) NIC and complete after the software send overhead,
-// receives block until the matching (source, tag) message arrives.
-// Collectives are lowered to point-to-point schedules on the fly
-// (see mpi/program.h) and traced as single intervals.
+// receives block until the matching (source, tag) message arrives in the
+// rank's mailbox (mpi/mailbox.h). Collectives are lowered to
+// point-to-point ops on the fly, one step at a time, by each rank's
+// schedule cursor (mpi::Cursor in mpi/program.h), and traced as single
+// intervals; no lowered op list is ever stored.
 //
 // Failure semantics (fault-injection support): ranks can be crashed
 // mid-run (fail-stop) or slowed down; a configurable receive timeout
@@ -32,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "mpi/mailbox.h"
 #include "mpi/program.h"
 #include "net/network.h"
 #include "obs/metrics.h"
@@ -72,7 +75,9 @@ struct BlockedOp {
   std::uint32_t rank = 0;
   std::uint32_t peer = 0;   ///< the (dead or silent) rank waited on
   std::int32_t tag = 0;
-  std::size_t op_index = 0; ///< index into the rank's lowered op list
+  /// Index in the rank's lowered sequence (mpi::Cursor::index): user
+  /// ops count one each, a collective its steps plus two group markers.
+  std::size_t op_index = 0;
   double since_s = 0.0;     ///< when the rank blocked
   bool timed_out = false;   ///< detected by the failure detector
 };
@@ -119,7 +124,12 @@ class Runtime {
 
   /// Like run(), but a non-completing program yields a structured
   /// RunOutcome instead of throwing (static verification errors still
-  /// throw — a malformed program is a bug, not a simulated failure).
+  /// throw — a malformed program is a bug, not a simulated failure, and
+  /// so do, before the first event and with verification off too, user
+  /// tags >= kUserTagLimit, alltoallv counts that do not name every rank,
+  /// send peers and gather/scatter roots outside the program, and more
+  /// collectives than the tag space holds). The program must outlive the
+  /// run.
   RunOutcome run_outcome(const Program& program);
 
   /// Fault injection: fail-stop `rank` at the current simulation time.
@@ -139,38 +149,6 @@ class Runtime {
   void mark_fault(std::uint32_t rank, double t_s, const std::string& label);
 
  private:
-  /// Open-addressed (source, tag) -> FIFO-of-sizes map, replacing the
-  /// std::map mailbox that dominated the deliver/recv path at scale.
-  /// Keys are never erased: a drained FIFO marks absence, so matching is
-  /// a probe plus a head-index bump and the per-key vectors recycle
-  /// their capacity across the many messages of one (src, tag) stream.
-  /// Keys live in their own dense array so a probe touches 8-byte
-  /// entries, not the fat payload slots — the table stays cache-resident
-  /// even at thousands of keys per rank.
-  class Mailbox {
-   public:
-    static std::uint64_t key(std::uint32_t src, std::int32_t tag) {
-      return (static_cast<std::uint64_t>(src) << 32) |
-             static_cast<std::uint32_t>(tag);
-    }
-    void push(std::uint64_t k, std::uint64_t bytes);
-    /// False when no message matches; otherwise pops FIFO-first.
-    bool pop(std::uint64_t k, std::uint64_t& bytes);
-
-   private:
-    /// (src=~0, tag=-1) is not a reachable key: ranks are dense indices.
-    static constexpr std::uint64_t kEmpty = ~0ull;
-    struct Slot {
-      std::uint32_t head = 0;
-      std::vector<std::uint64_t> fifo;
-    };
-    std::size_t locate(std::uint64_t k) const;
-    void grow();
-    std::vector<std::uint64_t> keys_;  ///< probe array, kEmpty = free
-    std::vector<Slot> slots_;          ///< payload, parallel to keys_
-    std::size_t count_ = 0;  ///< used slots (never shrinks)
-  };
-
   /// Metric deltas accumulated on the owning shard, flushed rank-major
   /// to the single-threaded obs registry after the run.
   struct RankMetrics {
@@ -184,8 +162,9 @@ class Runtime {
   };
 
   struct RankState {
-    std::vector<Op> ops;  ///< fully lowered op list
-    std::size_t pc = 0;
+    RankState(const Program& program, std::uint32_t rank)
+        : cursor(program, rank) {}
+    Cursor cursor;  ///< the rank's position in its lowered schedule
     bool crashed = false;
     bool timed_out = false;
     bool done = false;
@@ -195,11 +174,11 @@ class Runtime {
     double wait_start = 0.0;  ///< when the rank last blocked on a recv
     std::size_t wait_op = 0;  ///< op index of the blocking receive
     std::uint64_t wait_epoch = 0;  ///< guards stale timeout events
-    std::string group_label;
+    bool in_group = false;  ///< inside a labelled collective: no p2p records
     // Arrived-but-unmatched messages (payload sizes, FIFO per key) and
     // the receive each op waits for. Receives take the size from the
     // matched message — recv ops carry no byte count of their own.
-    Mailbox mailbox;
+    Mailbox<std::uint64_t> mailbox;
     std::optional<std::pair<std::uint32_t, std::int32_t>> waiting;
   };
 
@@ -238,7 +217,6 @@ class Runtime {
   std::vector<RankState> states_;
   std::vector<RankMetrics> metrics_;
   FailureReport failure_;
-  std::int32_t next_tag_base_ = 1 << 16;  // user tags stay below
 };
 
 }  // namespace mb::mpi

@@ -2,42 +2,18 @@
 
 #include <cmath>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "mpi/mailbox.h"
 #include "verify/rules.h"
 
 namespace mb::verify {
 namespace {
 
+using mpi::kind_name;
 using mpi::Op;
 using mpi::Program;
-
-constexpr std::int32_t kUserTagLimit = 1 << 16;  // mirrors Runtime::run
-constexpr std::int32_t kTagsPerCollective = 4096;
-
-std::string_view kind_name(Op::Kind kind) {
-  switch (kind) {
-    case Op::Kind::kCompute: return "compute";
-    case Op::Kind::kSend: return "send";
-    case Op::Kind::kRecv: return "recv";
-    case Op::Kind::kBarrier: return "barrier";
-    case Op::Kind::kBcast: return "bcast";
-    case Op::Kind::kAllreduce: return "allreduce";
-    case Op::Kind::kAlltoallv: return "alltoallv";
-    case Op::Kind::kGather: return "gather";
-    case Op::Kind::kScatter: return "scatter";
-    case Op::Kind::kAllgather: return "allgather";
-    case Op::Kind::kReduce: return "reduce";
-    case Op::Kind::kBeginGroup: return "begin_group";
-    case Op::Kind::kEndGroup: return "end_group";
-  }
-  return "?";
-}
 
 bool uses_root(Op::Kind kind) {
   return kind == Op::Kind::kBcast || kind == Op::Kind::kGather ||
@@ -50,14 +26,6 @@ struct CollectiveSig {
   std::uint32_t root = 0;
   std::uint64_t bytes = 0;        ///< counts total for alltoallv
   std::size_t op_index = 0;
-};
-
-/// A lowered send or receive, tagged with the op index the user wrote.
-struct AOp {
-  bool is_send = false;
-  std::uint32_t peer = 0;
-  std::int32_t tag = 0;
-  std::size_t origin = 0;
 };
 
 /// "op 4 ('alltoallv')" or "op 2" — names the user-visible op.
@@ -111,7 +79,7 @@ bool structural_scan(const Program& program, Report& report) {
                            std::to_string(ranks) + " ranks",
                        "peers must be in [0, " + std::to_string(ranks - 1) +
                            "]");
-            // Matching still runs: lower_rank drops just this op, so an
+            // Matching still runs: match_pass skips just this op, so an
             // unrelated deadlock elsewhere is still reported.
           } else if (is_send && op.peer == r) {
             report.add(kRuleSelfSend, here,
@@ -121,7 +89,7 @@ bool structural_scan(const Program& program, Report& report) {
                        "self-messages round-trip through the runtime "
                        "mailbox; a local copy is usually intended");
           }
-          if (op.tag >= kUserTagLimit) {
+          if (op.tag >= mpi::kUserTagLimit) {
             report.add(kRuleTagOutOfRange, here,
                        "user tag " + std::to_string(op.tag) +
                            " is inside the reserved collective tag space "
@@ -209,81 +177,45 @@ bool structural_scan(const Program& program, Report& report) {
   return matchable;
 }
 
-/// Lowers a rank's program into its send/recv schedule, tagging each
-/// lowered op with the user-visible op index it came from. Mirrors the
-/// tag-base assignment of Runtime::run so matching is faithful.
-std::vector<AOp> lower_rank(const Program& program, std::uint32_t rank) {
-  std::vector<AOp> out;
-  std::int32_t tag_base = kUserTagLimit;
-  const auto& ops = program.rank(rank);
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const Op& op = ops[i];
-    if (is_collective(op.kind)) {
-      for (const Op& low :
-           lower_collective(op, rank, program.ranks(), tag_base)) {
-        if (low.kind != Op::Kind::kSend && low.kind != Op::Kind::kRecv)
-          continue;
-        out.push_back(AOp{low.kind == Op::Kind::kSend, low.peer, low.tag, i});
-      }
-      tag_base += kTagsPerCollective;
-    } else if (op.kind == Op::Kind::kSend || op.kind == Op::Kind::kRecv) {
-      // Ops naming a nonexistent peer (MPI006, already reported) are
-      // dropped from the schedule: they can never match, and keeping
-      // them would wedge this rank and hide every later finding.
-      if (op.peer >= program.ranks()) continue;
-      out.push_back(AOp{op.kind == Op::Kind::kSend, op.peer, op.tag, i});
-    }
-  }
-  return out;
-}
-
 /// Abstract execution + wait-for analysis (stage 2).
 void match_pass(const Program& program, Report& report) {
   const std::uint32_t ranks = program.ranks();
-  std::vector<std::vector<AOp>> schedule(ranks);
-  for (std::uint32_t r = 0; r < ranks; ++r)
-    schedule[r] = lower_rank(program, r);
-
-  struct Pending {
-    std::uint32_t src;
-    std::size_t origin;  ///< sender's user-visible op index
-  };
-  using Key = std::pair<std::uint32_t, std::int32_t>;  // (source, tag)
-  std::vector<std::map<Key, std::deque<Pending>>> mailbox(ranks);
-  std::vector<std::size_t> pc(ranks, 0);
+  std::vector<mpi::Cursor> cursor;
+  cursor.reserve(ranks);
+  for (std::uint32_t r = 0; r < ranks; ++r) cursor.emplace_back(program, r);
+  // Queued messages carry the sender's user-visible op index.
+  std::vector<mpi::Mailbox<std::size_t>> mailbox(ranks);
 
   // Round-robin to a fixpoint: buffered sends always progress, receives
-  // progress when their (source, tag) FIFO is non-empty.
+  // progress when their (source, tag) FIFO is non-empty. Ops naming a
+  // nonexistent peer (MPI006, already reported) are skipped: they can
+  // never match, and keeping them would wedge this rank and hide every
+  // later finding.
   bool progress = true;
   while (progress) {
     progress = false;
     for (std::uint32_t r = 0; r < ranks; ++r) {
-      while (pc[r] < schedule[r].size()) {
-        const AOp& op = schedule[r][pc[r]];
-        if (op.is_send) {
-          mailbox[op.peer][Key{r, op.tag}].push_back(
-              Pending{r, op.origin});
-        } else {
-          auto it = mailbox[r].find(Key{op.peer, op.tag});
-          if (it == mailbox[r].end() || it->second.empty()) break;
-          it->second.pop_front();
-          if (it->second.empty()) mailbox[r].erase(it);
-        }
-        ++pc[r];
-        progress = true;
+      for (mpi::Cursor& c = cursor[r]; !c.done(); c.next(), progress = true) {
+        const mpi::LoweredOp op = c.op();
+        if (op.peer >= ranks) continue;
+        std::size_t origin = 0;
+        if (op.kind == Op::Kind::kSend)
+          mailbox[op.peer].push(r, op.tag, c.user_index());
+        else if (op.kind == Op::Kind::kRecv &&
+                 !mailbox[r].pop(op.peer, op.tag, origin))
+          break;
       }
     }
   }
 
   std::vector<bool> done(ranks, false);
-  for (std::uint32_t r = 0; r < ranks; ++r)
-    done[r] = pc[r] >= schedule[r].size();
+  for (std::uint32_t r = 0; r < ranks; ++r) done[r] = cursor[r].done();
 
   // Wait-for edges: each blocked rank waits on exactly one peer.
   constexpr std::uint32_t kNone = ~0u;
   std::vector<std::uint32_t> waits_on(ranks, kNone);
   for (std::uint32_t r = 0; r < ranks; ++r)
-    if (!done[r]) waits_on[r] = schedule[r][pc[r]].peer;
+    if (!done[r]) waits_on[r] = cursor[r].op().peer;
 
   // Cycle detection on the functional wait-for graph (edges between
   // blocked ranks only). 0 = unvisited, 1 = on current walk, 2 = settled.
@@ -328,24 +260,25 @@ void match_pass(const Program& program, Report& report) {
       chain += "rank " + std::to_string(r);
     }
     const std::uint32_t anchor = cycle[anchor_pos];
-    const AOp& blocked = schedule[anchor][pc[anchor]];
-    report.add(kRuleDeadlockCycle,
-               Location::program(anchor, blocked.origin),
+    const mpi::LoweredOp blocked = cursor[anchor].op();
+    const std::size_t origin = cursor[anchor].user_index();
+    report.add(kRuleDeadlockCycle, Location::program(anchor, origin),
                "deadlock: wait-for cycle " + chain + "; rank " +
                    std::to_string(anchor) + " blocked at " +
-                   describe_origin(program, anchor, blocked.origin) +
+                   describe_origin(program, anchor, origin) +
                    " receiving from rank " + std::to_string(blocked.peer) +
                    " (tag " + std::to_string(blocked.tag) + ")",
                "break the cycle by reordering one rank's send before its "
                "receive or fixing the mismatched (peer, tag)");
     for (const std::uint32_t r : cycle) {
       if (r == anchor) continue;
-      const AOp& member = schedule[r][pc[r]];
+      const mpi::LoweredOp member = cursor[r].op();
+      const std::size_t origin = cursor[r].user_index();
       report.add(kRuleDeadlockCycle, Severity::kNote,
-                 Location::program(r, member.origin),
+                 Location::program(r, origin),
                  "rank " + std::to_string(r) +
                      " participates in the cycle: blocked at " +
-                     describe_origin(program, r, member.origin) +
+                     describe_origin(program, r, origin) +
                      " receiving from rank " + std::to_string(member.peer) +
                      " (tag " + std::to_string(member.tag) + ")");
     }
@@ -354,11 +287,12 @@ void match_pass(const Program& program, Report& report) {
   // Orphaned receives and ranks stuck behind a cycle/orphan.
   for (std::uint32_t r = 0; r < ranks; ++r) {
     if (done[r] || on_cycle[r]) continue;
-    const AOp& blocked = schedule[r][pc[r]];
+    const mpi::LoweredOp blocked = cursor[r].op();
+    const std::size_t origin = cursor[r].user_index();
     if (done[blocked.peer]) {
-      report.add(kRuleOrphanedRecv, Location::program(r, blocked.origin),
+      report.add(kRuleOrphanedRecv, Location::program(r, origin),
                  "rank " + std::to_string(r) + " blocks at " +
-                     describe_origin(program, r, blocked.origin) +
+                     describe_origin(program, r, origin) +
                      " receiving from rank " + std::to_string(blocked.peer) +
                      " (tag " + std::to_string(blocked.tag) +
                      "), but rank " + std::to_string(blocked.peer) +
@@ -367,7 +301,7 @@ void match_pass(const Program& program, Report& report) {
     } else {
       const bool behind_cycle = on_cycle[blocked.peer];
       report.add(behind_cycle ? kRuleDeadlockCycle : kRuleOrphanedRecv,
-                 Severity::kNote, Location::program(r, blocked.origin),
+                 Severity::kNote, Location::program(r, origin),
                  "rank " + std::to_string(r) + " is stuck behind rank " +
                      std::to_string(blocked.peer) +
                      (behind_cycle ? "'s deadlock cycle"
@@ -378,18 +312,14 @@ void match_pass(const Program& program, Report& report) {
   // Unmatched sends: leftovers at receivers that finished their program.
   for (std::uint32_t dst = 0; dst < ranks; ++dst) {
     if (!done[dst]) continue;  // the blocking diagnostics own this rank
-    for (const auto& [key, queue] : mailbox[dst]) {
-      for (const Pending& msg : queue) {
-        report.add(kRuleUnmatchedSend,
-                   Location::program(msg.src, msg.origin),
-                   "rank " + std::to_string(msg.src) + " " +
-                       describe_origin(program, msg.src, msg.origin) +
-                       " sends to rank " + std::to_string(dst) + " (tag " +
-                       std::to_string(key.second) +
-                       ") but rank " + std::to_string(dst) +
-                       " finished without receiving it",
-                   "add the matching receive or drop the send");
-      }
+    for (const auto& [src, tag, origin] : mailbox[dst].leftovers()) {
+      report.add(kRuleUnmatchedSend, Location::program(src, origin),
+                 "rank " + std::to_string(src) + " " +
+                     describe_origin(program, src, origin) +
+                     " sends to rank " + std::to_string(dst) + " (tag " +
+                     std::to_string(tag) + ") but rank " +
+                     std::to_string(dst) + " finished without receiving it",
+                 "add the matching receive or drop the send");
     }
   }
 }

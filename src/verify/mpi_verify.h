@@ -13,12 +13,14 @@
 //     collective index). Any error here poisons stage 2 (lowering would
 //     throw or match nonsense), so matching is skipped with a note.
 //
-//  2. Abstract execution of the lowered program (collectives expanded via
-//     lower_collective with the same per-occurrence tag-base scheme the
-//     runtime uses). Sends are buffered/eager — they complete immediately
-//     and enqueue into the destination's (source, tag) FIFO; receives
-//     block until their FIFO is non-empty. The abstract machine advances
-//     ranks round-robin to a fixpoint. Afterwards:
+//  2. Abstract execution of the lowered program: every rank replays its
+//     ops through the runtime's own schedule cursor (mpi::Cursor, the
+//     same collective steps and per-instance tag bases, nothing stored)
+//     and messages match in the runtime's mailbox (mpi::Mailbox). Sends
+//     are buffered/eager — they complete immediately and enqueue into the
+//     destination's (source, tag) FIFO; receives block until their FIFO
+//     is non-empty. The abstract machine advances ranks round-robin to a
+//     fixpoint. Afterwards:
 //       * blocked rank waiting on a finished rank  -> orphaned receive,
 //       * cycle in the wait-for graph              -> deadlock, with the
 //         rank -> blocked-on-rank chain printed,

@@ -4,12 +4,12 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "mpi/mailbox.h"
 #include "support/check.h"
 #include "support/json.h"
 #include "support/table.h"
@@ -21,24 +21,8 @@ namespace {
 using mpi::Op;
 using mpi::Program;
 
-constexpr std::int32_t kUserTagLimit = 1 << 16;  // mirrors Runtime::run
-constexpr std::int32_t kTagsPerCollective = 4096;
 constexpr double kFrameOverheadBytes = 38.0;  // preamble + IFG + headers
 constexpr std::uint64_t kFrameOverheadU64 = 38;
-
-std::string_view kind_name(Op::Kind kind) {
-  switch (kind) {
-    case Op::Kind::kBarrier: return "barrier";
-    case Op::Kind::kBcast: return "bcast";
-    case Op::Kind::kAllreduce: return "allreduce";
-    case Op::Kind::kAlltoallv: return "alltoallv";
-    case Op::Kind::kGather: return "gather";
-    case Op::Kind::kScatter: return "scatter";
-    case Op::Kind::kAllgather: return "allgather";
-    case Op::Kind::kReduce: return "reduce";
-    default: return "?";
-  }
-}
 
 /// Directed-link classes of the two-level tree. kHostUp carries only
 /// first-hop frames (a message's source NIC buffers them), so it can
@@ -47,19 +31,6 @@ enum LinkClass : int { kHostUp = 0, kHostDown = 1, kUpUp = 2, kUpDown = 3 };
 
 constexpr std::array<std::string_view, 4> kClassNames = {
     "host-up", "host-down", "uplink-up", "uplink-down"};
-
-/// A lowered op annotated with what the cost walk needs: the payload, the
-/// user-visible origin index and the collective occurrence it came from
-/// (-1 for user point-to-point ops).
-struct LOp {
-  Op::Kind kind = Op::Kind::kCompute;
-  std::uint32_t peer = 0;
-  std::int32_t tag = 0;
-  std::uint64_t bytes = 0;
-  double seconds = 0.0;
-  std::size_t origin = 0;
-  std::int32_t coll = -1;
-};
 
 /// Per-directed-link accumulators, kept per class in node/leaf order.
 struct LinkAcc {
@@ -108,7 +79,6 @@ class Interpreter {
   }
 
   CostReport run() {
-    lower_all();
     accumulate_traffic();
     accumulate_occurrence_bursts();
     timed_lower_bound();
@@ -150,44 +120,6 @@ class Interpreter {
     return r;
   }
 
-  /// Lowers every rank with the runtime's tag-base scheme, keeping
-  /// compute ops (for the timed walk) and payloads on sends.
-  void lower_all() {
-    schedule_.resize(ranks_);
-    for (std::uint32_t r = 0; r < ranks_; ++r) {
-      std::int32_t tag_base = kUserTagLimit;
-      std::int32_t coll = 0;
-      const auto& ops = program_.rank(r);
-      auto& out = schedule_[r];
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        const Op& op = ops[i];
-        if (is_collective(op.kind)) {
-          for (const Op& low :
-               lower_collective(op, r, ranks_, tag_base)) {
-            if (low.kind != Op::Kind::kSend && low.kind != Op::Kind::kRecv)
-              continue;
-            out.push_back(LOp{low.kind, low.peer, low.tag, low.bytes, 0.0,
-                              i, coll});
-          }
-          tag_base += kTagsPerCollective;
-          ++coll;
-          if (r == 0) {
-            CollectiveCost cc;
-            cc.kind = op.kind;
-            cc.op_index = i;
-            cc.label = op.label;
-            collectives_.push_back(cc);
-          }
-        } else if (op.kind == Op::Kind::kSend ||
-                   op.kind == Op::Kind::kRecv) {
-          out.push_back(LOp{op.kind, op.peer, op.tag, op.bytes, 0.0, i, -1});
-        } else if (op.kind == Op::Kind::kCompute) {
-          out.push_back(LOp{op.kind, 0, 0, 0, op.seconds, i, -1});
-        }
-      }
-    }
-  }
-
   /// Exact byte/message counts, per-link totals, the serialized upper
   /// bound terms, and the per-rank p2p burst estimate.
   void accumulate_traffic() {
@@ -197,11 +129,13 @@ class Interpreter {
       std::map<std::pair<int, std::uint32_t>,
                std::pair<std::uint64_t, std::uint64_t>>
           runs;
-      for (const LOp& op : schedule_[r]) {
+      for (mpi::Cursor c(program_, r); !c.done(); c.next()) {
+        const mpi::LoweredOp op = c.op();
         if (op.kind == Op::Kind::kCompute) {
-          per_rank_[r].compute_s += op.seconds;
-          total_compute_ += op.seconds;
-          serialized_ += op.seconds;  // every rank's compute, unoverlapped
+          const double seconds = c.user_op().seconds;
+          per_rank_[r].compute_s += seconds;
+          total_compute_ += seconds;
+          serialized_ += seconds;  // every rank's compute, unoverlapped
           continue;
         }
         if (op.kind == Op::Kind::kRecv) {
@@ -211,7 +145,7 @@ class Interpreter {
           for (auto& [key, run] : runs) run.first = 0;
           continue;
         }
-        // Send.
+        if (op.kind != Op::Kind::kSend) continue;  // group markers
         per_rank_[r].bytes_sent += op.bytes;
         per_rank_[op.peer].bytes_received += op.bytes;
         per_rank_[r].messages_sent += 1;
@@ -239,7 +173,7 @@ class Interpreter {
           const net::LinkSpec& s = spec(hop.cls);
           serialized_ += s.latency_s +
                          static_cast<double>(wire) / s.bandwidth_bytes_per_s;
-          if (op.coll < 0) {
+          if (!is_collective(c.user_op().kind)) {
             auto& run = runs[{hop.cls, hop.idx}];
             run.first += wire;
             run.second = std::max(run.second, run.first);
@@ -251,18 +185,24 @@ class Interpreter {
     }
   }
 
-  /// Worst single-collective-occurrence burst per link: occurrence-major
-  /// re-lowering (cheap — tags don't matter for routes) so one
-  /// occurrence's sends are summed together across all ranks.
+  /// Worst single-collective-occurrence burst per link: occurrence-major,
+  /// stepping through each collective on every rank (tags don't matter
+  /// for routes) so one occurrence's sends are summed together across
+  /// all ranks.
   void accumulate_occurrence_bursts() {
-    if (collectives_.empty()) return;
     // Per-rank indices of user-visible collective ops; MPI004-clean
-    // programs have the same count everywhere.
+    // programs have the same count everywhere. Rank 0's name them.
     std::vector<std::vector<std::size_t>> coll_ops(ranks_);
     for (std::uint32_t r = 0; r < ranks_; ++r) {
       const auto& ops = program_.rank(r);
       for (std::size_t i = 0; i < ops.size(); ++i)
         if (is_collective(ops[i].kind)) coll_ops[r].push_back(i);
+    }
+    for (const std::size_t i : coll_ops[0]) {
+      const Op& op = program_.rank(0)[i];
+      collectives_.push_back(CollectiveCost{op.kind, i, op.label});
+    }
+    for (std::uint32_t r = 0; r < ranks_ && !collectives_.empty(); ++r) {
       support::check(coll_ops[r].size() == collectives_.size(),
                      "analyze_cost",
                      "collective sequence differs across ranks; run "
@@ -274,7 +214,9 @@ class Interpreter {
       std::uint64_t payload = 0;
       for (std::uint32_t r = 0; r < ranks_; ++r) {
         const Op& op = program_.rank(r)[coll_ops[r][c]];
-        for (const Op& low : lower_collective(op, r, ranks_, 0)) {
+        const std::size_t steps = mpi::collective_steps(op, r, ranks_);
+        for (std::size_t k = 0; k < steps; ++k) {
+          const mpi::LoweredOp low = mpi::collective_step(op, r, ranks_, 0, k);
           if (low.kind != Op::Kind::kSend) continue;
           payload += low.bytes;
           if (node_of(r) == node_of(low.peer)) continue;
@@ -318,19 +260,20 @@ class Interpreter {
   /// The timed abstract execution (lower bound). Mirrors the verifier's
   /// FIFO fixpoint, with per-rank clocks and per-message arrival times.
   void timed_lower_bound() {
-    using Key = std::pair<std::uint32_t, std::int32_t>;  // (source, tag)
-    std::vector<std::map<Key, std::deque<double>>> mailbox(ranks_);
-    std::vector<std::size_t> pc(ranks_, 0);
+    std::vector<mpi::Cursor> cursor;
+    cursor.reserve(ranks_);
+    for (std::uint32_t r = 0; r < ranks_; ++r) cursor.emplace_back(program_, r);
+    std::vector<mpi::Mailbox<double>> mailbox(ranks_);  // arrival times
     std::vector<double> clock(ranks_, 0.0);
 
     bool progress = true;
     while (progress) {
       progress = false;
       for (std::uint32_t r = 0; r < ranks_; ++r) {
-        while (pc[r] < schedule_[r].size()) {
-          const LOp& op = schedule_[r][pc[r]];
+        for (mpi::Cursor& c = cursor[r]; !c.done(); c.next(), progress = true) {
+          const mpi::LoweredOp op = c.op();
           if (op.kind == Op::Kind::kCompute) {
-            clock[r] += op.seconds;
+            clock[r] += c.user_op().seconds;
           } else if (op.kind == Op::Kind::kSend) {
             const double arrival =
                 node_of(r) == node_of(op.peer)
@@ -339,32 +282,27 @@ class Interpreter {
                           static_cast<double>(op.bytes) /
                               d_.mpi.intra_bandwidth_bytes_per_s
                     : clock[r] + delivery_lower(r, op.peer, op.bytes);
-            mailbox[op.peer][Key{r, op.tag}].push_back(arrival);
+            mailbox[op.peer].push(r, op.tag, arrival);
             clock[r] += d_.mpi.send_overhead_s;
-          } else {  // receive
-            auto it = mailbox[r].find(Key{op.peer, op.tag});
-            if (it == mailbox[r].end() || it->second.empty()) break;
-            const double arrival = it->second.front();
-            it->second.pop_front();
-            if (it->second.empty()) mailbox[r].erase(it);
+          } else if (op.kind == Op::Kind::kRecv) {
+            double arrival = 0.0;
+            if (!mailbox[r].pop(op.peer, op.tag, arrival)) break;
             const double wait = std::max(0.0, arrival - clock[r]);
-            if (op.coll < 0) {
+            if (!is_collective(c.user_op().kind)) {
               per_rank_[r].wait_p2p_lower_s += wait;
               if (wait > per_rank_[r].worst_wait_s) {
                 per_rank_[r].worst_wait_s = wait;
-                per_rank_[r].worst_wait_op = op.origin;
+                per_rank_[r].worst_wait_op = c.user_index();
               }
             }
             clock[r] = std::max(clock[r], arrival) +
                        d_.mpi.recv_overhead_s;
           }
-          ++pc[r];
-          progress = true;
         }
       }
     }
     for (std::uint32_t r = 0; r < ranks_; ++r) {
-      if (pc[r] < schedule_[r].size())
+      if (!cursor[r].done())
         support::fail("analyze_cost",
                       "abstract execution stalled (rank " +
                           std::to_string(r) +
@@ -454,7 +392,6 @@ class Interpreter {
   std::uint32_t nodes_ = 0;
   std::uint32_t leaves_ = 0;
 
-  std::vector<std::vector<LOp>> schedule_;
   std::array<std::vector<LinkAcc>, 4> acc_;
   std::vector<RankCost> per_rank_;
   std::vector<CollectiveCost> collectives_;
@@ -617,7 +554,7 @@ std::string static_analysis_to_json(const CostReport& r,
   w.key("collectives").begin_array();
   for (const CollectiveCost& cc : r.collectives) {
     w.begin_object();
-    w.field("kind", kind_name(cc.kind));
+    w.field("kind", mpi::kind_name(cc.kind));
     w.field("op_index", static_cast<std::uint64_t>(cc.op_index));
     if (!cc.label.empty()) w.field("label", cc.label);
     w.field("payload_bytes", cc.payload_bytes);

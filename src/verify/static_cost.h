@@ -3,10 +3,11 @@
 // The DES answers "how long does this app take on this cluster" exactly,
 // but running it costs minutes at scale. This pass answers the same
 // question approximately in milliseconds, walking the *lowered* program
-// (the same lower_collective + per-occurrence tag-base scheme the runtime
-// and the verifier use) against the network's published cost model
-// (net/network.cpp): frames of mtu bytes, 38 bytes of Ethernet overhead
-// per frame, store-and-forward latency per hop, per-link serialization.
+// through the schedule cursor and mailbox the runtime and the verifier
+// use (mpi::Cursor, mpi::Mailbox) against the network's published cost
+// model (net/network.cpp): frames of mtu bytes, 38 bytes of Ethernet
+// overhead per frame, store-and-forward latency per hop, per-link
+// serialization.
 //
 // What it computes, without running the DES:
 //

@@ -59,6 +59,29 @@ TEST(MpiVerify, Mpi001UnmatchedSend) {
   EXPECT_EQ(d.location.op_index, 0u);
 }
 
+TEST(MpiVerify, Mpi001OrderIsDestinationSourceTagThenFifo) {
+  Program p(4);
+  p.rank(3).push_back(Op::send(0, 8, 1));
+  p.rank(3).push_back(Op::send(0, 8, 1));
+  p.rank(1).push_back(Op::send(0, 8, 5));
+  p.rank(1).push_back(Op::send(0, 8, -3));
+  p.rank(2).push_back(Op::send(0, 8, 2));
+  p.rank(2).push_back(Op::send(0, 8, -7));
+  p.rank(2).push_back(Op::send(1, 8, 4));
+  p.rank(0).push_back(Op::send(3, 8, -1));
+  p.rank(1).push_back(Op::send(0, 8, 70000));
+  const Report report = verify_program(p);
+  std::vector<std::pair<std::uint32_t, std::size_t>> order;
+  for (const Diagnostic& d : report.findings())
+    if (d.rule == kRuleUnmatchedSend)
+      order.emplace_back(d.location.rank, d.location.op_index);
+  // Destination 0 first: source 1 (tags -3, 5, 70000), source 2 (-7, 2),
+  // source 3 (tag 1 twice, in send order); then destinations 1 and 3.
+  const std::vector<std::pair<std::uint32_t, std::size_t>> want = {
+      {1, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 0}, {3, 0}, {3, 1}, {2, 2}, {0, 0}};
+  EXPECT_EQ(order, want);
+}
+
 TEST(MpiVerify, Mpi002OrphanedRecv) {
   Program p(2);
   p.rank(0).push_back(Op::recv(1, 7));

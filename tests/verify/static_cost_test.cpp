@@ -107,6 +107,15 @@ TEST(StaticCost, ThrowsOnRankTreeMismatch) {
   EXPECT_THROW(analyze_cost(p, d), support::Error);
 }
 
+// An unverified program's short counts vector is an error, never a read
+// past its end.
+TEST(StaticCost, ThrowsOnShortAlltoallvCounts) {
+  Program p(4);
+  for (std::uint32_t r = 0; r < 4; ++r)
+    p.rank(r).push_back(Op::alltoallv({1, 2}));
+  EXPECT_THROW(analyze_cost(p, tibidabo_descriptor(4)), support::Error);
+}
+
 TEST(StaticCost, JsonDocumentIsSchemaValid) {
   Program p(4);
   for (std::uint32_t r = 0; r < 4; ++r)

@@ -1393,13 +1393,18 @@ int cmd_trace_export(const Args& /*args*/, const Options& opts) {
           format + "'");
   if (format == "mb-trace" && !opts.has("out"))
     usage("--format mb-trace writes a binary file and needs --out PATH");
+  if (opts.has("input") && opts.has("timeseries-out"))
+    usage("--timeseries-out samples a simulated run; --input converts an "
+          "existing trace");
 
   // Simulate-to-mb-trace streams records into the file as the run
   // produces them (bounded memory at any rank count) — no in-memory
   // trace ever exists.
   if (format == "mb-trace" && !opts.has("input")) {
     const std::string path = opts.get_str("out", "");
-    const auto result = run_fig4_scenario(opts, path);
+    auto result = run_fig4_scenario(opts, path);
+    write_timeseries_artifact(opts, result.timeseries,
+                              effective_seed(opts, 1));
     std::cerr << "wrote " << path << " (mb-trace, "
               << result.trace_sampled_ranks.size()
               << " sampled ranks streamed)\n";
@@ -1412,7 +1417,10 @@ int cmd_trace_export(const Args& /*args*/, const Options& opts) {
     mb::obs::ScopedSpan span(mb::obs::profiler(), "trace-export/parse");
     dropped = load_trace(opts.get_str("input", ""), trace);
   } else {
-    trace = run_fig4_scenario(opts).trace;
+    auto result = run_fig4_scenario(opts);
+    write_timeseries_artifact(opts, result.timeseries,
+                              effective_seed(opts, 1));
+    trace = std::move(result.trace);
   }
 
   mb::obs::ScopedSpan span(mb::obs::profiler(), "trace-export/write");
