@@ -7,7 +7,7 @@
 #include "obs/metrics.h"
 #include "support/check.h"
 #include "support/json.h"
-#include "support/version.h"
+#include "support/schema.h"
 
 namespace mb::advise {
 
@@ -76,13 +76,9 @@ void rank_recommendations(AdviceReport& report) {
 
 std::string to_json(const AdviceReport& report) {
   JsonWriter w;
-  w.begin_object();
-  w.field("schema", "mb-advice");
-  w.field("schema_version", report.schema_version);
+  support::begin_document(w, support::kAdviceSchema);
   w.field("tool", report.tool);
-  w.field("tool_version", report.tool_version.empty()
-                              ? std::string(support::version())
-                              : report.tool_version);
+  w.field("tool_version", report.tool_version);
   w.field("scenario", report.scenario);
   w.field("seed", report.seed);
   w.field("applied", report.applied);
@@ -126,16 +122,8 @@ std::string to_json(const AdviceReport& report) {
 
 AdviceReport advice_from_json(std::string_view text) {
   const JsonValue doc = support::parse_json(text);
-  support::check(doc.at("schema").as_string() == kAdviceSchemaName,
-                 "advice_from_json",
-                 "unknown schema '" + doc.at("schema").as_string() + "'");
+  support::check_document(doc, support::kAdviceSchema, "advice_from_json");
   AdviceReport report;
-  report.schema_version =
-      static_cast<int>(doc.at("schema_version").as_number());
-  support::check(report.schema_version == kAdviceSchemaVersion,
-                 "advice_from_json",
-                 "unsupported mb-advice schema_version " +
-                     std::to_string(report.schema_version));
   report.tool = doc.at("tool").as_string();
   report.tool_version = doc.at("tool_version").as_string();
   report.scenario = doc.at("scenario").as_string();

@@ -16,10 +16,9 @@
 #include <string_view>
 #include <vector>
 
-namespace mb::advise {
+#include "support/version.h"
 
-inline constexpr std::string_view kAdviceSchemaName = "mb-advice";
-inline constexpr int kAdviceSchemaVersion = 1;
+namespace mb::advise {
 
 /// What category of change a recommendation proposes. Stable names (see
 /// kind_name) are part of the mb-advice schema.
@@ -86,9 +85,8 @@ struct Recommendation {
 };
 
 struct AdviceReport {
-  int schema_version = kAdviceSchemaVersion;
   std::string tool = "mbctl";
-  std::string tool_version;  ///< stamped by to_json() when empty
+  std::string tool_version{support::version()};  ///< producing build
   std::string scenario;      ///< e.g. "chaos:bigdft"
   std::uint64_t seed = 0;
   bool applied = false;  ///< true once guarded apply filled verdicts

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <string>
 
 #include "support/check.h"
+#include "verify/perf_rules.h"
 #include "verify/rules.h"
 
 namespace mb::advise {
@@ -41,9 +43,11 @@ std::vector<std::uint32_t> node_major_ranks(const ScenarioFacts& facts,
 
 /// remap-ranks: a fault-plan slowdown names a node; the measured timeline
 /// confirms that node's ranks are where the run's wait concentrates.
-/// Migrating those ranks to a spare node dodges the slowdown entirely.
+/// Migrating those ranks to a spare node dodges the slowdown entirely,
+/// once the node's attributed wait reaches this fraction of the makespan.
+constexpr double kRemapWaitFloor = 0.02;
+
 void rule_remap_ranks(const ScenarioFacts& facts,
-                      const AdvisorOptions& options,
                       std::vector<Recommendation>& out) {
   if (facts.analysis == nullptr || facts.plan == nullptr) return;
   const double makespan = facts.measured_makespan_s;
@@ -69,7 +73,7 @@ void rule_remap_ranks(const ScenarioFacts& facts,
                fmt2(st.attributed_wait_s) + " s of attributed wait (" +
                fmt2(100.0 * st.share) + "% of the run's total)"});
     }
-    if (node_wait / makespan < options.remap_wait_floor) continue;
+    if (node_wait / makespan < kRemapWaitFloor) continue;
 
     // Physical model of the claim: a factor-f slowdown over `overlap`
     // wall seconds costs at most (1 - 1/f) * overlap of makespan, so
@@ -116,27 +120,24 @@ void rule_remap_ranks(const ScenarioFacts& facts,
   }
 }
 
-/// switch-collective: the PERF006 condition re-derived from the static
-/// bounds — a ring allreduce whose per-round segment is sub-MTU pays
-/// 2(p-1) latency-bound rounds where a binomial reduce+bcast pays
+/// switch-collective: PERF006's condition on the static bounds — a ring
+/// allreduce whose per-round segment is sub-MTU pays 2(p-1)
+/// latency-bound rounds where a binomial reduce+bcast pays
 /// 2*ceil(log2 p). The measured time in that collective sizes the claim.
 void rule_switch_collective(const ScenarioFacts& facts,
-                            const AdvisorOptions& options,
                             std::vector<Recommendation>& out) {
   if (facts.cost == nullptr || facts.analysis == nullptr) return;
   const double makespan = facts.measured_makespan_s;
   if (makespan <= 0.0) return;
   const std::uint32_t p = facts.cost->ranks;
-  if (p < options.allreduce_min_ranks) return;
 
   std::set<std::string> seen;
   for (std::size_t ci = 0; ci < facts.cost->collectives.size(); ++ci) {
     const verify::CollectiveCost& cc = facts.cost->collectives[ci];
-    if (cc.kind != mpi::Op::Kind::kAllreduce) continue;
+    const std::optional<std::uint64_t> chunk =
+        verify::sub_mtu_ring_segment(*facts.cost, cc);
+    if (!chunk) continue;
     const std::uint64_t rounds = 2ull * (p - 1);
-    const std::uint64_t chunk =
-        cc.payload_bytes / std::max<std::uint64_t>(1, rounds * p);
-    if (chunk >= facts.cost->mtu_bytes) continue;
     const std::string label =
         cc.label.empty() ? std::string("allreduce") : cc.label;
     if (!seen.insert(label).second) continue;
@@ -167,7 +168,7 @@ void rule_switch_collective(const ScenarioFacts& facts,
     r.title = "replace ring allreduce '" + label +
               "' with a binomial reduce + bcast";
     r.action = "the payload's per-round segment is " +
-               std::to_string(chunk) + " B (< mtu " +
+               std::to_string(*chunk) + " B (< mtu " +
                std::to_string(facts.cost->mtu_bytes) +
                "): rewrite the allreduce as a reduce to rank 0 followed "
                "by a bcast, cutting " +
@@ -179,7 +180,7 @@ void rule_switch_collective(const ScenarioFacts& facts,
     r.predicted_delta_hi = std::min(0.9, saved / makespan);
     r.evidence.push_back(
         {"mb-static-analysis", "/collectives/" + std::to_string(ci),
-         "sub-MTU ring segments: " + std::to_string(chunk) + " B over " +
+         "sub-MTU ring segments: " + std::to_string(*chunk) + " B over " +
              std::to_string(rounds) + " rounds at " + std::to_string(p) +
              " ranks"});
     r.evidence.push_back(
@@ -199,38 +200,21 @@ void rule_switch_collective(const ScenarioFacts& facts,
   }
 }
 
-/// checkpoint-interval: Young's first-order optimum from the fault plan's
-/// crash rate, exactly as PERF004 derives it. The predicted bracket is
-/// the overhead-fraction difference h(current) - h(optimal) with
-/// h(T) = C/T + T/(2*MTBF).
+/// checkpoint-interval: PERF004's condition — the interval is far from
+/// Young's first-order optimum for the fault plan's crash rate. The
+/// predicted bracket is the overhead-fraction difference
+/// h(current) - h(optimal) with h(T) = C/T + T/(2*MTBF).
 void rule_checkpoint_interval(const ScenarioFacts& facts,
-                              const AdvisorOptions& options,
                               std::vector<Recommendation>& out) {
-  if (facts.plan == nullptr || facts.plan->crashes.empty()) return;
-  if (!facts.plan->checkpoint.enabled) return;
-  const double makespan = facts.measured_makespan_s;
-
-  double last_crash = 0.0;
-  for (const fault::NodeCrash& c : facts.plan->crashes)
-    last_crash = std::max(last_crash, c.at_s);
-  const double lower =
-      facts.cost != nullptr ? facts.cost->makespan_lower_s : makespan;
-  const double horizon = std::max(lower, last_crash);
-  if (horizon <= 0.0) return;
-
-  const double mtbf =
-      horizon / static_cast<double>(facts.plan->crashes.size());
-  const double cost_s = facts.plan->checkpoint.state_bytes_per_rank /
-                        facts.plan->checkpoint.write_bandwidth_bytes_per_s;
-  if (cost_s <= 0.0) return;
-  const double optimal = std::sqrt(2.0 * mtbf * cost_s);
+  if (facts.plan == nullptr || facts.cost == nullptr) return;
+  const std::optional<verify::CheckpointFit> fit =
+      verify::checkpoint_fit(*facts.plan, facts.cost->makespan_lower_s);
+  if (!fit || fit->side == verify::IntervalFit::kInside) return;
+  const double optimal = fit->optimal_s;
   const double interval = facts.plan->checkpoint.interval_s;
-  const bool too_long = interval > options.checkpoint_band * optimal;
-  const bool too_short = interval * options.checkpoint_band < optimal;
-  if (!too_long && !too_short) return;
 
   const auto overhead = [&](double t) {
-    return cost_s / t + t / (2.0 * mtbf);
+    return fit->cost_s / t + t / (2.0 * fit->mtbf_s);
   };
   const double hi = std::min(
       0.9, std::max(0.0, overhead(interval) - overhead(optimal)));
@@ -243,7 +227,7 @@ void rule_checkpoint_interval(const ScenarioFacts& facts,
             fmt2(interval) + " s to Young's optimum " + fmt2(optimal) +
             " s";
   r.action =
-      too_long
+      fit->side == verify::IntervalFit::kTooLong
           ? "the interval is " + fmt2(interval / optimal) +
                 "x the optimum: expected lost work per crash dwarfs the "
                 "checkpoint cost; set interval_s near " + fmt2(optimal)
@@ -251,15 +235,15 @@ void rule_checkpoint_interval(const ScenarioFacts& facts,
                 "x below the optimum: checkpoint overhead dominates "
                 "between crashes; set interval_s near " + fmt2(optimal);
   r.metric = "time_to_solution_s";
-  r.baseline_value = makespan;
+  r.baseline_value = facts.measured_makespan_s;
   r.proposed_value = optimal;
   r.predicted_delta_lo = 0.0;
   r.predicted_delta_hi = hi;
   r.evidence.push_back(
       {"mb-fault-plan", "/checkpoint",
        "interval " + fmt2(interval) + " s vs sqrt(2*MTBF*C) = " +
-           fmt2(optimal) + " s (MTBF " + fmt2(mtbf) +
-           " s, checkpoint cost " + fmt2(cost_s) + " s)"});
+           fmt2(optimal) + " s (MTBF " + fmt2(fit->mtbf_s) +
+           " s, checkpoint cost " + fmt2(fit->cost_s) + " s)"});
   if (facts.perf != nullptr &&
       facts.perf->has_rule(verify::kRulePerfCheckpointInterval)) {
     r.evidence.push_back(
@@ -273,10 +257,13 @@ void rule_checkpoint_interval(const ScenarioFacts& facts,
 }
 
 /// sim-jobs: purely advisory — at large rank counts the serial DES is
-/// the experimenter's bottleneck, not the simulated application.
-void rule_sim_jobs(const ScenarioFacts& facts, const AdvisorOptions& options,
+/// the experimenter's bottleneck, not the simulated application. The
+/// rank count from which sharding is advised:
+constexpr std::uint32_t kSimJobsRankFloor = 256;
+
+void rule_sim_jobs(const ScenarioFacts& facts,
                    std::vector<Recommendation>& out) {
-  if (facts.ranks < options.sim_jobs_rank_floor) return;
+  if (facts.ranks < kSimJobsRankFloor) return;
   if (facts.sim_jobs > 1) return;
 
   Recommendation r;
@@ -298,7 +285,7 @@ void rule_sim_jobs(const ScenarioFacts& facts, const AdvisorOptions& options,
       {"mb-analysis", "/ranks",
        std::to_string(facts.ranks) +
            " simulated ranks exceed the serial-queue comfort zone of " +
-           std::to_string(options.sim_jobs_rank_floor)});
+           std::to_string(kSimJobsRankFloor)});
   r.appliable = false;
   r.verdict = Verdict::kAdvisory;
   r.verdict_reason =
@@ -309,21 +296,23 @@ void rule_sim_jobs(const ScenarioFacts& facts, const AdvisorOptions& options,
 
 }  // namespace
 
-std::vector<Recommendation> advise_scenario(const ScenarioFacts& facts,
-                                            const AdvisorOptions& options) {
+std::vector<Recommendation> advise_scenario(const ScenarioFacts& facts) {
   std::vector<Recommendation> out;
-  rule_remap_ranks(facts, options, out);
-  rule_switch_collective(facts, options, out);
-  rule_checkpoint_interval(facts, options, out);
-  rule_sim_jobs(facts, options, out);
+  rule_remap_ranks(facts, out);
+  rule_switch_collective(facts, out);
+  rule_checkpoint_interval(facts, out);
+  rule_sim_jobs(facts, out);
   return out;
 }
+
+/// Minimum relative cycles-per-output gain before a kernel variant
+/// switch is worth recommending.
+constexpr double kKernelMinGain = 0.02;
 
 std::vector<Recommendation> advise_kernel(
     const arch::Platform& platform, std::string_view kernel,
     const std::vector<KernelSweepPoint>& sweep, std::uint32_t current_unroll,
-    const sim::HierarchicalPoint& placement,
-    const AdvisorOptions& options) {
+    const sim::HierarchicalPoint& placement) {
   support::check(!sweep.empty(), "advise_kernel", "empty variant sweep");
   const KernelSweepPoint* current = nullptr;
   const KernelSweepPoint* best = nullptr;
@@ -342,7 +331,7 @@ std::vector<Recommendation> advise_kernel(
   const double gain =
       (current->cycles_per_output - best->cycles_per_output) /
       current->cycles_per_output;
-  if (best->unroll == current_unroll || gain < options.kernel_min_gain)
+  if (best->unroll == current_unroll || gain < kKernelMinGain)
     return out;
 
   Recommendation r;

@@ -24,24 +24,6 @@
 
 namespace mb::advise {
 
-struct AdvisorOptions {
-  /// A slowed node's attributed wait must reach this fraction of the
-  /// makespan before a remap is worth proposing.
-  double remap_wait_floor = 0.02;
-  /// Ring allreduce is only questioned at or above this rank count
-  /// (mirrors verify::PerfThresholds::allreduce_min_ranks).
-  std::uint32_t allreduce_min_ranks = 8;
-  /// Checkpoint interval must be this factor off Young's optimum to fire
-  /// (mirrors verify::PerfThresholds::checkpoint_band).
-  double checkpoint_band = 4.0;
-  /// Minimum relative cycles-per-output gain before a kernel variant
-  /// switch is worth recommending.
-  double kernel_min_gain = 0.02;
-  /// Rank count from which the serial DES itself becomes the bottleneck
-  /// and --sim-jobs sharding is advised.
-  std::uint32_t sim_jobs_rank_floor = 256;
-};
-
 /// Everything the scenario rules may consult. Pointers are optional —
 /// a rule that is missing its inputs stays silent rather than guessing.
 struct ScenarioFacts {
@@ -50,7 +32,6 @@ struct ScenarioFacts {
   const verify::Report* perf = nullptr;       ///< PERF findings
   const fault::FaultPlan* plan = nullptr;     ///< injected faults
   std::uint32_t ranks = 0;
-  std::uint32_t nodes = 0;
   std::uint32_t cores_per_node = 2;
   /// Measured end-to-end time of the run the evidence came from
   /// (time-to-solution under faults, makespan otherwise).
@@ -62,8 +43,10 @@ struct ScenarioFacts {
 /// checkpoint-interval, sim-jobs) and returns every recommendation that
 /// fired, unranked. Rules assume the measured run used the default
 /// node-major placement (rank r on node r / cores_per_node).
-std::vector<Recommendation> advise_scenario(const ScenarioFacts& facts,
-                                            const AdvisorOptions& options = {});
+/// switch-collective and checkpoint-interval fire exactly when the static
+/// PERF006 and PERF004 conditions hold (verify/perf_rules.h) and the
+/// measured leg is present too.
+std::vector<Recommendation> advise_scenario(const ScenarioFacts& facts);
 
 /// One sampled point of a kernel-variant sweep.
 struct KernelSweepPoint {
@@ -72,14 +55,13 @@ struct KernelSweepPoint {
 };
 
 /// Kernel-variant rule: proposes the best unroll from `sweep` when it
-/// beats `current_unroll` by at least kernel_min_gain, citing the
+/// beats `current_unroll` by at least 2% cycles per output, citing the
 /// hierarchical-roofline placement (what bounds the kernel, and how much
 /// vector headroom is left) as evidence. `sweep` must contain a point
 /// with unroll == current_unroll.
 std::vector<Recommendation> advise_kernel(
     const arch::Platform& platform, std::string_view kernel,
     const std::vector<KernelSweepPoint>& sweep, std::uint32_t current_unroll,
-    const sim::HierarchicalPoint& placement,
-    const AdvisorOptions& options = {});
+    const sim::HierarchicalPoint& placement);
 
 }  // namespace mb::advise

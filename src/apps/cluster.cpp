@@ -188,8 +188,7 @@ AppRunResult run_on_cluster(const ClusterConfig& config,
   obs::TimeSampler sampler;
   if (config.timeseries.enabled) {
     register_probes(sampler, engine, network, topo, config);
-    sampler.arm(engine, config.timeseries.interval_s,
-                config.timeseries.max_samples);
+    sampler.arm(engine, config.timeseries.interval_s);
   }
 
   if (hooks.on_ready) hooks.on_ready(engine, network, topo, runtime);
@@ -207,9 +206,10 @@ AppRunResult run_on_cluster(const ClusterConfig& config,
     result.trace_dropped = sink.total_dropped();
   }
   if (config.timeseries.enabled) {
+    // Per-link series kept per metric (all-zero ones are always dropped).
+    constexpr std::size_t kLinkSeriesKept = 16;
     result.timeseries = sampler.take();
-    obs::prune_series(result.timeseries, "net.link.",
-                      config.timeseries.max_link_series);
+    obs::prune_series(result.timeseries, "net.link.", kLinkSeriesKept);
   }
 
   // The engine dies with this scope — publish its DES statistics now so a

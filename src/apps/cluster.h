@@ -28,10 +28,6 @@ namespace mb::apps {
 struct TimeSeriesConfig {
   bool enabled = false;
   double interval_s = 0.1;  ///< simulated seconds between samples
-  std::size_t max_samples = 4096;
-  /// Per-link series kept per metric after the run (prune_series);
-  /// all-zero link series are always dropped.
-  std::size_t max_link_series = 16;
 };
 
 struct ClusterConfig {
@@ -93,7 +89,7 @@ struct AppRunResult {
   std::vector<std::uint32_t> trace_sampled_ranks;
   std::uint64_t trace_dropped = 0;  ///< records lost to ring overflow
   /// Sampled gauges; empty unless config.timeseries.enabled. The caller
-  /// stamps tool_version/seed (the harness does not know the run seed).
+  /// stamps the seed (the harness does not know the run seed).
   obs::TimeSeries timeseries;
 };
 

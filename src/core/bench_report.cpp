@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "support/check.h"
-#include "support/version.h"
+#include "support/schema.h"
 
 namespace mb::core {
 
@@ -60,14 +60,10 @@ void append_resultset(BenchReport& report, const ParamSpace& space,
 
 std::string to_json(const BenchReport& report) {
   JsonWriter w;
-  w.begin_object();
-  w.field("schema", kBenchSchemaName);
-  w.field("schema_version", report.schema_version);
+  support::begin_document(w, support::kBenchReportSchema);
   w.field("suite", report.suite);
   w.field("tool", report.tool);
-  w.field("tool_version", report.tool_version.empty()
-                              ? std::string(support::version())
-                              : report.tool_version);
+  w.field("tool_version", report.tool_version);
   w.field("seed", report.seed);
 
   w.key("plan").begin_object();
@@ -165,20 +161,14 @@ BenchReport report_from_json(std::string_view text) {
 }
 
 BenchReport report_from_json(const JsonValue& doc) {
-  check(doc.is_object(), "report_from_json", "document is not an object");
-  check(doc.at("schema").as_string() == kBenchSchemaName, "report_from_json",
-        "unknown schema '" + doc.at("schema").as_string() + "'");
-  const int version = static_cast<int>(doc.at("schema_version").as_number());
-  check(version == kBenchSchemaVersion, "report_from_json",
-        "unsupported schema version " + std::to_string(version));
-
+  support::check_document(doc, support::kBenchReportSchema,
+                          "report_from_json");
   BenchReport report;
-  report.schema_version = version;
   report.suite = doc.at("suite").as_string();
   report.tool = doc.at("tool").as_string();
   // Optional: reports from builds before the observability change.
-  if (const JsonValue* tv = doc.find("tool_version"))
-    report.tool_version = tv->as_string();
+  const JsonValue* tv = doc.find("tool_version");
+  report.tool_version = tv != nullptr ? tv->as_string() : "";
   report.seed = static_cast<std::uint64_t>(doc.at("seed").as_number());
   if (const JsonValue* m = doc.find("metrics"))
     report.metrics = obs::parse_metrics_json(*m);

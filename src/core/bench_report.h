@@ -41,11 +41,9 @@
 #include "core/resultset.h"
 #include "obs/metrics.h"
 #include "support/json.h"
+#include "support/version.h"
 
 namespace mb::core {
-
-inline constexpr int kBenchSchemaVersion = 1;
-inline constexpr std::string_view kBenchSchemaName = "mb-bench-report";
 
 /// "minimize" / "maximize".
 std::string_view direction_name(Direction d);
@@ -105,12 +103,11 @@ struct RunFailure {
 
 /// A complete report: metadata plus records.
 struct BenchReport {
-  int schema_version = kBenchSchemaVersion;
   std::string suite;  ///< e.g. "bench-suite", "membench"
   std::string tool;   ///< producing tool, e.g. "mbctl"
-  /// Producing build ("1.0.0"); stamped by to_json() when empty so every
-  /// emitted report is attributable.
-  std::string tool_version;
+  /// Producing build ("1.0.0"), so every emitted report is attributable;
+  /// empty when read from a report that predates the field.
+  std::string tool_version{support::version()};
   std::uint64_t seed = 0;
   MeasurementPlan plan;
   std::vector<PlatformInfo> platforms;

@@ -12,6 +12,7 @@
 
 #include "support/hash.h"
 #include "support/json.h"
+#include "support/schema.h"
 
 namespace mb::core {
 
@@ -19,8 +20,8 @@ namespace fs = std::filesystem;
 
 std::uint64_t CacheKey::hash() const {
   support::Hasher h;
-  h.str(kCacheEntrySchemaName)
-      .u64(static_cast<std::uint64_t>(kCacheEntrySchemaVersion))
+  h.str(support::kCacheEntrySchema.name)
+      .u64(static_cast<std::uint64_t>(support::kCacheEntrySchema.version))
       .str(tool_version)
       .str(suite)
       .str(platform)
@@ -55,13 +56,9 @@ std::optional<std::vector<double>> ResultCache::lookup(
     std::ostringstream text;
     text << in.rdbuf();
     const support::JsonValue doc = support::parse_json(text.str());
-    if (doc.at("schema").as_string() != kCacheEntrySchemaName) {
+    // A foreign name or version is another build's entry: a plain miss.
+    if (!support::has_schema(doc, support::kCacheEntrySchema))
       return std::nullopt;
-    }
-    if (static_cast<int>(doc.at("schema_version").as_number()) !=
-        kCacheEntrySchemaVersion) {
-      return std::nullopt;
-    }
     // The entry echoes its full key; require an exact match so a digest
     // collision (or a hand-edited file) reads as a miss, never as a wrong
     // result. Seeds/hashes are stored as strings to keep 64-bit values
@@ -146,9 +143,7 @@ bool ResultCache::store(const CacheKey& key,
     fs::create_directories(path.parent_path());
 
     support::JsonWriter w;
-    w.begin_object();
-    w.field("schema", kCacheEntrySchemaName);
-    w.field("schema_version", kCacheEntrySchemaVersion);
+    support::begin_document(w, support::kCacheEntrySchema);
     w.key("key").begin_object();
     w.field("tool_version", key.tool_version);
     w.field("suite", key.suite);

@@ -24,9 +24,6 @@
 
 namespace mb::core {
 
-inline constexpr std::string_view kCacheEntrySchemaName = "mb-cache-entry";
-inline constexpr int kCacheEntrySchemaVersion = 1;
-
 /// Everything that determines a task's samples. Two tasks with equal keys
 /// are interchangeable; any field difference yields a different digest.
 struct CacheKey {

@@ -133,9 +133,7 @@ ChaosResult run_chaos(const ChaosScenario& scenario,
                  "fault plan failed lint:\n" + render_diagnostics(lint));
 
   const CheckpointConfig& cp = scenario.plan.checkpoint;
-  const double write_s =
-      cp.enabled ? cp.state_bytes_per_rank / cp.write_bandwidth_bytes_per_s
-                 : 0.0;
+  const double write_s = cp.enabled ? cp.cost_s() : 0.0;
   const double read_s =
       cp.enabled ? cp.state_bytes_per_rank / cp.read_bandwidth_bytes_per_s
                  : 0.0;

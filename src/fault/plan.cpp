@@ -1,19 +1,16 @@
 #include "fault/plan.h"
 
-#include "support/check.h"
 #include "support/json.h"
+#include "support/schema.h"
 
 namespace mb::fault {
 
-using support::check;
 using support::JsonValue;
 using support::JsonWriter;
 
 std::string to_json(const FaultPlan& plan) {
   JsonWriter w;
-  w.begin_object();
-  w.field("schema", kPlanSchemaName);
-  w.field("schema_version", kPlanSchemaVersion);
+  support::begin_document(w, support::kFaultPlanSchema);
   w.field("seed", plan.seed);
 
   w.key("crashes").begin_array();
@@ -80,12 +77,7 @@ std::uint32_t node_of(const JsonValue& v) {
 
 FaultPlan plan_from_json(std::string_view text) {
   const JsonValue doc = support::parse_json(text);
-  check(doc.is_object(), "plan_from_json", "document is not an object");
-  check(doc.at("schema").as_string() == kPlanSchemaName, "plan_from_json",
-        "unknown schema '" + doc.at("schema").as_string() + "'");
-  const int version = static_cast<int>(doc.at("schema_version").as_number());
-  check(version == kPlanSchemaVersion, "plan_from_json",
-        "unsupported schema version " + std::to_string(version));
+  support::check_document(doc, support::kFaultPlanSchema, "plan_from_json");
 
   FaultPlan plan;
   if (const JsonValue* s = doc.find("seed"))

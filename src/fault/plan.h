@@ -19,9 +19,6 @@
 
 namespace mb::fault {
 
-inline constexpr std::string_view kPlanSchemaName = "mb-fault-plan";
-inline constexpr int kPlanSchemaVersion = 1;
-
 /// Fail-stop crash of a whole node (all ranks on it die, its host link
 /// goes down) at a point in simulated time.
 struct NodeCrash {
@@ -63,6 +60,11 @@ struct CheckpointConfig {
   double write_bandwidth_bytes_per_s = 100e6;
   double read_bandwidth_bytes_per_s = 150e6;
   double restart_overhead_s = 1.0;  ///< relaunch / rejoin cost per restart
+
+  /// Seconds to write one checkpoint: C in Young's optimum.
+  double cost_s() const {
+    return state_bytes_per_rank / write_bandwidth_bytes_per_s;
+  }
 };
 
 struct FaultPlan {

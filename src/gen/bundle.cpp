@@ -5,7 +5,7 @@
 #include "support/check.h"
 #include "support/hash.h"
 #include "support/json.h"
-#include "support/version.h"
+#include "support/schema.h"
 
 namespace mb::gen {
 namespace {
@@ -32,13 +32,9 @@ std::uint64_t hex_field(const support::JsonValue& doc, std::string_view key) {
 
 std::string to_json(const ReproBundle& bundle) {
   support::JsonWriter w;
-  w.begin_object();
-  w.field("schema", "mb-repro");  // == kReproSchemaName (check_docs greps)
-  w.field("schema_version", kReproSchemaVersion);
+  support::begin_document(w, support::kReproSchema);
   w.field("tool", "mbctl");
-  w.field("tool_version", bundle.tool_version.empty()
-                              ? std::string(support::version())
-                              : bundle.tool_version);
+  w.field("tool_version", bundle.tool_version);
   w.field("seed", std::to_string(bundle.seed));
   w.field("oracle", bundle.oracle.empty() ? "none" : bundle.oracle);
   w.field("note", bundle.note);
@@ -82,13 +78,7 @@ std::string to_json(const ReproBundle& bundle) {
 
 ReproBundle bundle_from_json(std::string_view text) {
   const support::JsonValue doc = support::parse_json(text);
-  support::check(doc.is_object(), "gen::bundle",
-                 "bundle document must be an object");
-  support::check(doc.at("schema").as_string() == kReproSchemaName,
-                 "gen::bundle", "not an mb-repro document");
-  support::check(static_cast<int>(doc.at("schema_version").as_number()) ==
-                     kReproSchemaVersion,
-                 "gen::bundle", "unsupported mb-repro schema version");
+  support::check_document(doc, support::kReproSchema, "bundle_from_json");
 
   ReproBundle b;
   b.tool_version = doc.at("tool_version").as_string();

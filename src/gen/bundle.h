@@ -21,11 +21,9 @@
 
 #include "fault/plan.h"
 #include "gen/generator.h"
+#include "support/version.h"
 
 namespace mb::gen {
-
-inline constexpr std::string_view kReproSchemaName = "mb-repro";
-inline constexpr int kReproSchemaVersion = 1;
 
 /// The platform half of a recorded run; mirrors what mbctl fuzz resolved
 /// from --tree/--sim-jobs at capture time.
@@ -54,7 +52,7 @@ struct ReproExpected {
 };
 
 struct ReproBundle {
-  std::string tool_version;  ///< stamped with support::version() at write
+  std::string tool_version{support::version()};  ///< producing build
   std::uint64_t seed = 0;    ///< campaign base seed (MB_SEED / --seed)
   std::uint64_t gen_seed = 0;  ///< generator seed of this program
   GenParams params;

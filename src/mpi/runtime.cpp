@@ -234,9 +234,10 @@ void Runtime::post_send(std::uint32_t src_rank, std::uint32_t dst_rank,
     on_failed = [this, src_rank, dst_rank, tag, bytes, attempt] {
       if (states_[src_rank].crashed) return;
       metrics_[src_rank].retries += 1.0;
+      constexpr double kSendRetryBackoff = 2.0;
       const double delay =
           config_.send_retry_base_s *
-          std::pow(config_.send_retry_backoff, static_cast<double>(attempt));
+          std::pow(kSendRetryBackoff, static_cast<double>(attempt));
       schedule_for(src_rank, delay,
                    [this, src_rank, dst_rank, tag, bytes, attempt] {
                      post_send(src_rank, dst_rank, tag, bytes,

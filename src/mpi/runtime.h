@@ -64,10 +64,10 @@ struct RuntimeConfig {
   double recv_timeout_s = 0.0;
   /// Opt-in send retry: when the network abandons a message (link down
   /// past the retransmit budget), re-post it up to this many times with
-  /// exponential backoff. 0 = a failed send is simply lost.
+  /// exponential backoff (the delay doubles per attempt). 0 = a failed
+  /// send is simply lost.
   std::uint32_t max_send_retries = 0;
   double send_retry_base_s = 0.05;
-  double send_retry_backoff = 2.0;
 };
 
 /// One receive that never completed in a failed run.

@@ -8,6 +8,7 @@
 #include "stats/descriptive.h"
 #include "support/check.h"
 #include "support/json.h"
+#include "support/schema.h"
 #include "support/version.h"
 
 namespace mb::obs {
@@ -137,13 +138,16 @@ Analysis analyze_timeline(const trace::Trace& trace,
   }
 
   // Stragglers: consistent late arrivals carrying a real share of the
-  // total attributed wait.
+  // total attributed wait — at least this share, over at least this many
+  // late entries (one bad instance is noise).
+  constexpr double kStragglerMinShare = 0.2;
+  constexpr std::size_t kStragglerMinInstances = 2;
   for (const auto& [rank, acc] : accum) {
     const double share = a.total_attributed_wait_s > 0.0
                              ? acc.attributed / a.total_attributed_wait_s
                              : 0.0;
-    if (share < options.straggler_min_share) continue;
-    if (acc.instances_late < options.straggler_min_instances) continue;
+    if (share < kStragglerMinShare) continue;
+    if (acc.instances_late < kStragglerMinInstances) continue;
     Straggler s;
     s.rank = rank;
     s.instances_late = acc.instances_late;
@@ -162,12 +166,12 @@ Analysis analyze_timeline(const trace::Trace& trace,
                    });
 
   // Critical path: cap to the biggest lags, then restore chronology.
+  constexpr std::size_t kMaxCriticalSteps = 256;
   std::stable_sort(steps.begin(), steps.end(),
                    [](const CriticalStep& x, const CriticalStep& y) {
                      return x.lag_s > y.lag_s;
                    });
-  if (steps.size() > options.max_critical_steps)
-    steps.resize(options.max_critical_steps);
+  if (steps.size() > kMaxCriticalSteps) steps.resize(kMaxCriticalSteps);
   std::stable_sort(steps.begin(), steps.end(),
                    [](const CriticalStep& x, const CriticalStep& y) {
                      return x.enter_s < y.enter_s;
@@ -209,9 +213,7 @@ Analysis analyze_timeline(const trace::Trace& trace,
 
 std::string to_json(const Analysis& a) {
   JsonWriter w;
-  w.begin_object();
-  w.field("schema", kAnalysisSchemaName);
-  w.field("schema_version", a.schema_version);
+  support::begin_document(w, support::kAnalysisSchema);
   w.field("tool", a.tool);
   w.field("tool_version", a.tool_version);
   w.field("seed", a.seed);

@@ -32,23 +32,14 @@
 
 namespace mb::obs {
 
-inline constexpr std::string_view kAnalysisSchemaName = "mb-analysis";
-inline constexpr int kAnalysisSchemaVersion = 1;
-
 struct AnalysisOptions {
   /// Fig. 4 delayed-instance threshold (duration > factor x median).
   double delay_factor = 2.0;
   /// A rank is *late* into an instance when its arrival lag behind the
   /// median arrival exceeds this fraction of the instance's worst lag.
   double late_fraction = 0.5;
-  /// Straggler gate: minimum share of the total attributed wait…
-  double straggler_min_share = 0.2;
-  /// …and minimum number of late entries (one bad instance is noise).
-  std::size_t straggler_min_instances = 2;
   /// List caps (rank activity, hotspots).
   std::size_t top = 8;
-  /// Critical-path steps kept in the artifact (largest lags win).
-  std::size_t max_critical_steps = 256;
 };
 
 /// Where one rank's time went, by event kind.
@@ -104,7 +95,6 @@ struct FaultMark {
 };
 
 struct Analysis {
-  int schema_version = kAnalysisSchemaVersion;
   std::string tool = "montblanc";
   std::string tool_version;
   std::uint64_t seed = 0;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "support/check.h"
+#include "support/schema.h"
 #include "support/version.h"
 
 namespace mb::obs {
@@ -29,9 +30,7 @@ Profile capture_profile(const Profiler& p, const Registry& r,
 
 std::string to_json(const Profile& profile) {
   JsonWriter w;
-  w.begin_object();
-  w.field("schema", kProfileSchemaName);
-  w.field("schema_version", profile.schema_version);
+  support::begin_document(w, support::kProfileSchema);
   w.field("tool", profile.tool);
   w.field("tool_version", profile.tool_version);
   w.field("command", profile.command);
@@ -49,16 +48,8 @@ Profile profile_from_json(std::string_view text) {
 }
 
 Profile profile_from_json(const JsonValue& doc) {
-  check(doc.is_object(), "profile_from_json", "document is not an object");
-  check(doc.at("schema").as_string() == kProfileSchemaName,
-        "profile_from_json",
-        "unknown schema '" + doc.at("schema").as_string() + "'");
-  const int version = static_cast<int>(doc.at("schema_version").as_number());
-  check(version == kProfileSchemaVersion, "profile_from_json",
-        "unsupported schema version " + std::to_string(version));
-
+  support::check_document(doc, support::kProfileSchema, "profile_from_json");
   Profile profile;
-  profile.schema_version = version;
   profile.tool = doc.at("tool").as_string();
   profile.tool_version = doc.at("tool_version").as_string();
   profile.command = doc.at("command").as_string();

@@ -24,11 +24,7 @@
 
 namespace mb::obs {
 
-inline constexpr int kProfileSchemaVersion = 1;
-inline constexpr std::string_view kProfileSchemaName = "mb-profile";
-
 struct Profile {
-  int schema_version = kProfileSchemaVersion;
   std::string tool;
   std::string tool_version;
   std::string command;  ///< the command line that produced this profile
@@ -47,7 +43,7 @@ Profile profile_from_json(const support::JsonValue& doc);
 
 /// Human-readable report: span summary, phase coverage (how much of the
 /// total wall time the top level's children explain) and a metrics table.
-/// `options` controls the span section (hotspot sort, --top cap).
+/// `options` caps the span section's rows per level (--top).
 std::string render_profile(const Profile& profile,
                            const SpanRenderOptions& options = {});
 

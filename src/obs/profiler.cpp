@@ -107,19 +107,17 @@ Profiler& profiler() {
 
 namespace {
 
-/// Children in render order: by exclusive time descending when sorting,
-/// capped at options.top (0 = all). Returns how many rows were elided.
+/// Children in render order: by exclusive time descending, capped at
+/// options.top (0 = all). Returns how many rows were elided.
 std::size_t render_order(const SpanNode& node,
                          const SpanRenderOptions& options,
                          std::vector<const SpanNode*>& out) {
   out.clear();
   for (const auto& c : node.children) out.push_back(&c);
-  if (options.sort_by_self) {
-    std::stable_sort(out.begin(), out.end(),
-                     [](const SpanNode* a, const SpanNode* b) {
-                       return a->self_s() > b->self_s();
-                     });
-  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const SpanNode* a, const SpanNode* b) {
+                     return a->self_s() > b->self_s();
+                   });
   const std::size_t elided =
       options.top > 0 && out.size() > options.top ? out.size() - options.top
                                                   : 0;

@@ -113,9 +113,6 @@ class ScopedSpan {
 Profiler& profiler();
 
 struct SpanRenderOptions {
-  /// Sort siblings by exclusive (self) time, descending — the hotspots
-  /// first. false preserves first-entered order (the historical layout).
-  bool sort_by_self = true;
   /// Keep at most this many rows per level (0 = all); a trailing line
   /// counts what was elided.
   std::size_t top = 0;
@@ -123,6 +120,8 @@ struct SpanRenderOptions {
 
 /// Flame-style text summary: one indented row per span with calls, total,
 /// self and percent-of-parent columns, plus counter-delta sublines.
+/// Siblings are sorted by exclusive (self) time, descending — the
+/// hotspots first.
 std::string render_span_summary(const SpanNode& root,
                                 const SpanRenderOptions& options = {});
 

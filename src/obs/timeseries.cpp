@@ -4,6 +4,7 @@
 
 #include "support/check.h"
 #include "support/json.h"
+#include "support/schema.h"
 
 namespace mb::obs {
 
@@ -13,9 +14,7 @@ using support::JsonWriter;
 
 std::string to_json(const TimeSeries& ts) {
   JsonWriter w;
-  w.begin_object();
-  w.field("schema", kTimeSeriesSchemaName);
-  w.field("schema_version", ts.schema_version);
+  support::begin_document(w, support::kTimeSeriesSchema);
   w.field("tool", ts.tool);
   w.field("tool_version", ts.tool_version);
   w.field("seed", ts.seed);
@@ -43,14 +42,8 @@ std::string to_json(const TimeSeries& ts) {
 
 TimeSeries timeseries_from_json(std::string_view text) {
   const JsonValue doc = support::parse_json(text);
-  check(doc.is_object(), "timeseries_from_json", "document is not an object");
-  check(doc.at("schema").as_string() == kTimeSeriesSchemaName,
-        "timeseries_from_json",
-        "unknown schema '" + doc.at("schema").as_string() + "'");
-  const int version = static_cast<int>(doc.at("schema_version").as_number());
-  check(version == kTimeSeriesSchemaVersion, "timeseries_from_json",
-        "unsupported schema version " + std::to_string(version));
-
+  support::check_document(doc, support::kTimeSeriesSchema,
+                          "timeseries_from_json");
   TimeSeries ts;
   ts.tool = doc.at("tool").as_string();
   ts.tool_version = doc.at("tool_version").as_string();

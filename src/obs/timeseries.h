@@ -20,11 +20,9 @@
 
 #include "obs/metrics.h"
 #include "sim/sharded.h"
+#include "support/version.h"
 
 namespace mb::obs {
-
-inline constexpr std::string_view kTimeSeriesSchemaName = "mb-timeseries";
-inline constexpr int kTimeSeriesSchemaVersion = 1;
 
 /// One sampled quantity: a value per entry of TimeSeries::times_s.
 struct Series {
@@ -34,9 +32,8 @@ struct Series {
 };
 
 struct TimeSeries {
-  int schema_version = kTimeSeriesSchemaVersion;
   std::string tool = "montblanc";
-  std::string tool_version;
+  std::string tool_version{support::version()};
   std::uint64_t seed = 0;
   double interval_s = 0.0;
   std::vector<double> times_s;  ///< simulated time of each sample
@@ -85,8 +82,8 @@ class TimeSampler {
 
   std::size_t samples() const { return data_.times_s.size(); }
 
-  /// Moves the collected series out (tool_version/seed are left to the
-  /// caller — the sampler does not know the run's provenance).
+  /// Moves the collected series out (the seed is left to the caller —
+  /// the sampler does not know the run's provenance).
   TimeSeries take();
 
  private:

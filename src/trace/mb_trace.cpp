@@ -7,12 +7,15 @@
 #include <unordered_map>
 
 #include "support/check.h"
+#include "support/schema.h"
 
 namespace mb::trace {
 
 namespace {
 
 constexpr char kMagic[4] = {'M', 'B', 'T', 'R'};
+constexpr auto kVersion =
+    static_cast<std::uint32_t>(support::kTraceSchema.version);
 
 void write_u8(std::ostream& os, std::uint8_t v) {
   os.put(static_cast<char>(v));
@@ -101,7 +104,7 @@ MbTraceWriter::MbTraceWriter(std::ostream& os, const MbTraceMeta& meta,
                              std::uint64_t record_count)
     : os_(os), declared_(record_count) {
   os_.write(kMagic, 4);
-  write_u32(os_, kMbTraceVersion);
+  write_u32(os_, kVersion);
   write_string(os_, meta.tool_version);
   write_u64(os_, meta.seed);
   write_u32(os_, meta.total_ranks);
@@ -167,7 +170,7 @@ MbTraceFile read_mb_trace(std::istream& is) {
   support::check(std::memcmp(magic, kMagic, 4) == 0, "read_mb_trace",
                  "not an mb-trace file (bad magic)");
   const std::uint32_t version = read_u32(is);
-  support::check(version == kMbTraceVersion, "read_mb_trace",
+  support::check(version == kVersion, "read_mb_trace",
                  "unsupported mb-trace version " + std::to_string(version));
 
   MbTraceFile file;

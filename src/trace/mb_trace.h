@@ -11,7 +11,7 @@
 // Layout (all integers little-endian, fixed width):
 //
 //   "MBTR"                     4-byte magic
-//   u32  version               (= 1)
+//   u32  version               support::kTraceSchema.version (1)
 //   u32  tool_version length, bytes
 //   u64  seed                  effective seed of the producing run
 //   u32  total_ranks           ranks in the simulated run (0 = unknown)
@@ -35,8 +35,6 @@
 #include "trace/trace.h"
 
 namespace mb::trace {
-
-inline constexpr std::uint32_t kMbTraceVersion = 1;
 
 struct MbTraceMeta {
   std::string tool_version;

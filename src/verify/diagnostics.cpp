@@ -5,6 +5,7 @@
 #include "obs/metrics.h"
 #include "support/check.h"
 #include "support/json.h"
+#include "support/schema.h"
 #include "support/table.h"
 #include "support/version.h"
 #include "verify/rules.h"
@@ -110,13 +111,17 @@ std::string diagnostics_to_json(const Report& report,
                                 std::string_view source,
                                 std::uint64_t seed) {
   support::JsonWriter w;
-  w.begin_object();
-  w.field("schema", "mb-diagnostics");
-  w.field("schema_version", 1);
+  support::begin_document(w, support::kDiagnosticsSchema);
   w.field("tool", "mb_verify");
   w.field("tool_version", support::version());
   w.field("source", source);
   w.field("seed", seed);
+  write_findings(w, report);
+  w.end_object();
+  return std::move(w).str();
+}
+
+void write_findings(support::JsonWriter& w, const Report& report) {
   w.key("counts").begin_object();
   w.field("error", static_cast<std::uint64_t>(report.errors()));
   w.field("warn", static_cast<std::uint64_t>(report.warnings()));
@@ -138,8 +143,6 @@ std::string diagnostics_to_json(const Report& report,
     w.end_object();
   }
   w.end_array();
-  w.end_object();
-  return std::move(w).str();
 }
 
 void publish_diagnostics(const Report& report, std::string_view pass) {

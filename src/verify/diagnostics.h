@@ -12,6 +12,8 @@
 #include <string_view>
 #include <vector>
 
+#include "support/json.h"
+
 namespace mb::verify {
 
 enum class Severity : std::uint8_t { kError, kWarn, kNote };
@@ -86,6 +88,10 @@ std::string render_diagnostics(const Report& report);
 std::string diagnostics_to_json(const Report& report,
                                 std::string_view source,
                                 std::uint64_t seed = 0);
+
+/// Writes the report's `counts` and `findings` members into the object
+/// `w` has open — the shape mb-diagnostics and mb-static-analysis share.
+void write_findings(support::JsonWriter& w, const Report& report);
 
 /// Publishes the report's severity tallies into the global metrics
 /// registry: verify.findings{severity=...} counters plus one

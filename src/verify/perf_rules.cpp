@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -27,9 +28,13 @@ std::string fmt_kib(double bytes) {
   return buf;
 }
 
-/// PERF001: per-rank payload imbalance.
-void check_imbalance(const CostReport& cost, const PerfThresholds& t,
-                     Report& report) {
+/// PERF001: per-rank payload imbalance. Fires when max/mean per-rank
+/// sent bytes exceeds the ratio and the absolute excess also clears the
+/// floor (tiny programs stay quiet).
+constexpr double kImbalanceRatio = 4.0;
+constexpr std::uint64_t kImbalanceFloorBytes = 1u << 20;
+
+void check_imbalance(const CostReport& cost, Report& report) {
   if (cost.ranks < 2 || cost.mean_rank_bytes <= 0.0) return;
   std::uint32_t worst = 0;
   for (std::uint32_t r = 1; r < cost.ranks; ++r)
@@ -38,9 +43,9 @@ void check_imbalance(const CostReport& cost, const PerfThresholds& t,
   const double max_bytes =
       static_cast<double>(cost.per_rank[worst].bytes_sent);
   const double ratio = max_bytes / cost.mean_rank_bytes;
-  if (ratio <= t.imbalance_ratio) return;
+  if (ratio <= kImbalanceRatio) return;
   if (max_bytes - cost.mean_rank_bytes <
-      static_cast<double>(t.imbalance_floor_bytes))
+      static_cast<double>(kImbalanceFloorBytes))
     return;
   report.add(kRulePerfImbalance, Location::program(worst, 0),
              "rank " + std::to_string(worst) + " sends " +
@@ -51,9 +56,12 @@ void check_imbalance(const CostReport& cost, const PerfThresholds& t,
 }
 
 /// PERF002: an all-to-all style occurrence whose burst into one switch
-/// port exceeds the buffer — the Fig. 4 incast.
+/// port exceeds the buffer — the Fig. 4 incast. The burst-to-buffer
+/// ratio that counts as congestion-prone:
+constexpr double kIncastRatio = 1.0;
+
 void check_incast(const CostReport& cost, const CostDescriptor& d,
-                  const PerfThresholds& t, Report& report) {
+                  Report& report) {
   double host_buffer = 0.0, uplink_buffer = 0.0;
   for (const LinkClassCost& lc : cost.link_classes) {
     if (lc.name == "host-down") host_buffer = lc.buffer_bytes;
@@ -66,9 +74,9 @@ void check_incast(const CostReport& cost, const CostDescriptor& d,
     const double down = static_cast<double>(cc.worst_host_down);
     const double up = static_cast<double>(cc.worst_uplink);
     const bool down_hot =
-        host_buffer > 0.0 && down > t.incast_ratio * host_buffer;
+        host_buffer > 0.0 && down > kIncastRatio * host_buffer;
     const bool up_hot =
-        uplink_buffer > 0.0 && up > t.incast_ratio * uplink_buffer;
+        uplink_buffer > 0.0 && up > kIncastRatio * uplink_buffer;
     if (!down_hot && !up_hot) continue;
     const std::string where =
         down_hot ? "a host downlink (" + fmt_kib(down) + " burst vs " +
@@ -88,9 +96,12 @@ void check_incast(const CostReport& cost, const CostDescriptor& d,
 }
 
 /// PERF003: late-sender — already under contention-free assumptions a
-/// rank spends most of its time blocked in p2p receives.
-void check_late_sender(const CostReport& cost, const PerfThresholds& t,
-                       Report& report) {
+/// rank spends most of its time blocked in p2p receives. Fires above this
+/// fraction of the lower-bound makespan, and above an absolute floor.
+constexpr double kLateSenderFraction = 0.3;
+constexpr double kLateSenderFloorS = 1e-3;
+
+void check_late_sender(const CostReport& cost, Report& report) {
   if (cost.makespan_lower_s <= 0.0) return;
   std::uint32_t worst = 0;
   for (std::uint32_t r = 1; r < cost.ranks; ++r)
@@ -98,9 +109,9 @@ void check_late_sender(const CostReport& cost, const PerfThresholds& t,
         cost.per_rank[worst].wait_p2p_lower_s)
       worst = r;
   const RankCost& rc = cost.per_rank[worst];
-  if (rc.wait_p2p_lower_s < t.late_sender_floor_s) return;
+  if (rc.wait_p2p_lower_s < kLateSenderFloorS) return;
   const double fraction = rc.wait_p2p_lower_s / cost.makespan_lower_s;
-  if (fraction <= t.late_sender_fraction) return;
+  if (fraction <= kLateSenderFraction) return;
   report.add(kRulePerfLateSender,
              Location::program(worst, rc.worst_wait_op),
              "rank " + std::to_string(worst) + " is blocked in receives "
@@ -115,7 +126,7 @@ void check_late_sender(const CostReport& cost, const PerfThresholds& t,
 /// PERF004: checkpoint interval vs the fault plan's crash rate (Young's
 /// first-order optimum: interval* = sqrt(2 * MTBF * checkpoint_cost)).
 void check_checkpoint(const CostReport& cost, const fault::FaultPlan* plan,
-                      const PerfThresholds& t, Report& report) {
+                      Report& report) {
   if (plan == nullptr || plan->crashes.empty()) return;
   if (!plan->checkpoint.enabled) {
     report.add(kRulePerfCheckpointInterval,
@@ -128,44 +139,36 @@ void check_checkpoint(const CostReport& cost, const fault::FaultPlan* plan,
                "from the plan");
     return;
   }
-  double last_crash = 0.0;
-  for (const auto& c : plan->crashes) last_crash = std::max(last_crash, c.at_s);
-  const double horizon = std::max(cost.makespan_lower_s, last_crash);
-  if (horizon <= 0.0) return;
-  const double mtbf =
-      horizon / static_cast<double>(plan->crashes.size());
-  const double cost_s = plan->checkpoint.state_bytes_per_rank /
-                        plan->checkpoint.write_bandwidth_bytes_per_s;
-  const double optimal = std::sqrt(2.0 * mtbf * cost_s);
+  const std::optional<CheckpointFit> fit =
+      checkpoint_fit(*plan, cost.makespan_lower_s);
+  if (!fit || fit->side == IntervalFit::kInside) return;
   const double interval = plan->checkpoint.interval_s;
-  if (interval > t.checkpoint_band * optimal) {
-    report.add(kRulePerfCheckpointInterval,
-               Location::config("checkpoint.interval_s"),
-               "checkpoint interval " + fmt2(interval) + " s is " +
-                   fmt2(interval / optimal) + "x Young's optimum " +
-                   fmt2(optimal) + " s for MTBF " + fmt2(mtbf) +
-                   " s: expected lost work per crash dwarfs the "
-                   "checkpoint cost",
-               "set the interval near sqrt(2 * MTBF * checkpoint_cost) = " +
-                   fmt2(optimal) + " s");
-  } else if (interval * t.checkpoint_band < optimal) {
-    report.add(kRulePerfCheckpointInterval,
-               Location::config("checkpoint.interval_s"),
-               "checkpoint interval " + fmt2(interval) +
-                   " s is far below Young's optimum " + fmt2(optimal) +
-                   " s for MTBF " + fmt2(mtbf) +
-                   " s: checkpoint overhead dominates between crashes",
-               "set the interval near sqrt(2 * MTBF * checkpoint_cost) = " +
-                   fmt2(optimal) + " s");
-  }
+  const std::string mtbf = " s for MTBF " + fmt2(fit->mtbf_s) + " s: ";
+  report.add(kRulePerfCheckpointInterval,
+             Location::config("checkpoint.interval_s"),
+             fit->side == IntervalFit::kTooLong
+                 ? "checkpoint interval " + fmt2(interval) + " s is " +
+                       fmt2(interval / fit->optimal_s) +
+                       "x Young's optimum " + fmt2(fit->optimal_s) + mtbf +
+                       "expected lost work per crash dwarfs the "
+                       "checkpoint cost"
+                 : "checkpoint interval " + fmt2(interval) +
+                       " s is far below Young's optimum " +
+                       fmt2(fit->optimal_s) + mtbf +
+                       "checkpoint overhead dominates between crashes",
+             "set the interval near sqrt(2 * MTBF * checkpoint_cost) = " +
+                 fmt2(fit->optimal_s) + " s");
 }
 
 /// PERF005: ring/pipeline-shaped p2p traffic where a large byte fraction
 /// crosses the root switch — renumbering ranks would keep neighbours
-/// inside one leaf subtree.
+/// inside one leaf subtree. The neighbour degree that still counts as
+/// ring/pipeline-like, and the cross-root byte fraction that trips it:
+constexpr std::uint32_t kMappingMaxDegree = 2;
+constexpr double kMappingCrossFraction = 0.25;
+
 void check_mapping(const Program& program, const CostDescriptor& d,
-                   const CostReport& cost, const PerfThresholds& t,
-                   Report& report) {
+                   const CostReport& cost, Report& report) {
   if (cost.leaves < 2) return;
   const std::uint32_t ranks = program.ranks();
   const std::uint32_t per_leaf = d.cores_per_node * d.tree.switch_ports;
@@ -185,10 +188,10 @@ void check_mapping(const Program& program, const CostDescriptor& d,
     max_degree =
         std::max(max_degree, static_cast<std::uint32_t>(peers.size()));
   }
-  if (total == 0 || max_degree > t.mapping_max_degree) return;
+  if (total == 0 || max_degree > kMappingMaxDegree) return;
   const double fraction =
       static_cast<double>(cross) / static_cast<double>(total);
-  if (fraction <= t.mapping_cross_fraction) return;
+  if (fraction <= kMappingCrossFraction) return;
   report.add(
       kRulePerfCrossSwitchMapping, Location::config("rank_mapping"),
       "the point-to-point pattern is neighbour-shaped (degree <= " +
@@ -201,27 +204,17 @@ void check_mapping(const Program& program, const CostDescriptor& d,
           " ranks per leaf)");
 }
 
-/// PERF006: collective algorithm mismatched to the message size. The
-/// ring allreduce moves 2(p-1) rounds of bytes/p — bandwidth-optimal,
-/// but pure latency when the segment is smaller than one frame.
-void check_collective_algorithm(const CostReport& cost,
-                                const CostDescriptor& d,
-                                const PerfThresholds& t, Report& report) {
+/// PERF006: collective algorithm mismatched to the message size (see
+/// sub_mtu_ring_segment).
+void check_collective_algorithm(const CostReport& cost, Report& report) {
   for (const CollectiveCost& cc : cost.collectives) {
-    if (cc.kind != Op::Kind::kAllreduce) continue;
-    if (cost.ranks < t.allreduce_min_ranks) continue;
-    // payload_bytes sums the lowered sends over every rank: p ranks each
-    // send 2(p-1) segments of bytes/p, so one segment is the total over
-    // p * 2(p-1).
+    const std::optional<std::uint64_t> chunk = sub_mtu_ring_segment(cost, cc);
+    if (!chunk) continue;
     const std::uint64_t rounds = 2ull * (cost.ranks - 1);
-    const std::uint64_t chunk =
-        cc.payload_bytes /
-        std::max<std::uint64_t>(1, rounds * cost.ranks);
-    if (chunk >= d.mtu_bytes) continue;
     report.add(
         kRulePerfCollectiveAlgorithm, Location::program(0, cc.op_index),
         "'" + (cc.label.empty() ? std::string("allreduce") : cc.label) +
-            "' ring-allreduces " + std::to_string(chunk) +
+            "' ring-allreduces " + std::to_string(*chunk) +
             " B segments over " + std::to_string(rounds) +
             " rounds: at this size the collective is pure latency",
         "a recursive-doubling/binomial allreduce needs only 2*log2(" +
@@ -234,17 +227,59 @@ void check_collective_algorithm(const CostReport& cost,
 
 Report perf_pass(const mpi::Program& program,
                  const CostDescriptor& descriptor, const CostReport& cost,
-                 const fault::FaultPlan* plan,
-                 const PerfThresholds& thresholds) {
+                 const fault::FaultPlan* plan) {
   Report report;
-  check_imbalance(cost, thresholds, report);
-  check_incast(cost, descriptor, thresholds, report);
-  check_late_sender(cost, thresholds, report);
-  check_checkpoint(cost, plan, thresholds, report);
-  check_mapping(program, descriptor, cost, thresholds, report);
-  check_collective_algorithm(cost, descriptor, thresholds, report);
+  check_imbalance(cost, report);
+  check_incast(cost, descriptor, report);
+  check_late_sender(cost, report);
+  check_checkpoint(cost, plan, report);
+  check_mapping(program, descriptor, cost, report);
+  check_collective_algorithm(cost, report);
   publish_diagnostics(report, "perf");
   return report;
+}
+
+/// The ring allreduce moves 2(p-1) rounds of bytes/p — bandwidth-optimal,
+/// but pure latency when the segment is smaller than one frame. Below
+/// this many ranks the round count is too small to matter.
+constexpr std::uint32_t kAllreduceMinRanks = 8;
+
+std::optional<std::uint64_t> sub_mtu_ring_segment(const CostReport& cost,
+                                                  const CollectiveCost& cc) {
+  if (cc.kind != Op::Kind::kAllreduce) return std::nullopt;
+  if (cost.ranks < kAllreduceMinRanks) return std::nullopt;
+  // payload_bytes sums the lowered sends over every rank: p ranks each
+  // send 2(p-1) segments of bytes/p, so one segment is the total over
+  // p * 2(p-1).
+  const std::uint64_t rounds = 2ull * (cost.ranks - 1);
+  const std::uint64_t chunk =
+      cc.payload_bytes / std::max<std::uint64_t>(1, rounds * cost.ranks);
+  if (chunk >= cost.mtu_bytes) return std::nullopt;
+  return chunk;
+}
+
+/// The acceptance band: an interval more than this factor off Young's
+/// optimum, either way, is flagged.
+constexpr double kCheckpointBand = 4.0;
+
+std::optional<CheckpointFit> checkpoint_fit(const fault::FaultPlan& plan,
+                                            double makespan_lower_s) {
+  if (plan.crashes.empty() || !plan.checkpoint.enabled) return std::nullopt;
+  double last_crash = 0.0;
+  for (const auto& c : plan.crashes) last_crash = std::max(last_crash, c.at_s);
+  CheckpointFit f;
+  f.horizon_s = std::max(makespan_lower_s, last_crash);
+  if (f.horizon_s <= 0.0) return std::nullopt;
+  f.mtbf_s = f.horizon_s / static_cast<double>(plan.crashes.size());
+  f.cost_s = plan.checkpoint.cost_s();
+  if (f.cost_s <= 0.0) return std::nullopt;
+  f.optimal_s = std::sqrt(2.0 * f.mtbf_s * f.cost_s);
+  const double interval = plan.checkpoint.interval_s;
+  if (interval > kCheckpointBand * f.optimal_s)
+    f.side = IntervalFit::kTooLong;
+  else if (interval * kCheckpointBand < f.optimal_s)
+    f.side = IntervalFit::kTooShort;
+  return f;
 }
 
 }  // namespace mb::verify

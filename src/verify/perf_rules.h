@@ -19,9 +19,14 @@
 //   PERF006  collective algorithm vs message size: the ring allreduce is
 //            bandwidth-optimal but latency-bound for tiny payloads.
 //
-// Thresholds live in PerfThresholds so fixtures and future advisor
-// integration can tighten or relax them without touching the pass.
+// Each threshold is a constant next to the one rule that reads it. PERF004
+// and PERF006 also decide the advisor's checkpoint-interval and
+// switch-collective recommendations (advise/advisor.h), so their
+// conditions are public functions that both the pass and the advisor call.
 #pragma once
+
+#include <cstdint>
+#include <optional>
 
 #include "fault/plan.h"
 #include "verify/diagnostics.h"
@@ -29,35 +34,38 @@
 
 namespace mb::verify {
 
-struct PerfThresholds {
-  /// PERF001: fire when max/mean per-rank sent bytes exceeds this and the
-  /// absolute excess also clears the floor (tiny programs stay quiet).
-  double imbalance_ratio = 4.0;
-  std::uint64_t imbalance_floor_bytes = 1u << 20;
-  /// PERF002: burst-to-buffer ratio that counts as congestion-prone.
-  double incast_ratio = 1.0;
-  /// PERF003: fraction of the lower-bound makespan a rank may spend
-  /// blocked in p2p receives, plus an absolute floor.
-  double late_sender_fraction = 0.3;
-  double late_sender_floor_s = 1e-3;
-  /// PERF004: accepted band around Young's optimal interval.
-  double checkpoint_band = 4.0;
-  /// PERF005: neighbour degree that still counts as ring/pipeline-like,
-  /// and the cross-root byte fraction that trips the rule.
-  std::uint32_t mapping_max_degree = 2;
-  double mapping_cross_fraction = 0.25;
-  /// PERF006: ring allreduce is latency-bound when the per-rank segment
-  /// is below one MTU and there are at least this many ranks.
-  std::uint32_t allreduce_min_ranks = 8;
-};
-
 /// Runs the PERF pass over a program and its cost report. `plan` is
 /// optional (PERF004 needs a fault plan to reason about; pass nullptr
 /// when the scenario has none). Tallies are published to obs::metrics()
 /// under pass="perf".
 Report perf_pass(const mpi::Program& program,
                  const CostDescriptor& descriptor, const CostReport& cost,
-                 const fault::FaultPlan* plan = nullptr,
-                 const PerfThresholds& thresholds = {});
+                 const fault::FaultPlan* plan = nullptr);
+
+/// PERF006's condition: the per-round segment a ring allreduce sends,
+/// payload_bytes / max(1, 2(p-1) * p) for p = cost.ranks, when `cc` is an
+/// allreduce over at least 8 ranks whose segment is below cost.mtu_bytes.
+/// nullopt when the rule does not apply; 0 B is a real (tiny) segment.
+std::optional<std::uint64_t> sub_mtu_ring_segment(const CostReport& cost,
+                                                  const CollectiveCost& cc);
+
+/// Which side of PERF004's acceptance band (4x either way around Young's
+/// optimum) the plan's checkpoint interval falls on.
+enum class IntervalFit { kInside, kTooLong, kTooShort };
+
+/// PERF004's inputs and verdict for a plan that crashes and checkpoints.
+struct CheckpointFit {
+  double horizon_s = 0.0;  ///< max(lower-bound makespan, last crash)
+  double mtbf_s = 0.0;     ///< horizon over the number of crashes
+  double cost_s = 0.0;     ///< C: one checkpoint write
+  double optimal_s = 0.0;  ///< Young's optimum sqrt(2 * MTBF * C)
+  IntervalFit side = IntervalFit::kInside;
+};
+
+/// PERF004's condition. nullopt when the plan has no crashes, does not
+/// checkpoint, or yields a horizon or checkpoint cost that is not
+/// positive (there is no optimum to compare against).
+std::optional<CheckpointFit> checkpoint_fit(const fault::FaultPlan& plan,
+                                            double makespan_lower_s);
 
 }  // namespace mb::verify

@@ -12,6 +12,7 @@
 #include "mpi/mailbox.h"
 #include "support/check.h"
 #include "support/json.h"
+#include "support/schema.h"
 #include "support/table.h"
 #include "support/version.h"
 
@@ -483,9 +484,7 @@ std::string static_analysis_to_json(const CostReport& r,
                                     std::uint64_t seed,
                                     const Report& findings) {
   support::JsonWriter w;
-  w.begin_object();
-  w.field("schema", "mb-static-analysis");
-  w.field("schema_version", 1);
+  support::begin_document(w, support::kStaticAnalysisSchema);
   w.field("tool", "mb_verify");
   w.field("tool_version", support::version());
   w.field("source", source);
@@ -564,27 +563,7 @@ std::string static_analysis_to_json(const CostReport& r,
   }
   w.end_array();
 
-  w.key("counts").begin_object();
-  w.field("error", static_cast<std::uint64_t>(findings.errors()));
-  w.field("warn", static_cast<std::uint64_t>(findings.warnings()));
-  w.field("note", static_cast<std::uint64_t>(findings.notes()));
-  w.end_object();
-  w.key("findings").begin_array();
-  for (const Diagnostic& d : findings.findings()) {
-    w.begin_object();
-    w.field("rule", d.rule);
-    w.field("severity", severity_name(d.severity));
-    if (d.location.in_program) {
-      w.field("rank", d.location.rank);
-      w.field("op_index", static_cast<std::uint64_t>(d.location.op_index));
-    }
-    if (!d.location.config_key.empty())
-      w.field("config_key", d.location.config_key);
-    w.field("message", d.message);
-    if (!d.hint.empty()) w.field("hint", d.hint);
-    w.end_object();
-  }
-  w.end_array();
+  write_findings(w, findings);
   w.end_object();
   return std::move(w).str();
 }

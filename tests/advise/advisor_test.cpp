@@ -61,7 +61,6 @@ struct ScenarioFixture {
     f.cost = &cost;
     f.plan = &plan;
     f.ranks = 8;
-    f.nodes = 4;
     f.cores_per_node = 2;
     f.measured_makespan_s = 10.0;
     return f;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "support/check.h"
+#include "support/schema.h"
 #include "support/version.h"
 
 namespace mb::core {
@@ -39,8 +40,9 @@ TEST(BenchReport, DirectionNamesRoundTrip) {
 TEST(BenchReport, SerializesSchemaHeaderAndSummary) {
   const std::string json = to_json(small_report());
   const auto doc = support::parse_json(json);
-  EXPECT_EQ(doc.at("schema").as_string(), kBenchSchemaName);
-  EXPECT_EQ(doc.at("schema_version").as_number(), kBenchSchemaVersion);
+  EXPECT_EQ(doc.at("schema").as_string(), support::kBenchReportSchema.name);
+  EXPECT_EQ(doc.at("schema_version").as_number(),
+            support::kBenchReportSchema.version);
   const auto& bench = doc.at("benchmarks").as_array().at(0);
   EXPECT_EQ(bench.at("direction").as_string(), "minimize");
   EXPECT_EQ(bench.at("summary").at("n").as_number(), 3.0);
@@ -52,7 +54,9 @@ TEST(BenchReport, RoundTripsThroughJson) {
   const BenchReport original = small_report();
   const BenchReport parsed = report_from_json(to_json(original));
 
-  EXPECT_EQ(parsed.schema_version, kBenchSchemaVersion);
+  EXPECT_EQ(support::parse_json(to_json(parsed)).at("schema_version")
+                .as_number(),
+            support::kBenchReportSchema.version);
   EXPECT_EQ(parsed.suite, "unit");
   EXPECT_EQ(parsed.tool, "test");
   EXPECT_EQ(parsed.seed, 7u);

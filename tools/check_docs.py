@@ -18,9 +18,10 @@ Checks
      (`[<name> opts]`) may appear under "Shared conventions" instead.
   4. Every relative markdown link in the curated docs resolves to an
      existing file (anchors are stripped; external URLs are ignored).
-  5. Every JSON schema name a writer stamps in src/ ("schema",
-     "mb-...") has a '## `mb-...`' section in docs/schemas.md — a new
-     document format cannot ship undocumented.
+  5. Every document of the schema list (src/support/schema.h, which every
+     writer and reader goes through) has a '## `mb-...`' section in
+     docs/schemas.md and a row in its registry table with the same
+     version — a new or bumped document format cannot ship undocumented.
 """
 
 import os
@@ -153,31 +154,34 @@ def check_exit_codes(errors):
                           "src/support/exit_codes.h is not documented")
 
 
-SCHEMA_STAMP_RE = re.compile(r'"schema",\s*"(mb-[a-z-]+)"')
-
-
-def emitted_schemas():
-    """Schema names stamped by JSON writers anywhere under src/."""
-    names = set()
-    for root, _dirs, files in os.walk(os.path.join(REPO, "src")):
-        for name in files:
-            if not name.endswith((".cpp", ".h")):
-                continue
-            rel = os.path.relpath(os.path.join(root, name), REPO)
-            names.update(SCHEMA_STAMP_RE.findall(read(rel)))
-    return names
+SCHEMA_LIST = "src/support/schema.h"
+SCHEMA_ENTRY_RE = re.compile(
+    r'^inline constexpr Schema k\w+\{"(mb-[a-z-]+)", (\d+)\};$', re.MULTILINE)
+REGISTRY_ROW_RE = re.compile(r"^\|\s*`(mb-[a-z-]+)`[^|]*\|\s*(\d+)\s*\|",
+                             re.MULTILINE)
 
 
 def check_schemas(errors):
-    documented = set(re.findall(r"^## `(mb-[a-z-]+)`", read("docs/schemas.md"),
-                                re.MULTILINE))
-    emitted = emitted_schemas()
-    if not emitted:
-        errors.append("could not find any schema stamps under src/; "
+    schemas = read("docs/schemas.md")
+    sections = set(re.findall(r"^## `(mb-[a-z-]+)`", schemas, re.MULTILINE))
+    registry = re.search(r"^\| Schema \| Version \|.*?(?:\n\n|\Z)", schemas,
+                         re.MULTILINE | re.DOTALL)
+    rows = {}
+    for name, version in REGISTRY_ROW_RE.findall(
+            registry.group(0) if registry else ""):
+        rows.setdefault(name, []).append(version)
+    listed = SCHEMA_ENTRY_RE.findall(read(SCHEMA_LIST))
+    if not listed:
+        errors.append(f"could not parse any schema from {SCHEMA_LIST}; "
                       "update or drop this check")
-    for missing in sorted(emitted - documented):
-        errors.append(f"docs/schemas.md: schema `{missing}` is written by "
-                      f"src/ but has no '## `{missing}`' section")
+    for name, version in listed:
+        if name not in sections:
+            errors.append(f"docs/schemas.md: schema `{name}` is in "
+                          f"{SCHEMA_LIST} but has no '## `{name}`' section")
+        if rows.get(name) != [version]:
+            errors.append(f"docs/schemas.md: the registry table needs one "
+                          f"`{name}` row with version {version} (found "
+                          f"{rows.get(name, 'none')})")
 
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")

@@ -17,7 +17,9 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -62,6 +64,7 @@
 #include "support/executor.h"
 #include "support/exit_codes.h"
 #include "support/hash.h"
+#include "support/schema.h"
 #include "support/table.h"
 #include "support/version.h"
 #include "trace/gantt.h"
@@ -336,12 +339,11 @@ std::uint64_t load_trace(const std::string& path, mb::trace::Trace& trace) {
   return 0;
 }
 
-/// Loads the --faults plan into `plan`; false when the flag is absent.
-bool load_fault_plan(const Options& opts, mb::fault::FaultPlan& plan) {
-  if (!opts.has("faults")) return false;
-  plan = mb::fault::plan_from_json(
+/// The --faults plan; nullopt when the flag is absent.
+std::optional<mb::fault::FaultPlan> load_fault_plan(const Options& opts) {
+  if (!opts.has("faults")) return std::nullopt;
+  return mb::fault::plan_from_json(
       read_input(opts.get_str("faults", ""), "fault plan"));
-  return true;
 }
 
 // --------------------------------------------------------------------------
@@ -407,7 +409,6 @@ void apply_capture_options(const Options& opts,
 void write_timeseries_artifact(const Options& opts, mb::obs::TimeSeries& ts,
                                std::uint64_t seed) {
   if (!opts.has("timeseries-out")) return;
-  ts.tool_version = std::string(mb::support::version());
   ts.seed = seed;
   write_output(opts.get_str("timeseries-out", ""),
                std::to_string(ts.times_s.size()) + " samples, " +
@@ -1496,7 +1497,8 @@ int cmd_analyze(const Args& /*args*/, const Options& opts) {
               << " record(s); wait totals are a lower bound\n";
   if (opts.has("json")) {
     write_output(opts.get_str("json", ""),
-                 "mb-analysis v" + std::to_string(analysis.schema_version),
+                 "mb-analysis v" +
+                     std::to_string(mb::support::kAnalysisSchema.version),
                  [&](std::ostream& out) {
                    out << mb::obs::to_json(analysis) << '\n';
                  });
@@ -1506,7 +1508,7 @@ int cmd_analyze(const Args& /*args*/, const Options& opts) {
 
 int cmd_obs_report(const Args& args, const Options& opts) {
   const std::string text = read_input(args[0], "profile");
-  mb::obs::SpanRenderOptions ropt;  // hotspot sort is the default
+  mb::obs::SpanRenderOptions ropt;
   ropt.top = static_cast<std::size_t>(opts.get_u64("top", 0));
   std::cout << mb::obs::render_profile(mb::obs::profile_from_json(text),
                                        ropt);
@@ -1703,6 +1705,22 @@ mb::verify::CostDescriptor descriptor_for(const mb::mpi::Program& program,
   return d;
 }
 
+/// The static half of analyze-static and verify-mpi --cost: bounds on the
+/// --tree/--mtu platform plus the PERF findings. A --faults plan must lint
+/// clean on the program's cluster (2 ranks per node) first, as chaos and
+/// advise require.
+std::pair<mb::verify::CostReport, mb::verify::Report> static_perf(
+    const mb::mpi::Program& program, const Options& opts) {
+  const auto descriptor = descriptor_for(program, opts);
+  const std::optional<mb::fault::FaultPlan> plan = load_fault_plan(opts);
+  if (plan)
+    enforce_clean(mb::verify::lint_fault_plan(*plan, program.ranks() / 2));
+  auto cost = mb::verify::analyze_cost(program, descriptor);
+  auto perf = mb::verify::perf_pass(program, descriptor, cost,
+                                    plan ? &*plan : nullptr);
+  return {std::move(cost), std::move(perf)};
+}
+
 int cmd_verify_mpi(const Args& args, const Options& opts) {
   const std::string& app = args[0];
   const std::uint64_t seed = effective_seed(opts, 1);
@@ -1724,12 +1742,7 @@ int cmd_verify_mpi(const Args& args, const Options& opts) {
       std::cout << "cost: skipped (fix the errors above first; bounds of "
                    "a broken schedule are meaningless)\n";
     } else {
-      const auto descriptor = descriptor_for(program, opts);
-      const auto cost = mb::verify::analyze_cost(program, descriptor);
-      mb::fault::FaultPlan plan;
-      const bool with_plan = load_fault_plan(opts, plan);
-      const auto perf = mb::verify::perf_pass(
-          program, descriptor, cost, with_plan ? &plan : nullptr);
+      const auto [cost, perf] = static_perf(program, opts);
       std::cout << '\n'
                 << mb::verify::render_cost(cost)
                 << "perf rules:\n"
@@ -1762,17 +1775,11 @@ int cmd_analyze_static(const Args& args, const Options& opts) {
     return kExitFindings;
   }
 
-  const auto descriptor = descriptor_for(program, opts);
-  mb::fault::FaultPlan plan;
-  const bool with_plan = load_fault_plan(opts, plan);
-
   mb::verify::CostReport cost;
   mb::verify::Report perf;
   {
     mb::obs::ScopedSpan span(mb::obs::profiler(), "analyze-static/run");
-    cost = mb::verify::analyze_cost(program, descriptor);
-    perf = mb::verify::perf_pass(program, descriptor, cost,
-                                 with_plan ? &plan : nullptr);
+    std::tie(cost, perf) = static_perf(program, opts);
   }
 
   std::cout << "=== analyze-static: " << app << " on " << read_tree(opts)
@@ -1797,8 +1804,8 @@ int cmd_analyze_static(const Args& args, const Options& opts) {
 
 int cmd_chaos(const Args& args, const Options& opts) {
   const std::string& app = args[0];
-  mb::fault::FaultPlan plan;
-  load_fault_plan(opts, plan);  // --faults is required: see the table
+  // --faults is required: see the table.
+  mb::fault::FaultPlan plan = load_fault_plan(opts).value();
   plan.seed = effective_seed(opts, plan.seed);
 
   // Checkpoint-model overrides; setting an interval or size implies `on`.
@@ -2035,8 +2042,7 @@ void apply_bigdft(mb::advise::AdviceReport& report,
 }
 
 int cmd_advise_bigdft(const Options& opts) {
-  mb::fault::FaultPlan plan;
-  load_fault_plan(opts, plan);
+  auto plan = load_fault_plan(opts).value_or(mb::fault::FaultPlan{});
   plan.seed = effective_seed(opts, plan.seed);
 
   BigDftArmConfig cfg;
@@ -2075,7 +2081,7 @@ int cmd_advise_bigdft(const Options& opts) {
   const mb::verify::CostReport cost =
       mb::verify::analyze_cost(program, descriptor);
   const mb::verify::Report perf =
-      mb::verify::perf_pass(program, descriptor, cost, &plan, {});
+      mb::verify::perf_pass(program, descriptor, cost, &plan);
 
   mb::advise::ScenarioFacts facts;
   facts.analysis = &analysis;
@@ -2083,7 +2089,6 @@ int cmd_advise_bigdft(const Options& opts) {
   facts.perf = &perf;
   facts.plan = &plan;
   facts.ranks = cfg.params.ranks;
-  facts.nodes = cfg.nodes;
   facts.cores_per_node = 2;
   facts.measured_makespan_s = measured.time_to_solution_s;
   facts.sim_jobs = static_cast<std::uint32_t>(opts.get_u64("sim-jobs", 0));
