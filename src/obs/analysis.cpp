@@ -58,14 +58,6 @@ Analysis analyze_timeline(const trace::Trace& trace,
   if (activity.size() > options.top) activity.resize(options.top);
   a.rank_activity = std::move(activity);
 
-  // Collective instances, grouped as in analyze_collectives: the i-th
-  // occurrence of a label on each rank forms instance i.
-  std::map<std::string, std::map<std::uint32_t, std::vector<trace::Record>>>
-      groups;
-  for (const auto& rec : trace.records())
-    if (rec.kind == trace::EventKind::kCollective)
-      groups[rec.label][rec.rank].push_back(rec);
-
   struct Accum {
     std::size_t instances_late = 0;
     double attributed = 0.0;
@@ -74,32 +66,32 @@ Analysis analyze_timeline(const trace::Trace& trace,
   std::map<std::uint32_t, Accum> accum;
   std::vector<CriticalStep> steps;
 
-  for (const auto& [label, per_rank] : groups) {
+  // Collective instances come from the Fig. 4 index: an instance's
+  // members are its ranks' records, in ascending rank order.
+  const std::vector<trace::Record>& records = trace.records();
+  for (const auto& [label, report] :
+       trace::classify_collectives(trace, options.delay_factor)) {
     CollectiveStats cs;
     cs.label = label;
-    const trace::CollectiveReport report =
-        trace::analyze_collectives(trace, label, options.delay_factor);
     cs.instances = report.instances.size();
     cs.delayed = report.delayed_count;
     cs.median_duration_s = report.median_duration;
 
-    for (std::size_t i = 0; i < cs.instances; ++i) {
+    for (const trace::CollectiveInstance& inst : report.instances) {
       // Arrival = when the rank *entered* the collective (t0): the spread
       // of arrivals is pure wait imposed on the early ranks.
-      std::vector<std::pair<std::uint32_t, double>> arrivals;
-      for (const auto& [rank, recs] : per_rank)
-        if (i < recs.size()) arrivals.emplace_back(rank, recs[i].t0);
-      if (arrivals.size() < 2) continue;
-
-      double last_arrival = arrivals.front().second;
-      std::uint32_t last_rank = arrivals.front().first;
+      if (inst.members.size() < 2) continue;
+      const trace::Record& first = records[inst.members.front()];
+      double last_arrival = first.t0;
+      std::uint32_t last_rank = first.rank;
       std::vector<double> times;
-      times.reserve(arrivals.size());
-      for (const auto& [rank, t0] : arrivals) {
-        times.push_back(t0);
-        if (t0 > last_arrival) {
-          last_arrival = t0;
-          last_rank = rank;
+      times.reserve(inst.members.size());
+      for (const std::size_t k : inst.members) {
+        const trace::Record& r = records[k];
+        times.push_back(r.t0);
+        if (r.t0 > last_arrival) {
+          last_arrival = r.t0;
+          last_rank = r.rank;
         }
       }
       const double median_arrival = stats::median(times);
@@ -109,7 +101,7 @@ Analysis analyze_timeline(const trace::Trace& trace,
       cs.arrival_wait_s += spread_wait;
       if (worst_lag <= 0.0) continue;
 
-      steps.push_back({last_arrival, label, i, last_rank, worst_lag});
+      steps.push_back({last_arrival, label, inst.index, last_rank, worst_lag});
 
       // Late set: every rank whose lag is within late_fraction of the
       // worst. This deliberately catches *groups* of stragglers — both
@@ -117,10 +109,10 @@ Analysis analyze_timeline(const trace::Trace& trace,
       // the single last arrival would let its sibling off free.
       std::vector<std::pair<std::uint32_t, double>> late;
       double late_lag_sum = 0.0;
-      for (const auto& [rank, t0] : arrivals) {
-        const double lag = t0 - median_arrival;
+      for (const std::size_t k : inst.members) {
+        const double lag = records[k].t0 - median_arrival;
         if (lag > options.late_fraction * worst_lag) {
-          late.emplace_back(rank, lag);
+          late.emplace_back(records[k].rank, lag);
           late_lag_sum += lag;
         }
       }

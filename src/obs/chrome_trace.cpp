@@ -1,7 +1,5 @@
 #include "obs/chrome_trace.h"
 
-#include <functional>
-#include <map>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -72,23 +70,19 @@ double write_span_events(JsonWriter& w, const SpanNode& node,
 
 void write_chrome_trace(std::ostream& os, const trace::Trace& trace,
                         const ChromeTraceOptions& options) {
-  // Fig. 4 classification, per collective label: occurrence index i of a
-  // rank belongs to instance i, and an instance (or a single rank within
-  // it) is delayed when it exceeds delay_factor x the label's median.
-  struct LabelState {
-    trace::CollectiveReport report;
-    std::vector<std::size_t> next_instance;  ///< indexed by rank
+  // Each collective record's Fig. 4 instance, from the one index.
+  struct Instance {
+    const trace::CollectiveReport* report = nullptr;
+    const trace::CollectiveInstance* instance = nullptr;
   };
+  const auto collectives =
+      trace::classify_collectives(trace, options.delay_factor);
+  std::vector<Instance> instance_of(trace.size());
+  for (const auto& [label, report] : collectives)
+    for (const trace::CollectiveInstance& inst : report.instances)
+      for (const std::size_t k : inst.members)
+        instance_of[k] = {&report, &inst};
   const std::uint32_t ranks = trace.ranks();
-  std::map<std::string, LabelState, std::less<>> collectives;
-  for (const auto& r : trace.records()) {
-    if (r.kind == trace::EventKind::kCollective && !collectives.count(r.label))
-      collectives.emplace(
-          r.label,
-          LabelState{trace::analyze_collectives(trace, r.label,
-                                                options.delay_factor),
-                     std::vector<std::size_t>(ranks, 0)});
-  }
 
   JsonWriter w;
   w.begin_object();
@@ -98,7 +92,8 @@ void write_chrome_trace(std::ostream& os, const trace::Trace& trace,
   for (std::uint32_t r = 0; r < ranks; ++r)
     write_thread_name(w, kClusterPid, r, "rank " + std::to_string(r));
 
-  for (const auto& rec : trace.records()) {
+  for (std::size_t k = 0; k < trace.size(); ++k) {
+    const trace::Record& rec = trace.records()[k];
     if (rec.kind == trace::EventKind::kFault) {
       // Injected faults are global instant markers, not rank work: the
       // viewer draws them as vertical lines across every track.
@@ -126,18 +121,14 @@ void write_chrome_trace(std::ostream& os, const trace::Trace& trace,
     w.key("args").begin_object();
     if (rec.bytes > 0) w.field("bytes", rec.bytes);
     if (rec.kind == trace::EventKind::kCollective) {
-      LabelState& state = collectives.find(rec.label)->second;
-      const trace::CollectiveReport& report = state.report;
-      const std::size_t index = state.next_instance[rec.rank]++;
-      w.field("instance", static_cast<std::uint64_t>(index));
-      const bool delayed = index < report.instances.size() &&
-                           report.instances[index].delayed;
-      w.field("delayed", delayed);
-      if (delayed) {
+      const auto [report, inst] = instance_of[k];
+      w.field("instance", static_cast<std::uint64_t>(inst->index));
+      w.field("delayed", inst->delayed);
+      if (inst->delayed) {
         // Was this rank itself slow, or just held back by slower peers?
         w.field("rank_slow",
                 rec.duration() >
-                    options.delay_factor * report.median_duration);
+                    options.delay_factor * report->median_duration);
         // The viewer colors by cname; flagged instances stand out.
         w.end_object();
         w.field("cname", "terrible");

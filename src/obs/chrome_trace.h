@@ -22,7 +22,8 @@ namespace mb::obs {
 
 struct ChromeTraceOptions {
   /// A collective instance is flagged delayed when its duration exceeds
-  /// `delay_factor` x the median for its label (trace::analyze_collectives).
+  /// `delay_factor` x the median for its label
+  /// (trace::classify_collectives).
   double delay_factor = 2.0;
   /// When non-null, the profiler hierarchy is appended as its own
   /// process track ("profiler (aggregated)").

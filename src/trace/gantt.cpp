@@ -4,7 +4,6 @@
 #include <sstream>
 #include <vector>
 
-#include "stats/descriptive.h"
 #include "support/check.h"
 
 namespace mb::trace {
@@ -21,11 +20,14 @@ std::string render_gantt(const Trace& trace, const GanttOptions& options) {
 
   const std::uint32_t ranks = std::min(trace.ranks(), options.max_ranks);
 
-  // Median collective duration, for the delayed marker.
-  std::vector<double> coll;
-  for (const auto& r : trace.filter(EventKind::kCollective))
-    coll.push_back(r.duration());
-  const double median_coll = coll.empty() ? 0.0 : stats::median(coll);
+  // 'A' marks every record of an instance the Fig. 4 classifier calls
+  // delayed, at the factor `mbctl fig4` prints above the view, so a late
+  // rank whose own record is short is marked too.
+  std::vector<bool> delayed(trace.size(), false);
+  for (const auto& [label, report] : classify_collectives(trace, 2.0))
+    for (const CollectiveInstance& inst : report.instances)
+      if (inst.delayed)
+        for (const std::size_t k : inst.members) delayed[k] = true;
 
   // Priority of glyphs when several events share a bucket.
   auto priority = [](char c) {
@@ -42,7 +44,8 @@ std::string render_gantt(const Trace& trace, const GanttOptions& options) {
 
   std::vector<std::string> rows(ranks, std::string(options.width, '.'));
   std::size_t clipped = 0;  // events of shown ranks entirely outside [t0,t1]
-  for (const auto& rec : trace.records()) {
+  for (std::size_t k = 0; k < trace.size(); ++k) {
+    const Record& rec = trace.records()[k];
     if (rec.rank >= ranks) continue;
     if (rec.t1 <= t0 || rec.t0 >= t1) {
       ++clipped;
@@ -55,11 +58,7 @@ std::string render_gantt(const Trace& trace, const GanttOptions& options) {
       case EventKind::kRecv: glyph = 'r'; break;
       case EventKind::kWait: glyph = '.'; break;
       case EventKind::kFault: glyph = 'F'; break;
-      case EventKind::kCollective:
-        glyph = (median_coll > 0.0 && rec.duration() > 2.0 * median_coll)
-                    ? 'A'
-                    : 'a';
-        break;
+      case EventKind::kCollective: glyph = delayed[k] ? 'A' : 'a'; break;
     }
     const auto first = static_cast<std::int64_t>((rec.t0 - t0) / bucket);
     const auto last = static_cast<std::int64_t>((rec.t1 - t0) / bucket);

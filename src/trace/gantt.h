@@ -19,8 +19,9 @@ struct GanttOptions {
 
 /// Renders the trace as one timeline row per rank:
 ///   '#' compute   'a' collective (alltoallv etc.)   's'/'r' point-to-point
-///   'A' collective interval at least twice the trace-median duration
-///   '.' idle
+///   'A' collective record of an instance classify_collectives() calls
+///       delayed at factor 2 (every rank of it, the short ones too)
+///   'F' fault     '.' idle
 std::string render_gantt(const Trace& trace, const GanttOptions& options);
 
 }  // namespace mb::trace

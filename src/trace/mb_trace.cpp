@@ -1,10 +1,10 @@
 #include "trace/mb_trace.h"
 
+#include <bit>
 #include <cstring>
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <unordered_map>
 
 #include "support/check.h"
 #include "support/schema.h"
@@ -17,35 +17,25 @@ constexpr char kMagic[4] = {'M', 'B', 'T', 'R'};
 constexpr auto kVersion =
     static_cast<std::uint32_t>(support::kTraceSchema.version);
 
-void write_u8(std::ostream& os, std::uint8_t v) {
-  os.put(static_cast<char>(v));
+template <typename T>
+void put_le(char* out, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    out[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
 }
 
-void write_u32(std::ostream& os, std::uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i)
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  os.write(buf, 4);
+template <typename T>
+T get_le(const char* in) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    v |= static_cast<T>(static_cast<unsigned char>(in[i])) << (8 * i);
+  return v;
 }
 
-void write_u64(std::ostream& os, std::uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i)
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  os.write(buf, 8);
-}
-
-void write_f64(std::ostream& os, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  write_u64(os, bits);
-}
-
-void write_string(std::ostream& os, const std::string& s) {
-  support::check(s.size() <= std::numeric_limits<std::uint32_t>::max(),
-                 "write_mb_trace", "string too long");
-  write_u32(os, static_cast<std::uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
+template <typename T>
+void write_le(std::ostream& os, T v) {
+  char buf[sizeof(T)];
+  put_le(buf, v);
+  os.write(buf, sizeof(T));
 }
 
 void read_exact(std::istream& is, char* buf, std::size_t n) {
@@ -54,41 +44,22 @@ void read_exact(std::istream& is, char* buf, std::size_t n) {
                  "truncated file");
 }
 
-std::uint8_t read_u8(std::istream& is) {
-  char c = 0;
-  read_exact(is, &c, 1);
-  return static_cast<std::uint8_t>(c);
+template <typename T>
+T read_le(std::istream& is) {
+  char buf[sizeof(T)];
+  read_exact(is, buf, sizeof(T));
+  return get_le<T>(buf);
 }
 
-std::uint32_t read_u32(std::istream& is) {
-  char buf[4];
-  read_exact(is, buf, 4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf[i]))
-         << (8 * i);
-  return v;
-}
-
-std::uint64_t read_u64(std::istream& is) {
-  char buf[8];
-  read_exact(is, buf, 8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i]))
-         << (8 * i);
-  return v;
-}
-
-double read_f64(std::istream& is) {
-  const std::uint64_t bits = read_u64(is);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+void write_string(std::ostream& os, const std::string& s) {
+  support::check(s.size() <= std::numeric_limits<std::uint32_t>::max(),
+                 "write_mb_trace", "string too long");
+  write_le(os, static_cast<std::uint32_t>(s.size()));
+  os.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
 std::string read_string(std::istream& is, std::uint32_t max_len) {
-  const std::uint32_t len = read_u32(is);
+  const auto len = read_le<std::uint32_t>(is);
   if (len > max_len)
     support::fail("read_mb_trace",
                   "implausible string length " + std::to_string(len));
@@ -99,40 +70,63 @@ std::string read_string(std::istream& is, std::uint32_t max_len) {
 
 }  // namespace
 
+void write_record(std::ostream& os, const MbTraceRecord& r) {
+  char buf[kMbTraceRecordBytes];
+  put_le(buf, r.rank);
+  put_le(buf + 4, static_cast<std::uint8_t>(r.kind));
+  put_le(buf + 5, r.label_id);
+  put_le(buf + 9, r.bytes);
+  put_le(buf + 17, std::bit_cast<std::uint64_t>(r.t0));
+  put_le(buf + 25, std::bit_cast<std::uint64_t>(r.t1));
+  os.write(buf, sizeof(buf));
+}
+
+MbTraceRecord read_record(std::istream& is) {
+  char buf[kMbTraceRecordBytes];
+  read_exact(is, buf, sizeof(buf));
+  const auto kind = get_le<std::uint8_t>(buf + 4);
+  support::check(kind <= static_cast<std::uint8_t>(EventKind::kFault),
+                 "read_mb_trace", "unknown event kind in record");
+  return {get_le<std::uint32_t>(buf), static_cast<EventKind>(kind),
+          get_le<std::uint32_t>(buf + 5), get_le<std::uint64_t>(buf + 9),
+          std::bit_cast<double>(get_le<std::uint64_t>(buf + 17)),
+          std::bit_cast<double>(get_le<std::uint64_t>(buf + 25))};
+}
+
+std::uint32_t LabelTable::intern(const std::string& label) {
+  const auto [it, inserted] =
+      ids_.try_emplace(label, static_cast<std::uint32_t>(labels_.size()));
+  if (inserted) labels_.push_back(label);
+  return it->second;
+}
+
 MbTraceWriter::MbTraceWriter(std::ostream& os, const MbTraceMeta& meta,
                              const std::vector<std::string>& string_table,
                              std::uint64_t record_count)
     : os_(os), declared_(record_count) {
   os_.write(kMagic, 4);
-  write_u32(os_, kVersion);
+  write_le(os_, kVersion);
   write_string(os_, meta.tool_version);
-  write_u64(os_, meta.seed);
-  write_u32(os_, meta.total_ranks);
-  write_u64(os_, meta.dropped);
+  write_le(os_, meta.seed);
+  write_le(os_, meta.total_ranks);
+  write_le(os_, meta.dropped);
   support::check(
       meta.sampled_ranks.size() <= std::numeric_limits<std::uint32_t>::max(),
       "write_mb_trace", "too many sampled ranks");
-  write_u32(os_, static_cast<std::uint32_t>(meta.sampled_ranks.size()));
-  for (const std::uint32_t r : meta.sampled_ranks) write_u32(os_, r);
+  write_le(os_, static_cast<std::uint32_t>(meta.sampled_ranks.size()));
+  for (const std::uint32_t r : meta.sampled_ranks) write_le(os_, r);
   support::check(
       string_table.size() <= std::numeric_limits<std::uint32_t>::max(),
       "write_mb_trace", "label table too large");
-  write_u32(os_, static_cast<std::uint32_t>(string_table.size()));
+  write_le(os_, static_cast<std::uint32_t>(string_table.size()));
   for (const auto& s : string_table) write_string(os_, s);
-  write_u64(os_, record_count);
+  write_le(os_, record_count);
 }
 
-void MbTraceWriter::append(std::uint32_t rank, EventKind kind,
-                           std::uint32_t label_id, std::uint64_t bytes,
-                           double t0, double t1) {
+void MbTraceWriter::append(const MbTraceRecord& r) {
   support::check(written_ < declared_, "write_mb_trace",
                  "more records appended than declared");
-  write_u32(os_, rank);
-  write_u8(os_, static_cast<std::uint8_t>(kind));
-  write_u32(os_, label_id);
-  write_u64(os_, bytes);
-  write_f64(os_, t0);
-  write_f64(os_, t1);
+  write_record(os_, r);
   ++written_;
 }
 
@@ -146,20 +140,14 @@ void MbTraceWriter::finish() {
 
 void write_mb_trace(std::ostream& os, const Trace& trace,
                     const MbTraceMeta& meta) {
-  std::vector<std::string> table;
-  std::unordered_map<std::string, std::uint32_t> ids;
+  LabelTable table;
   std::vector<std::uint32_t> label_of(trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i)
+    label_of[i] = table.intern(trace.records()[i].label);
+  MbTraceWriter writer(os, meta, table.labels(), trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto& label = trace.records()[i].label;
-    auto [it, inserted] =
-        ids.emplace(label, static_cast<std::uint32_t>(table.size()));
-    if (inserted) table.push_back(label);
-    label_of[i] = it->second;
-  }
-  MbTraceWriter writer(os, meta, table, trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto& r = trace.records()[i];
-    writer.append(r.rank, r.kind, label_of[i], r.bytes, r.t0, r.t1);
+    const Record& r = trace.records()[i];
+    writer.append({r.rank, r.kind, label_of[i], r.bytes, r.t0, r.t1});
   }
   writer.finish();
 }
@@ -169,23 +157,26 @@ MbTraceFile read_mb_trace(std::istream& is) {
   read_exact(is, magic, 4);
   support::check(std::memcmp(magic, kMagic, 4) == 0, "read_mb_trace",
                  "not an mb-trace file (bad magic)");
-  const std::uint32_t version = read_u32(is);
+  const auto version = read_le<std::uint32_t>(is);
   support::check(version == kVersion, "read_mb_trace",
                  "unsupported mb-trace version " + std::to_string(version));
 
   MbTraceFile file;
   file.meta.tool_version = read_string(is, 1u << 10);
-  file.meta.seed = read_u64(is);
-  file.meta.total_ranks = read_u32(is);
-  file.meta.dropped = read_u64(is);
-  const std::uint32_t sampled = read_u32(is);
-  support::check(sampled <= (1u << 24), "read_mb_trace",
+  file.meta.seed = read_le<std::uint64_t>(is);
+  file.meta.total_ranks = read_le<std::uint32_t>(is);
+  support::check(file.meta.total_ranks <= kMaxTraceRanks, "read_mb_trace",
+                 "implausible total_ranks " +
+                     std::to_string(file.meta.total_ranks));
+  file.meta.dropped = read_le<std::uint64_t>(is);
+  const auto sampled = read_le<std::uint32_t>(is);
+  support::check(sampled <= kMaxTraceRanks, "read_mb_trace",
                  "implausible sampled-rank count");
   file.meta.sampled_ranks.reserve(sampled);
   for (std::uint32_t i = 0; i < sampled; ++i)
-    file.meta.sampled_ranks.push_back(read_u32(is));
+    file.meta.sampled_ranks.push_back(read_le<std::uint32_t>(is));
 
-  const std::uint32_t strings = read_u32(is);
+  const auto strings = read_le<std::uint32_t>(is);
   support::check(strings <= (1u << 24), "read_mb_trace",
                  "implausible label-table size");
   std::vector<std::string> table;
@@ -193,22 +184,20 @@ MbTraceFile read_mb_trace(std::istream& is) {
   for (std::uint32_t i = 0; i < strings; ++i)
     table.push_back(read_string(is, 1u << 16));
 
-  const std::uint64_t count = read_u64(is);
+  const std::uint32_t rank_limit =
+      file.meta.total_ranks > 0 ? file.meta.total_ranks : kMaxTraceRanks;
+  const auto count = read_le<std::uint64_t>(is);
   for (std::uint64_t i = 0; i < count; ++i) {
-    Record r;
-    r.rank = read_u32(is);
-    const std::uint8_t kind = read_u8(is);
-    support::check(kind <= static_cast<std::uint8_t>(EventKind::kFault),
-                   "read_mb_trace", "unknown event kind in record");
-    r.kind = static_cast<EventKind>(kind);
-    const std::uint32_t label_id = read_u32(is);
-    support::check(label_id < table.size(), "read_mb_trace",
+    const MbTraceRecord rec = read_record(is);
+    if (rec.rank >= rank_limit)
+      support::fail("read_mb_trace",
+                    "record " + std::to_string(i) + ": rank " +
+                        std::to_string(rec.rank) + " is not below " +
+                        std::to_string(rank_limit));
+    support::check(rec.label_id < table.size(), "read_mb_trace",
                    "label id out of range");
-    r.label = table[label_id];
-    r.bytes = read_u64(is);
-    r.t0 = read_f64(is);
-    r.t1 = read_f64(is);
-    file.trace.add(std::move(r));
+    file.trace.add({rec.rank, rec.t0, rec.t1, rec.kind, table[rec.label_id],
+                    rec.bytes});
   }
   if (!file.meta.tool_version.empty())
     file.trace.set_provenance(file.meta.tool_version, file.meta.seed);

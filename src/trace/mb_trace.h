@@ -25,16 +25,54 @@
 // Record order is preserved verbatim; the trace sink writes rank-major,
 // the same canonical order it drains in-memory traces in — so files are
 // byte-identical for any --sim-jobs.
+//
+// This module is the format's one codec: the little-endian helpers, the
+// record encoder and decoder, and the label interner serve the writer,
+// the reader, write_mb_trace() and the streaming sink's spill alike.
+// Readers accept ranks below kMaxTraceRanks only: total_ranks above it,
+// or a record whose rank is not below total_ranks (kMaxTraceRanks when
+// total_ranks is 0), is an error naming the record.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "trace/trace.h"
 
 namespace mb::trace {
+
+/// One record as the file lays it out: the label is an id into the
+/// file's label table.
+struct MbTraceRecord {
+  std::uint32_t rank = 0;
+  EventKind kind = EventKind::kCompute;
+  std::uint32_t label_id = 0;
+  std::uint64_t bytes = 0;
+  double t0 = 0.0;
+  double t1 = 0.0;
+};
+
+/// Encoded size of one record (u32 + u8 + u32 + u64 + f64 + f64).
+inline constexpr std::size_t kMbTraceRecordBytes = 33;
+
+void write_record(std::ostream& os, const MbTraceRecord& r);
+
+/// Throws support::Error on a short read or an unknown event kind.
+MbTraceRecord read_record(std::istream& is);
+
+/// Label interner: ids count up from 0 in first-intern order.
+class LabelTable {
+ public:
+  std::uint32_t intern(const std::string& label);
+  const std::vector<std::string>& labels() const { return labels_; }
+
+ private:
+  std::unordered_map<std::string, std::uint32_t> ids_;
+  std::vector<std::string> labels_;
+};
 
 struct MbTraceMeta {
   std::string tool_version;
@@ -54,8 +92,7 @@ class MbTraceWriter {
                 const std::vector<std::string>& string_table,
                 std::uint64_t record_count);
 
-  void append(std::uint32_t rank, EventKind kind, std::uint32_t label_id,
-              std::uint64_t bytes, double t0, double t1);
+  void append(const MbTraceRecord& r);
   void finish();
 
  private:
@@ -75,8 +112,8 @@ struct MbTraceFile {
 };
 
 /// Parses a file produced by write_mb_trace()/MbTraceWriter. Throws
-/// support::Error on bad magic, unsupported version or a truncated or
-/// corrupt body.
+/// support::Error on bad magic, unsupported version, a rank out of
+/// bounds or a truncated or corrupt body.
 MbTraceFile read_mb_trace(std::istream& is);
 
 /// True when the stream starts with the mb-trace magic. The stream

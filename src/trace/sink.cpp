@@ -2,71 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "support/check.h"
-#include "trace/mb_trace.h"
+#include "support/rng.h"
 
 namespace mb::trace {
-
-namespace {
-
-// SplitMix64: tiny, seedable, identical on every platform — exactly what
-// deterministic rank sampling needs (std::mt19937 + distributions are
-// not portable across standard libraries).
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-void put_u32(std::ostream& os, std::uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i)
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  os.write(buf, 4);
-}
-
-void put_u64(std::ostream& os, std::uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i)
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  os.write(buf, 8);
-}
-
-void get_exact(std::istream& is, char* buf, std::size_t n) {
-  is.read(buf, static_cast<std::streamsize>(n));
-  support::check(static_cast<std::size_t>(is.gcount()) == n, "StreamingSink",
-                 "truncated spill file");
-}
-
-std::uint32_t get_u32(std::istream& is) {
-  char buf[4];
-  get_exact(is, buf, 4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf[i]))
-         << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(std::istream& is) {
-  char buf[8];
-  get_exact(is, buf, 8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i]))
-         << (8 * i);
-  return v;
-}
-
-// One spilled record: kind, label id, bytes, raw t0/t1 bits.
-constexpr std::size_t kSpillRecordBytes = 1 + 4 + 8 + 8 + 8;
-
-}  // namespace
 
 std::uint32_t parse_event_kind_mask(std::string_view spec) {
   if (spec == "all") return kAllEventKinds;
@@ -95,7 +36,8 @@ std::vector<std::uint32_t> sample_ranks(std::uint32_t total,
   std::uint64_t state = seed ^ 0xD6E8FEB86659FD93ULL;
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t j =
-        i + static_cast<std::uint32_t>(splitmix64(state) % (total - i));
+        i + static_cast<std::uint32_t>(support::splitmix64(state) %
+                                       (total - i));
     std::swap(pool[i], pool[j]);
   }
   pool.resize(count);
@@ -167,45 +109,21 @@ void StreamingSink::emit(Record r) {
   }
   ring.slots.push_back(std::move(r));
   if (cap != 0 && !config_.spill_path.empty() && ring.slots.size() >= cap)
-    spill_ring(rank, ring);
+    spill_ring(ring);
 }
 
-void StreamingSink::spill_ring(std::uint32_t rank, RankRing& ring) {
+void StreamingSink::spill_ring(RankRing& ring) {
   if (ring.slots.empty()) return;
-  // Intern labels per rank (tables are tiny — a handful of phase names),
-  // then append one chunk under the spill lock. Per-rank chunk order in
-  // the temporary is emission order: emits for one rank never race, so
-  // the lock only serializes chunks of *different* ranks, whose relative
-  // order the canonicalizing close() pass discards anyway.
-  std::vector<std::uint32_t> label_ids(ring.slots.size());
-  for (std::size_t i = 0; i < ring.slots.size(); ++i) {
-    const std::string& label = ring.slots[i].label;
-    std::uint32_t id = kUnsampled;
-    for (std::uint32_t l = 0; l < ring.labels.size(); ++l)
-      if (ring.labels[l] == label) {
-        id = l;
-        break;
-      }
-    if (id == kUnsampled) {
-      id = static_cast<std::uint32_t>(ring.labels.size());
-      ring.labels.push_back(label);
-    }
-    label_ids[i] = id;
-  }
+  // Append one chunk under the spill lock, labels interned in the rank's
+  // own table. Per-rank chunk order in the temporary is emission order:
+  // emits for one rank never race, so the lock only serializes chunks of
+  // *different* ranks, whose relative order close() discards anyway.
   const std::lock_guard<std::mutex> lock(spill_mutex_);
-  put_u32(spill_tmp_, rank);
-  put_u32(spill_tmp_, static_cast<std::uint32_t>(ring.slots.size()));
-  for (std::size_t i = 0; i < ring.slots.size(); ++i) {
-    const Record& r = ring.slots[i];
-    spill_tmp_.put(static_cast<char>(r.kind));
-    put_u32(spill_tmp_, label_ids[i]);
-    put_u64(spill_tmp_, r.bytes);
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &r.t0, sizeof(bits));
-    put_u64(spill_tmp_, bits);
-    std::memcpy(&bits, &r.t1, sizeof(bits));
-    put_u64(spill_tmp_, bits);
-  }
+  ring.chunks.emplace_back(spilled_, ring.slots.size());
+  for (const Record& r : ring.slots)
+    write_record(spill_tmp_, {r.rank, r.kind, ring.labels.intern(r.label),
+                              r.bytes, r.t0, r.t1});
+  spilled_ += ring.slots.size();
   support::check(spill_tmp_.good(), "StreamingSink",
                  "spill write failed: " + spill_tmp_path_);
   ring.slots.clear();
@@ -219,94 +137,40 @@ void StreamingSink::close() {
 }
 
 void StreamingSink::finalize_spill() {
-  for (std::uint32_t slot = 0; slot < rings_.size(); ++slot)
-    spill_ring(sampled_[slot], rings_[slot]);
+  for (RankRing& ring : rings_) spill_ring(ring);
   spill_tmp_.close();
 
-  // Pass 1: index the chunks. Per rank they already sit in emission
-  // order; only the interleaving between ranks is timing-dependent.
-  struct Chunk {
-    std::uint64_t offset = 0;
-    std::uint32_t count = 0;
-  };
-  std::vector<std::vector<Chunk>> chunks(rings_.size());
-  std::vector<std::uint64_t> per_rank_records(rings_.size(), 0);
-  std::uint64_t total_records = 0;
-  {
-    std::ifstream in(spill_tmp_path_, std::ios::binary);
-    support::check(in.is_open(), "StreamingSink",
-                   "cannot reopen spill file " + spill_tmp_path_);
-    while (true) {
-      if (in.peek() == std::ifstream::traits_type::eof()) break;
-      const std::uint32_t rank = get_u32(in);
-      const std::uint32_t count = get_u32(in);
-      support::check(rank < rank_to_slot_.size() &&
-                         rank_to_slot_[rank] != kUnsampled,
-                     "StreamingSink", "corrupt spill chunk header");
-      const std::uint32_t slot = rank_to_slot_[rank];
-      const auto offset = static_cast<std::uint64_t>(in.tellg());
-      chunks[slot].push_back({offset, count});
-      per_rank_records[slot] += count;
-      total_records += count;
-      in.seekg(static_cast<std::streamoff>(count * kSpillRecordBytes),
-               std::ios::cur);
-    }
-  }
-
-  // Global label table: per-rank tables merged in ascending rank order —
-  // deterministic because each per-rank table is.
-  std::vector<std::string> table;
+  // The file's label table merges the per-rank tables in ascending rank
+  // order: first appearance in rank-major order, as write_mb_trace()
+  // builds it from a drained trace.
+  LabelTable table;
   std::vector<std::vector<std::uint32_t>> remap(rings_.size());
-  for (std::uint32_t slot = 0; slot < rings_.size(); ++slot) {
-    remap[slot].reserve(rings_[slot].labels.size());
-    for (const auto& label : rings_[slot].labels) {
-      std::uint32_t id = kUnsampled;
-      for (std::uint32_t g = 0; g < table.size(); ++g)
-        if (table[g] == label) {
-          id = g;
-          break;
-        }
-      if (id == kUnsampled) {
-        id = static_cast<std::uint32_t>(table.size());
-        table.push_back(label);
-      }
-      remap[slot].push_back(id);
-    }
-  }
+  for (std::size_t slot = 0; slot < rings_.size(); ++slot)
+    for (const std::string& label : rings_[slot].labels.labels())
+      remap[slot].push_back(table.intern(label));
 
-  // Pass 2: write the canonical rank-major mb-trace file.
+  // Copy each rank's chunks, in emission order, into the rank-major file.
   MbTraceMeta meta;
   meta.tool_version = config_.tool_version;
   meta.seed = config_.seed;
   meta.total_ranks = total_ranks_;
   meta.sampled_ranks = sampled_;
-  meta.dropped = 0;
   std::ofstream out(config_.spill_path, std::ios::binary | std::ios::trunc);
   support::check(out.is_open(), "StreamingSink",
                  "cannot open output file " + config_.spill_path);
-  MbTraceWriter writer(out, meta, table, total_records);
+  MbTraceWriter writer(out, meta, table.labels(), spilled_);
   std::ifstream in(spill_tmp_path_, std::ios::binary);
   support::check(in.is_open(), "StreamingSink",
                  "cannot reopen spill file " + spill_tmp_path_);
-  for (std::uint32_t slot = 0; slot < rings_.size(); ++slot) {
-    for (const Chunk& chunk : chunks[slot]) {
-      in.clear();
-      in.seekg(static_cast<std::streamoff>(chunk.offset));
-      for (std::uint32_t i = 0; i < chunk.count; ++i) {
-        char kind_ch = 0;
-        get_exact(in, &kind_ch, 1);
-        const std::uint32_t label_id = get_u32(in);
-        const std::uint64_t bytes = get_u64(in);
-        const std::uint64_t t0_bits = get_u64(in);
-        const std::uint64_t t1_bits = get_u64(in);
-        double t0 = 0.0;
-        double t1 = 0.0;
-        std::memcpy(&t0, &t0_bits, sizeof(t0));
-        std::memcpy(&t1, &t1_bits, sizeof(t1));
-        support::check(label_id < remap[slot].size(), "StreamingSink",
+  for (std::size_t slot = 0; slot < rings_.size(); ++slot) {
+    for (const auto& [first, count] : rings_[slot].chunks) {
+      in.seekg(static_cast<std::streamoff>(first * kMbTraceRecordBytes));
+      for (std::uint64_t i = 0; i < count; ++i) {
+        MbTraceRecord r = read_record(in);
+        support::check(r.label_id < remap[slot].size(), "StreamingSink",
                        "corrupt spill record");
-        writer.append(sampled_[slot], static_cast<EventKind>(kind_ch),
-                      remap[slot][label_id], bytes, t0, t1);
+        r.label_id = remap[slot][r.label_id];
+        writer.append(r);
       }
     }
   }

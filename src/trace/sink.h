@@ -7,15 +7,22 @@
 // bound it to O(sampled_ranks × ring_capacity) regardless of run length.
 // The sink drains rank-major, so in-memory traces and spilled files are
 // byte-identical for any --sim-jobs.
+//
+// A full ring spills as one chunk of mb-trace records (mb_trace.h's
+// codec, labels interned per rank) into `<path>.tmp`, and the sink notes
+// the chunk's place. close() copies each rank's chunks in rank order
+// into the final file in one read of the temporary; the file is the
+// bytes write_mb_trace() writes for the drained trace.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "trace/trace.h"
+#include "trace/mb_trace.h"
 
 namespace mb::trace {
 
@@ -112,10 +119,12 @@ class StreamingSink {
     bool wrapped = false;
     std::uint64_t emitted = 0;
     std::uint64_t dropped = 0;
-    std::vector<std::string> labels;  ///< spill-mode label intern table
+    LabelTable labels;  ///< spill mode: ids of this rank's spilled records
+    /// Spill mode: (first record, record count) of each spilled chunk.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> chunks;
   };
 
-  void spill_ring(std::uint32_t rank, RankRing& ring);
+  void spill_ring(RankRing& ring);
   void finalize_spill();
 
   SinkConfig config_;
@@ -126,6 +135,7 @@ class StreamingSink {
   std::ofstream spill_tmp_;
   std::string spill_tmp_path_;
   std::mutex spill_mutex_;
+  std::uint64_t spilled_ = 0;  ///< records in the temporary; spill_mutex_
   bool closed_ = false;
 
   static constexpr std::uint32_t kUnsampled = 0xFFFFFFFFu;

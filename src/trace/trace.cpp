@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
-#include <map>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -111,7 +111,11 @@ std::uint64_t parse_u64_field(std::string_view field, std::size_t line_no) {
     if (c < '0' || c > '9')
       fail_at_line(line_no,
                    "non-numeric field '" + std::string(field) + "'");
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
+      fail_at_line(line_no, "numeric field '" + std::string(field) +
+                                "' overflows 64 bits");
+    value = value * 10 + digit;
   }
   return value;
 }
@@ -160,8 +164,11 @@ Trace parse_paraver(std::istream& is) {
       fail_at_line(line_no, "too few fields");
 
     Record r;
-    r.rank = static_cast<std::uint32_t>(
-        parse_u64_field(view.substr(0, c1), line_no));
+    const std::uint64_t rank = parse_u64_field(view.substr(0, c1), line_no);
+    if (rank >= kMaxTraceRanks)
+      fail_at_line(line_no, "rank " + std::to_string(rank) +
+                                " is not below 2^24");
+    r.rank = static_cast<std::uint32_t>(rank);
     r.kind = parse_event_kind(view.substr(c1 + 1, c2 - c1 - 1));
     r.label = std::string(view.substr(c2 + 1, c3 - c2 - 1));
     r.t0 = static_cast<double>(
@@ -182,55 +189,65 @@ Trace parse_paraver(std::string_view text) {
   return parse_paraver(is);
 }
 
+std::map<std::string, CollectiveReport, std::less<>> classify_collectives(
+    const Trace& trace, double delay_factor) {
+  support::check(delay_factor > 1.0, "classify_collectives",
+                 "delay_factor must exceed 1");
+  // Each label's records per rank, in trace order: the i-th of a rank
+  // belongs to instance i.
+  const std::vector<Record>& records = trace.records();
+  std::map<std::string_view, std::map<std::uint32_t, std::vector<std::size_t>>>
+      groups;
+  for (std::size_t k = 0; k < records.size(); ++k)
+    if (records[k].kind == EventKind::kCollective)
+      groups[records[k].label][records[k].rank].push_back(k);
+
+  std::map<std::string, CollectiveReport, std::less<>> reports;
+  for (const auto& [label, per_rank] : groups) {
+    CollectiveReport& report = reports[std::string(label)];
+    std::size_t instances = 0;
+    for (const auto& [rank, recs] : per_rank)
+      instances = std::max(instances, recs.size());
+    report.instances.resize(instances);
+    std::vector<double> durations;
+    durations.reserve(instances);
+    for (std::size_t i = 0; i < instances; ++i) {
+      CollectiveInstance& inst = report.instances[i];
+      inst.index = i;
+      inst.start = 1e300;
+      for (const auto& [rank, recs] : per_rank) {
+        if (i >= recs.size()) continue;
+        const Record& r = records[recs[i]];
+        inst.start = std::min(inst.start, r.t0);
+        inst.duration = std::max(inst.duration, r.duration());
+        inst.members.push_back(recs[i]);
+      }
+      durations.push_back(inst.duration);
+    }
+
+    report.median_duration = stats::median(durations);
+    const double threshold = delay_factor * report.median_duration;
+    for (auto& inst : report.instances) {
+      inst.delayed = inst.duration > threshold;
+      if (!inst.delayed) continue;
+      ++report.delayed_count;
+      // Count ranks whose own interval exceeded the threshold in this
+      // instance (partial delays: only some ranks suffer).
+      for (const std::size_t k : inst.members)
+        if (records[k].duration() > threshold) ++inst.slow_ranks;
+      if (inst.slow_ranks > 0 && inst.slow_ranks < per_rank.size())
+        report.has_partial_delays = true;
+    }
+  }
+  return reports;
+}
+
 CollectiveReport analyze_collectives(const Trace& trace,
                                      std::string_view label,
                                      double delay_factor) {
-  support::check(delay_factor > 1.0, "analyze_collectives",
-                 "delay_factor must exceed 1");
-  // Group the i-th collective occurrence of each rank into instance i.
-  std::map<std::uint32_t, std::vector<const Record*>> per_rank;
-  for (const auto& r : trace.records())
-    if (r.kind == EventKind::kCollective && (label.empty() || r.label == label))
-      per_rank[r.rank].push_back(&r);
-
-  CollectiveReport report;
-  if (per_rank.empty()) return report;
-
-  std::size_t instances = 0;
-  for (const auto& [rank, recs] : per_rank)
-    instances = std::max(instances, recs.size());
-
-  std::vector<double> durations;
-  for (std::size_t i = 0; i < instances; ++i) {
-    CollectiveInstance inst;
-    inst.index = i;
-    inst.start = 1e300;
-    for (const auto& [rank, recs] : per_rank) {
-      if (i >= recs.size()) continue;
-      inst.start = std::min(inst.start, recs[i]->t0);
-      inst.duration = std::max(inst.duration, recs[i]->duration());
-    }
-    durations.push_back(inst.duration);
-    report.instances.push_back(inst);
-  }
-
-  report.median_duration = stats::median(durations);
-  const double threshold = delay_factor * report.median_duration;
-  for (auto& inst : report.instances) {
-    inst.delayed = inst.duration > threshold;
-    if (!inst.delayed) continue;
-    ++report.delayed_count;
-    // Count ranks whose own interval exceeded the threshold in this
-    // instance (partial delays: only some ranks suffer).
-    for (const auto& [rank, recs] : per_rank) {
-      if (inst.index < recs.size() &&
-          recs[inst.index]->duration() > threshold)
-        ++inst.slow_ranks;
-    }
-    if (inst.slow_ranks > 0 && inst.slow_ranks < per_rank.size())
-      report.has_partial_delays = true;
-  }
-  return report;
+  auto reports = classify_collectives(trace, delay_factor);
+  const auto it = reports.find(label);
+  return it == reports.end() ? CollectiveReport{} : std::move(it->second);
 }
 
 }  // namespace mb::trace

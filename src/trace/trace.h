@@ -5,10 +5,16 @@
 // "sometimes delayed" on Tibidabo. This module records the same kind of
 // per-rank interval events from the MPI runtime, exports a Paraver-like
 // text format, and classifies collective instances as normal vs delayed.
+//
+// classify_collectives() is the one place that decides which records
+// form a collective instance and which instances are delayed; the
+// timeline analysis, the Chrome export and the Gantt view all read its
+// index instead of regrouping the trace.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -80,15 +86,21 @@ class Trace {
   std::uint64_t seed_ = 0;
 };
 
+/// Rank ids the trace readers accept are below this bound, so a hostile
+/// file cannot make per-rank tables wrap or exhaust memory.
+inline constexpr std::uint32_t kMaxTraceRanks = 1u << 24;
+
 /// Parses a dump produced by Trace::write_paraver(). Lines starting with
 /// '#' and blank lines are ignored. Labels may themselves contain ':'
 /// (the rank/kind prefix and the three numeric suffix fields anchor the
-/// split). Throws support::Error on malformed records.
+/// split). Throws support::Error naming the line on a malformed record,
+/// a numeric field that overflows 64 bits or a rank of kMaxTraceRanks
+/// or more.
 Trace parse_paraver(std::istream& is);
 Trace parse_paraver(std::string_view text);
 
 /// Per-instance analysis of one collective operation across ranks:
-/// an *instance* is the i-th occurrence of the collective on each rank;
+/// an *instance* is the i-th record with that exact label on each rank;
 /// its duration is the slowest rank's interval (collectives complete
 /// together).
 struct CollectiveInstance {
@@ -97,6 +109,9 @@ struct CollectiveInstance {
   double duration = 0.0;  ///< max over ranks
   bool delayed = false;
   std::uint32_t slow_ranks = 0;  ///< ranks whose own interval was delayed
+  /// The instance's records: indices into Trace::records(), ascending
+  /// rank order.
+  std::vector<std::size_t> members;
 };
 
 struct CollectiveReport {
@@ -108,8 +123,16 @@ struct CollectiveReport {
   bool has_partial_delays = false;
 };
 
-/// Groups collective records by occurrence order per rank and flags
-/// instances whose duration exceeds `delay_factor` x median.
+/// The Fig. 4 instance index: groups every collective record once, by
+/// exact label (the empty label is a label too) and by occurrence order
+/// per rank, and flags instances whose duration exceeds `delay_factor` x
+/// the label's median. One report per label, labels ascending. Throws
+/// support::Error unless delay_factor > 1.
+std::map<std::string, CollectiveReport, std::less<>> classify_collectives(
+    const Trace& trace, double delay_factor = 2.0);
+
+/// classify_collectives()'s report for one label (empty when the trace
+/// has no collective with that label).
 CollectiveReport analyze_collectives(const Trace& trace,
                                      std::string_view label,
                                      double delay_factor = 2.0);

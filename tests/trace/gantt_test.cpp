@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "support/check.h"
 
@@ -50,6 +51,59 @@ TEST(Gantt, DelayedCollectiveGetsCapitalA) {
   const std::string g = render_gantt(t, opt);
   EXPECT_NE(g.find('A'), std::string::npos);
   EXPECT_NE(g.find('a'), std::string::npos);
+}
+
+/// The rank rows of a rendering, without the legend and footers.
+std::vector<std::string> rows(const std::string& gantt) {
+  std::vector<std::string> out;
+  std::istringstream lines(gantt);
+  std::string line;
+  while (std::getline(lines, line))
+    if (line.find(" |") != std::string::npos)
+      out.push_back(line.substr(line.find('|')));
+  return out;
+}
+
+TEST(Gantt, EachLabelIsJudgedAgainstItsOwnMedian) {
+  // Many short allreduces and a few long alltoallvs, each label uniform:
+  // the Fig. 4 classifier delays nothing, so no row may show 'A'.
+  Trace t;
+  for (std::uint32_t rank = 0; rank < 2; ++rank) {
+    for (int i = 0; i < 20; ++i)
+      t.add(rec(rank, i, i + 0.05, EventKind::kCollective, "allreduce"));
+    for (int i = 0; i < 5; ++i)
+      t.add(rec(rank, 20 + 2 * i, 20 + 2 * i + 0.5, EventKind::kCollective,
+                "alltoallv"));
+  }
+  GanttOptions opt;
+  opt.width = 60;
+  for (const std::string& row : rows(render_gantt(t, opt))) {
+    EXPECT_EQ(row.find('A'), std::string::npos) << row;
+    EXPECT_NE(row.find('a'), std::string::npos) << row;
+  }
+}
+
+TEST(Gantt, EveryRankOfADelayedInstanceGetsCapitalA) {
+  // Instance 3 is delayed: ranks 0 and 1 wait a full second for rank 2,
+  // whose own record is as short as a normal instance. The whole
+  // instance is marked, the late rank included.
+  Trace t;
+  for (std::uint32_t rank = 0; rank < 3; ++rank) {
+    for (int i = 0; i < 6; ++i) {
+      const double base = 2.0 * i;
+      const double enter = (i == 3 && rank == 2) ? base + 0.9 : base;
+      const double leave = i == 3 ? base + 1.0 : base + 0.1;
+      t.add(rec(rank, enter, leave, EventKind::kCollective, "a2a"));
+    }
+  }
+  GanttOptions opt;
+  opt.width = 101;
+  const std::vector<std::string> shown = rows(render_gantt(t, opt));
+  ASSERT_EQ(shown.size(), 3u);
+  for (const std::string& row : shown) {
+    EXPECT_NE(row.find('A'), std::string::npos) << row;
+    EXPECT_NE(row.find('a'), std::string::npos) << row;  // the others
+  }
 }
 
 TEST(Gantt, WindowClipsEvents) {

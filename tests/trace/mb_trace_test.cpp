@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <fstream>
 #include <sstream>
 
 #include "support/check.h"
@@ -127,6 +129,83 @@ TEST(MbTrace, RejectsCorruptInput) {
     std::istringstream is(std::string{}, std::ios::binary);
     EXPECT_THROW(read_mb_trace(is), support::Error);
   }
+}
+
+std::string read_error(std::istream& is) {
+  try {
+    read_mb_trace(is);
+  } catch (const support::Error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+std::string one_record_file(std::uint32_t total_ranks, std::uint32_t rank) {
+  Trace t;
+  Record r;
+  r.rank = rank;
+  r.t1 = 1.0;
+  t.add(r);
+  MbTraceMeta meta;
+  meta.total_ranks = total_ranks;
+  std::ostringstream os(std::ios::binary);
+  write_mb_trace(os, t, meta);
+  return os.str();
+}
+
+TEST(MbTrace, RejectsRanksOutOfBoundsNamingTheRecord) {
+  {  // checked-in file: the header says 2 ranks, the record says 2^32 - 1
+    std::ifstream in(std::string(MB_TRACE_FIXTURES) + "/rank_beyond_header.mbt",
+                     std::ios::binary);
+    ASSERT_TRUE(in.good());
+    EXPECT_NE(read_error(in).find("record 0: rank 4294967295 is not below 2"),
+              std::string::npos);
+  }
+  {
+    std::istringstream is(one_record_file(4, 4), std::ios::binary);
+    EXPECT_NE(read_error(is).find("record 0: rank 4 is not below 4"),
+              std::string::npos);
+  }
+  {  // total_ranks 0 (unknown) bounds ranks by 2^24
+    std::istringstream ok(one_record_file(0, (1u << 24) - 1),
+                          std::ios::binary);
+    EXPECT_EQ(read_mb_trace(ok).trace.records()[0].rank, (1u << 24) - 1);
+    std::istringstream bad(one_record_file(0, 1u << 24), std::ios::binary);
+    EXPECT_NE(read_error(bad).find("record 0: rank 16777216 is not below "
+                                   "16777216"),
+              std::string::npos);
+  }
+  {
+    std::istringstream is(one_record_file((1u << 24) + 1, 0),
+                          std::ios::binary);
+    EXPECT_NE(read_error(is).find("implausible total_ranks 16777217"),
+              std::string::npos);
+  }
+}
+
+TEST(MbTrace, RecordCodecRoundTripsEveryField) {
+  const MbTraceRecord r{0xDEADBEEF, EventKind::kWait, 0x01020304,
+                        0xFFFFFFFFFFFFFFFF, -0.0, 1e300};
+  std::ostringstream os(std::ios::binary);
+  write_record(os, r);
+  ASSERT_EQ(os.str().size(), kMbTraceRecordBytes);
+  std::istringstream is(os.str(), std::ios::binary);
+  const MbTraceRecord back = read_record(is);
+  EXPECT_EQ(back.rank, r.rank);
+  EXPECT_EQ(back.kind, r.kind);
+  EXPECT_EQ(back.label_id, r.label_id);
+  EXPECT_EQ(back.bytes, r.bytes);
+  EXPECT_TRUE(std::signbit(back.t0));
+  EXPECT_EQ(back.t1, r.t1);
+}
+
+TEST(MbTrace, LabelTableKeepsFirstInternOrder) {
+  LabelTable table;
+  EXPECT_EQ(table.intern("b"), 0u);
+  EXPECT_EQ(table.intern("a"), 1u);
+  EXPECT_EQ(table.intern("b"), 0u);
+  EXPECT_EQ(table.intern(""), 2u);
+  EXPECT_EQ(table.labels(), (std::vector<std::string>{"b", "a", ""}));
 }
 
 }  // namespace

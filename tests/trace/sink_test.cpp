@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "support/check.h"
+#include "support/rng.h"
 #include "trace/mb_trace.h"
 
 namespace mb::trace {
@@ -178,6 +180,78 @@ TEST(StreamingSink, SpillWritesCanonicalMbTrace) {
   EXPECT_EQ(file.trace.records()[5].label, "r1-0");
   EXPECT_EQ(file.trace.records()[9].label, "r1-4");
   EXPECT_EQ(file.trace.records()[0].bytes, 64u);
+  std::remove(path.c_str());
+}
+
+// The spill and write_mb_trace are two writers of one format: for the
+// same emissions and meta they must produce the same bytes. Labels are
+// shared across ranks but first appear in a different order on each
+// rank, so the spill's label table must come out in rank-major
+// first-appearance order, as the one-shot writer builds it.
+TEST(StreamingSink, SpillByteEqualsWriterOfUnboundedDrain) {
+  const std::string path = ::testing::TempDir() + "sink_identity.mbt";
+  const std::vector<std::string> pool = {"alltoallv", "compute", "halo",
+                                         "allreduce", "x:y"};
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    support::Rng rng(seed);
+    const auto ranks = static_cast<std::uint32_t>(2 + rng.index(8));
+    SinkConfig config;
+    config.seed = 1000 + seed;
+    config.tool_version = "9.8.7";
+    if (seed % 2 == 1)
+      config.sample_count = static_cast<std::uint32_t>(1 + rng.index(ranks));
+    std::vector<std::vector<std::string>> order(ranks, pool);
+    for (auto& labels : order) std::shuffle(labels.begin(), labels.end(), rng);
+    std::vector<Record> emissions;
+    std::vector<double> clock(ranks, 0.0);
+    const std::size_t count = 10 + rng.index(60);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto rank = static_cast<std::uint32_t>(rng.index(ranks));
+      // Mostly the rank's next label in its own order, sometimes any.
+      const std::size_t pick = rng.bernoulli(0.7)
+                                   ? std::min<std::size_t>(i / ranks, 4)
+                                   : rng.index(pool.size());
+      const double t0 = clock[rank] + rng.uniform(0.0, 1e-3);
+      const double t1 = t0 + rng.uniform(0.0, 1e-2);
+      clock[rank] = t1;
+      emissions.push_back(rec(rank, t0, t1,
+                              static_cast<EventKind>(rng.index(6)),
+                              order[rank][pick], rng.index(1 << 20)));
+    }
+
+    SinkConfig unbounded = config;
+    unbounded.ring_capacity = 0;
+    StreamingSink memory(ranks, unbounded);
+    SinkConfig spilled = config;
+    spilled.ring_capacity = static_cast<std::uint32_t>(1 + rng.index(7));
+    spilled.spill_path = path;
+    {
+      StreamingSink sink(ranks, spilled);
+      for (const Record& r : emissions) {
+        sink.emit(r);
+        memory.emit(r);
+      }
+      sink.close();
+    }
+    memory.close();
+    Trace drained;
+    memory.drain(drained);
+    MbTraceMeta meta;
+    meta.tool_version = config.tool_version;
+    meta.seed = config.seed;
+    meta.total_ranks = ranks;
+    meta.sampled_ranks = memory.sampled_ranks();
+    std::ostringstream want(std::ios::binary);
+    write_mb_trace(want, drained, meta);
+
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.good()) << "seed " << seed;
+    std::ostringstream got(std::ios::binary);
+    got << in.rdbuf();
+    EXPECT_EQ(got.str(), want.str())
+        << "seed " << seed << ", " << ranks << " ranks, ring "
+        << spilled.ring_capacity;
+  }
   std::remove(path.c_str());
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 #include "support/check.h"
@@ -173,6 +174,37 @@ TEST(Trace, ParseParaverRejectsMalformedLines) {
   EXPECT_THROW(parse_paraver("0:compute:x:5:1:0\n"), support::Error);   // t1 < t0
   EXPECT_THROW(parse_paraver("0:compute:x:a:1:0\n"), support::Error);   // non-digit
   EXPECT_THROW(parse_paraver("-1:compute:x:0:1:0\n"), support::Error);  // sign
+}
+
+// Checked-in two-line dumps whose rank or bytes field used to crash,
+// hang or silently wrap in the readers' consumers.
+TEST(Trace, ParseParaverRejectsHostileNumbersNamingTheLine) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"rank_u32_max.prv", "line 2: rank 4294967295 is not below 2^24"},
+      {"rank_u32_max_collective.prv",
+       "line 2: rank 4294967295 is not below 2^24"},
+      {"rank_below_u32_max.prv", "line 2: rank 4294967294 is not below 2^24"},
+      {"rank_wraps_u32.prv", "line 2: rank 4294967297 is not below 2^24"},
+      {"bytes_overflow_u64.prv",
+       "line 2: numeric field '18446744073709551617' overflows 64 bits"},
+  };
+  for (const auto& [file, want] : cases) {
+    std::ifstream in(std::string(MB_TRACE_FIXTURES) + "/" + file);
+    ASSERT_TRUE(in.good()) << file;
+    try {
+      parse_paraver(in);
+      ADD_FAILURE() << file << " parsed";
+    } catch (const support::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << file << ": " << e.what();
+    }
+  }
+  // The bounds themselves: the largest rank and the largest u64 parse.
+  const Trace t =
+      parse_paraver("16777215:send:x:0:1:18446744073709551615\n");
+  EXPECT_EQ(t.records()[0].rank, 16777215u);
+  EXPECT_EQ(t.records()[0].bytes, 18446744073709551615u);
+  EXPECT_THROW(parse_paraver("16777216:send:x:0:1:0\n"), support::Error);
 }
 
 TEST(Trace, ParseEventKindInvertsNames) {

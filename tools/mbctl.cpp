@@ -327,16 +327,17 @@ mb::arch::Platform resolve_platform(const std::string& spec) {
 }
 
 /// Reads a trace file, sniffing the format: mb-trace v1 (binary) or the
-/// Paraver text dump. Returns the capture-time drop count (mb-trace only).
-std::uint64_t load_trace(const std::string& path, mb::trace::Trace& trace) {
+/// Paraver text dump. Returns the mb-trace header; nullopt for Paraver.
+std::optional<mb::trace::MbTraceMeta> load_trace(const std::string& path,
+                                                 mb::trace::Trace& trace) {
   std::ifstream in = open_input(path, "trace", std::ios::binary);
   if (mb::trace::is_mb_trace(in)) {
     mb::trace::MbTraceFile file = mb::trace::read_mb_trace(in);
     trace = std::move(file.trace);
-    return file.meta.dropped;
+    return std::move(file.meta);
   }
   trace = mb::trace::parse_paraver(in);
-  return 0;
+  return std::nullopt;
 }
 
 /// The --faults plan; nullopt when the flag is absent.
@@ -1413,10 +1414,10 @@ int cmd_trace_export(const Args& /*args*/, const Options& opts) {
   }
 
   mb::trace::Trace trace;
-  std::uint64_t dropped = 0;
+  std::optional<mb::trace::MbTraceMeta> header;
   if (opts.has("input")) {
     mb::obs::ScopedSpan span(mb::obs::profiler(), "trace-export/parse");
-    dropped = load_trace(opts.get_str("input", ""), trace);
+    header = load_trace(opts.get_str("input", ""), trace);
   } else {
     auto result = run_fig4_scenario(opts);
     write_timeseries_artifact(opts, result.timeseries,
@@ -1431,14 +1432,19 @@ int cmd_trace_export(const Args& /*args*/, const Options& opts) {
       copt.delay_factor = opts.get_f64("delay-factor", 2.0);
       mb::obs::write_chrome_trace(os, trace, copt);
     } else if (format == "mb-trace") {
+      // An mb-trace input keeps its header, so mb-trace -> mb-trace
+      // reproduces the file.
       mb::trace::MbTraceMeta meta;
-      meta.tool_version = trace.has_provenance()
-                              ? trace.tool_version()
-                              : std::string(mb::support::version());
-      meta.seed =
-          trace.has_provenance() ? trace.seed() : effective_seed(opts, 1);
-      meta.total_ranks = trace.ranks();
-      meta.dropped = dropped;
+      if (header) {
+        meta = *header;
+      } else {
+        meta.tool_version = trace.has_provenance()
+                                ? trace.tool_version()
+                                : std::string(mb::support::version());
+        meta.seed =
+            trace.has_provenance() ? trace.seed() : effective_seed(opts, 1);
+        meta.total_ranks = trace.ranks();
+      }
       mb::trace::write_mb_trace(os, trace, meta);
     } else {
       trace.write_paraver(os);
@@ -1471,7 +1477,8 @@ int cmd_analyze(const Args& /*args*/, const Options& opts) {
   std::uint64_t dropped = 0;
   if (opts.has("trace")) {
     mb::obs::ScopedSpan span(mb::obs::profiler(), "analyze/parse");
-    dropped = load_trace(opts.get_str("trace", ""), trace);
+    if (const auto header = load_trace(opts.get_str("trace", ""), trace))
+      dropped = header->dropped;
   } else {
     auto result = run_fig4_scenario(opts);
     write_timeseries_artifact(opts, result.timeseries,
