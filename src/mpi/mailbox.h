@@ -4,15 +4,16 @@
 // times.
 //
 // Open addressing replaced the std::map mailboxes that dominated the
-// matching path at scale. Keys live in their own dense array, so a probe
-// touches 8-byte entries, not the fat payload slots, and the table stays
-// cache-resident at thousands of keys per rank. A drained key keeps its
-// slot until the table fills: matching is then a probe plus a head-index
-// bump, and the key's vector keeps its capacity for the next burst.
-// grow() re-inserts only the keys that still hold messages and doubles
-// the table only when those fill more than a quarter of it. Collective
-// tags are unique per instance, so the table is bounded by live keys,
-// not by every (source, tag) ever seen.
+// matching path at scale. Each probe entry is a 16-byte {key, head, tail}:
+// the key and the ends of that key's FIFO, a singly linked list threaded
+// through one node array {value, next} that every key shares. Freed nodes
+// go on a free list, so a mailbox allocates nothing per key and, in steady
+// state, nothing per message. A drained key keeps its entry until the
+// table fills: matching is then a probe plus an unlink. grow() re-inserts
+// only the keys that still hold messages (their lists move with them; the
+// nodes stay put) and doubles the table only when those fill more than a
+// quarter of it. Collective tags are unique per instance, so the table is
+// bounded by live keys, not by every (source, tag) ever seen.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "support/check.h"
 #include "support/rng.h"
 
 namespace mb::mpi {
@@ -30,27 +32,32 @@ template <class T>
 class Mailbox {
  public:
   void push(std::uint32_t src, std::int32_t tag, T value) {
-    if ((used_ + 1) * 2 > keys_.size()) grow();
+    if ((used_ + 1) * 2 > table_.size()) grow();
     const std::uint64_t k = key(src, tag);
-    const std::size_t i = locate(k);
-    if (keys_[i] == kEmpty) {
-      keys_[i] = k;
+    Entry& e = table_[locate(k)];
+    if (e.key == kEmpty) {
+      e.key = k;
       ++used_;
     }
-    slots_[i].fifo.push_back(std::move(value));
+    const std::uint32_t n = take_node(std::move(value));
+    if (e.head == kNil) {
+      e.head = n;
+    } else {
+      nodes_[e.tail].next = n;
+    }
+    e.tail = n;
   }
 
   /// False when no message matches; otherwise pops the oldest.
   bool pop(std::uint32_t src, std::int32_t tag, T& value) {
-    if (keys_.empty()) return false;
-    const std::size_t i = locate(key(src, tag));
-    Slot& slot = slots_[i];
-    if (keys_[i] == kEmpty || slot.head == slot.fifo.size()) return false;
-    value = std::move(slot.fifo[slot.head++]);
-    if (slot.head == slot.fifo.size()) {
-      slot.fifo.clear();  // keeps capacity for the next burst
-      slot.head = 0;
-    }
+    if (table_.empty()) return false;
+    Entry& e = table_[locate(key(src, tag))];
+    if (e.head == kNil) return false;  // free entries have no list either
+    const std::uint32_t n = e.head;
+    value = std::move(nodes_[n].value);
+    e.head = nodes_[n].next;
+    nodes_[n].next = free_;
+    free_ = n;
     return true;
   }
 
@@ -58,11 +65,10 @@ class Mailbox {
   /// then signed tag, then arrival.
   std::vector<std::tuple<std::uint32_t, std::int32_t, T>> leftovers() const {
     std::vector<std::tuple<std::uint32_t, std::int32_t, T>> out;
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      for (std::size_t j = slots_[i].head; j < slots_[i].fifo.size(); ++j)
-        out.emplace_back(static_cast<std::uint32_t>(keys_[i] >> 32),
-                         static_cast<std::int32_t>(keys_[i]),
-                         slots_[i].fifo[j]);
+    for (const Entry& e : table_) {
+      for (std::uint32_t n = e.head; n != kNil; n = nodes_[n].next)
+        out.emplace_back(static_cast<std::uint32_t>(e.key >> 32),
+                         static_cast<std::int32_t>(e.key), nodes_[n].value);
     }
     std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
       return std::tie(std::get<0>(a), std::get<1>(a)) <
@@ -71,15 +77,22 @@ class Mailbox {
     return out;
   }
 
-  /// Slots in the probe table.
-  std::size_t capacity() const { return keys_.size(); }
+  /// Entries in the probe table.
+  std::size_t capacity() const { return table_.size(); }
 
  private:
   /// (src=~0, tag=-1) is not a reachable key: ranks are dense indices.
   static constexpr std::uint64_t kEmpty = ~0ull;
-  struct Slot {
-    std::size_t head = 0;
-    std::vector<T> fifo;
+  static constexpr std::uint32_t kNil = ~0u;  ///< end of a node list
+  /// A probe-table entry; `tail` is meaningful only while `head` is not kNil.
+  struct Entry {
+    std::uint64_t key = kEmpty;
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+  struct Node {
+    T value;
+    std::uint32_t next;
   };
 
   static std::uint64_t key(std::uint32_t src, std::int32_t tag) {
@@ -88,34 +101,42 @@ class Mailbox {
   }
 
   std::size_t locate(std::uint64_t k) const {
-    const std::size_t mask = keys_.size() - 1;
+    const std::size_t mask = table_.size() - 1;
     std::uint64_t h = k;  // splitmix64 steps its argument; keep k intact
     std::size_t i = support::splitmix64(h) & mask;
-    while (keys_[i] != kEmpty && keys_[i] != k) i = (i + 1) & mask;
+    while (table_[i].key != kEmpty && table_[i].key != k) i = (i + 1) & mask;
     return i;
   }
 
-  void grow() {
-    std::vector<std::uint64_t> old_keys = std::move(keys_);
-    std::vector<Slot> old_slots = std::move(slots_);
-    std::size_t live = 0;
-    for (const Slot& slot : old_slots) live += slot.head < slot.fifo.size();
-    const std::size_t n =
-        live * 4 > old_keys.size() ? old_keys.size() * 2 : old_keys.size();
-    keys_.assign(std::max<std::size_t>(n, 8), kEmpty);
-    slots_.assign(keys_.size(), Slot{});
-    used_ = live;
-    for (std::size_t j = 0; j < old_keys.size(); ++j) {
-      if (old_slots[j].head == old_slots[j].fifo.size()) continue;
-      const std::size_t i = locate(old_keys[j]);
-      keys_[i] = old_keys[j];
-      slots_[i] = std::move(old_slots[j]);
+  /// Stores `value` in a free node (or a new one) as a list tail.
+  std::uint32_t take_node(T value) {
+    if (free_ != kNil) {
+      const std::uint32_t n = free_;
+      free_ = nodes_[n].next;
+      nodes_[n] = Node{std::move(value), kNil};
+      return n;
     }
+    support::check(nodes_.size() < kNil, "Mailbox::push",
+                   "more than 2^32 - 1 queued messages");
+    nodes_.push_back(Node{std::move(value), kNil});
+    return static_cast<std::uint32_t>(nodes_.size() - 1);
   }
 
-  std::vector<std::uint64_t> keys_;  ///< probe array, kEmpty = free
-  std::vector<Slot> slots_;          ///< payload, parallel to keys_
-  std::size_t used_ = 0;             ///< keys in keys_, drained ones too
+  void grow() {
+    std::vector<Entry> old = std::move(table_);
+    std::size_t live = 0;
+    for (const Entry& e : old) live += e.head != kNil;
+    const std::size_t n = live * 4 > old.size() ? old.size() * 2 : old.size();
+    table_.assign(std::max<std::size_t>(n, 8), Entry{});
+    used_ = live;
+    for (const Entry& e : old)
+      if (e.head != kNil) table_[locate(e.key)] = e;
+  }
+
+  std::vector<Entry> table_;  ///< probe array, key kEmpty = free
+  std::vector<Node> nodes_;   ///< every key's list nodes, free ones too
+  std::uint32_t free_ = kNil;  ///< head of the free-node list
+  std::size_t used_ = 0;       ///< keys in table_, drained ones too
 };
 
 }  // namespace mb::mpi

@@ -70,13 +70,36 @@ Labels normalize(Labels labels) {
   return labels;
 }
 
+/// Index key of a series: every string length-prefixed, so no name or
+/// label text can make two different series collide.
+std::string series_key(std::string_view name, const Labels& labels) {
+  std::string k;
+  const auto append = [&k](std::string_view part) {
+    k += std::to_string(part.size());
+    k += ':';
+    k += part;
+  };
+  append(name);
+  for (const auto& [key, value] : labels) {
+    append(key);
+    append(value);
+  }
+  return k;
+}
+
 }  // namespace
 
 Registry::Series* Registry::find(std::string_view name,
                                  const Labels& labels) {
-  for (auto& s : series_)
-    if (s.name == name && s.labels == labels) return &s;
-  return nullptr;
+  const auto it = index_.find(series_key(name, labels));
+  return it == index_.end() ? nullptr : &series_[it->second];
+}
+
+Registry::Series& Registry::add(Series s) {
+  series_.push_back(std::move(s));
+  Series& added = series_.back();
+  index_.emplace(series_key(added.name, added.labels), series_.size() - 1);
+  return added;
 }
 
 Counter& Registry::counter(std::string_view name, Labels labels) {
@@ -93,8 +116,7 @@ Counter& Registry::counter(std::string_view name, Labels labels) {
   s.counter = std::make_unique<Counter>();
   counters_.push_back(s.counter.get());
   counter_series_.push_back(series_.size());
-  series_.push_back(std::move(s));
-  return *series_.back().counter;
+  return *add(std::move(s)).counter;
 }
 
 Gauge& Registry::gauge(std::string_view name, Labels labels) {
@@ -109,8 +131,7 @@ Gauge& Registry::gauge(std::string_view name, Labels labels) {
   s.name = std::string(name);
   s.labels = std::move(labels);
   s.gauge = std::make_unique<Gauge>();
-  series_.push_back(std::move(s));
-  return *series_.back().gauge;
+  return *add(std::move(s)).gauge;
 }
 
 Histogram& Registry::histogram(std::string_view name,
@@ -129,8 +150,7 @@ Histogram& Registry::histogram(std::string_view name,
   s.name = std::string(name);
   s.labels = std::move(labels);
   s.histogram = std::make_unique<Histogram>(std::move(bounds));
-  series_.push_back(std::move(s));
-  return *series_.back().histogram;
+  return *add(std::move(s)).histogram;
 }
 
 std::vector<MetricSample> Registry::snapshot() const {
@@ -194,6 +214,7 @@ void Registry::reset() {
 
 void Registry::clear() {
   series_.clear();
+  index_.clear();
   counters_.clear();
   counter_series_.clear();
 }

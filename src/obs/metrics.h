@@ -4,9 +4,10 @@
 // only diagnosable if the layers underneath exported what they were doing.
 // This registry is the cross-layer sink for such facts. Design goals, in
 // order:
-//  * cheap hot-path updates — instruments resolve a handle once (a map
-//    lookup at setup time) and then increment through the handle, which is
-//    a plain add on a member;
+//  * cheap hot-path updates — instruments resolve a handle once (a hash
+//    lookup at setup time, so registering per-rank series stays linear in
+//    ranks) and then increment through the handle, which is a plain add on
+//    a member;
 //  * stable, snapshotable state — registration order is preserved, and a
 //    snapshot is a plain value (`MetricSample`) that serializes to JSON via
 //    support/json and parses back;
@@ -30,6 +31,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -154,9 +156,14 @@ class Registry {
     std::unique_ptr<Histogram> histogram;
   };
 
+  /// The series named `name` with normalized `labels`, or nullptr.
   Series* find(std::string_view name, const Labels& labels);
+  /// Appends `s` in registration order and indexes it.
+  Series& add(Series s);
 
   std::vector<Series> series_;           ///< registration order
+  /// (name, normalized labels), length-prefixed -> index into series_.
+  std::unordered_map<std::string, std::size_t> index_;
   std::vector<Counter*> counters_;       ///< registration order, counters only
   std::vector<std::size_t> counter_series_;  ///< index into series_
 };

@@ -27,6 +27,8 @@ constexpr std::size_t kHeapBypass = 2048;
 // In heap mode, a push growing the heap past this spills everything back
 // into the overflow pool so the next refill rebuilds the ladder.
 constexpr std::size_t kHeapSpill = 4 * kHeapBypass;
+// Callback slots are indexed by Event::slot.
+constexpr std::size_t kMaxSlots = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
@@ -35,7 +37,20 @@ void EventQueue::schedule_at(double time_s, Callback cb) {
                  "cannot schedule in the past");
   support::check(static_cast<bool>(cb), "EventQueue::schedule_at",
                  "callback must not be empty");
-  push(Event{time_s, next_seq_++, std::move(cb)});
+  push(Event{time_s, next_seq_++, park(std::move(cb))});
+}
+
+std::uint32_t EventQueue::park(Callback cb) {
+  if (!free_slots_.empty()) {
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(cb);
+    return slot;
+  }
+  support::check(slots_.size() < kMaxSlots, "EventQueue::schedule_at",
+                 "more than 2^32 - 1 pending events");
+  slots_.push_back(std::move(cb));
+  return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
 void EventQueue::schedule_in(double delay_s, Callback cb) {
@@ -54,13 +69,11 @@ void EventQueue::push(Event ev) {
   // rebuilds a proper ladder.
   if (rungs_.empty() && overflow_.empty() && !cur_.empty()) {
     if (cur_.size() < kHeapSpill) {
-      cur_.push_back(std::move(ev));
+      cur_.push_back(ev);
       std::push_heap(cur_.begin(), cur_.end(), Later{});
       return;
     }
-    overflow_.reserve(cur_.size() + 1);
-    for (Event& e : cur_) overflow_.push_back(std::move(e));
-    cur_.clear();
+    overflow_.swap(cur_);
   }
   // Walk coarsest to deepest: the first rung whose live range holds the
   // timestamp takes the event; the cur bucket of every non-deepest rung
@@ -79,19 +92,19 @@ void EventQueue::push(Event ev) {
       idx = r.nb - 1;
     }
     if (idx > r.cur) {
-      r.buckets[static_cast<std::size_t>(idx)].push_back(std::move(ev));
+      r.buckets[static_cast<std::size_t>(idx)].push_back(ev);
       ++r.count;
       return;
     }
     // At or before the bucket being drained. On the deepest rung that is
     // the bottom heap; above it, descend into the expansion.
     if (i + 1 == rungs_.size()) {
-      cur_.push_back(std::move(ev));
+      cur_.push_back(ev);
       std::push_heap(cur_.begin(), cur_.end(), Later{});
       return;
     }
   }
-  overflow_.push_back(std::move(ev));
+  overflow_.push_back(ev);
 }
 
 bool EventQueue::ensure_current() {
@@ -158,14 +171,14 @@ void EventQueue::build_base_rung() {
   r.nb = nb;
   r.buckets.resize(static_cast<std::size_t>(nb));
   std::vector<Event> later;
-  for (Event& ev : overflow_) {
+  for (const Event& ev : overflow_) {
     const std::int64_t idx =
         static_cast<std::int64_t>((ev.time - r.base) * r.inv_width);
     if (idx < nb) {
-      r.buckets[static_cast<std::size_t>(idx)].push_back(std::move(ev));
+      r.buckets[static_cast<std::size_t>(idx)].push_back(ev);
       ++r.count;
     } else {
-      later.push_back(std::move(ev));
+      later.push_back(ev);
     }
   }
   overflow_ = std::move(later);
@@ -194,10 +207,10 @@ bool EventQueue::split_into_rung(std::vector<Event>& bucket) {
   r.nb = nb;
   r.count = n;
   r.buckets.resize(static_cast<std::size_t>(nb));
-  for (Event& ev : bucket) {
+  for (const Event& ev : bucket) {
     const std::int64_t idx = std::min<std::int64_t>(
         static_cast<std::int64_t>((ev.time - r.base) * r.inv_width), nb - 1);
-    r.buckets[static_cast<std::size_t>(idx)].push_back(std::move(ev));
+    r.buckets[static_cast<std::size_t>(idx)].push_back(ev);
   }
   bucket.clear();
   rungs_.push_back(std::move(r));
@@ -206,7 +219,7 @@ bool EventQueue::split_into_rung(std::vector<Event>& bucket) {
 
 EventQueue::Event EventQueue::pop_min() {
   std::pop_heap(cur_.begin(), cur_.end(), Later{});
-  Event ev = std::move(cur_.back());
+  const Event ev = cur_.back();
   cur_.pop_back();
   --size_;
   return ev;
@@ -214,10 +227,14 @@ EventQueue::Event EventQueue::pop_min() {
 
 bool EventQueue::step() {
   if (!ensure_current()) return false;
-  Event ev = pop_min();
+  const Event ev = pop_min();
   now_ = ev.time;
   ++executed_;
-  ev.cb();
+  // Moved out before it runs: the callback may schedule events, and a
+  // push_back that grows slots_ would relocate it mid-call.
+  Callback cb = std::move(slots_[ev.slot]);
+  free_slots_.push_back(ev.slot);
+  cb();
   return true;
 }
 

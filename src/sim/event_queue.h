@@ -28,11 +28,16 @@
 // dequeue order is identical to the old priority_queue engine (asserted
 // by tests/sim/event_queue_property_test.cpp).
 //
-// Callbacks are support::SmallFn: captures live inline in the event record
-// (no per-event heap allocation on the hot path).
+// An event is a trivially copyable 24-byte key {time, seq, slot}: heaps,
+// buckets and rungs copy keys, never callbacks. Each callback (a
+// support::SmallFn, captures inline) sits in a per-queue slot array from
+// schedule_at() until step() moves it out, frees the slot and runs it.
+// Freed slots are reused, so the array is bounded by the pending high-water
+// mark and scheduling touches no allocator in steady state.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "support/small_fn.h"
@@ -77,11 +82,13 @@ class EventQueue {
   std::size_t max_pending() const { return max_pending_; }
 
  private:
+  /// Ordering key of a pending event; `slot` indexes slots_.
   struct Event {
     double time;
     std::uint64_t seq;
-    Callback cb;
+    std::uint32_t slot;
   };
+  static_assert(sizeof(Event) == 24 && std::is_trivially_copyable_v<Event>);
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
@@ -100,6 +107,8 @@ class EventQueue {
   };
 
   void push(Event ev);
+  /// Parks `cb` in a free slot (or a new one) and returns its index.
+  std::uint32_t park(Callback cb);
   /// Moves events forward until cur_ holds the global minimum.
   /// False when the queue is empty.
   bool ensure_current();
@@ -113,6 +122,8 @@ class EventQueue {
   std::vector<Event> cur_;     ///< bottom heap, (time, seq) ordered
   std::vector<Rung> rungs_;    ///< [0] coarsest .. back() deepest
   std::vector<Event> overflow_;
+  std::vector<Callback> slots_;           ///< callbacks of pending events
+  std::vector<std::uint32_t> free_slots_;  ///< empty entries of slots_
 
   double now_ = 0.0;
   std::size_t size_ = 0;

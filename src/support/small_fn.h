@@ -4,7 +4,8 @@
 // second; std::function's copyability forces a heap allocation for any
 // capture beyond two pointers, and that allocation dominated the event
 // queue's profile (see DESIGN.md §10). SmallFn stores captures up to
-// `Cap` bytes inline in the event record itself — scheduling a lambda
+// `Cap` bytes inline in the SmallFn itself (an event queue's callback slot,
+// a network message's delivery hook) — scheduling a lambda
 // that captures {this, a handful of ints} touches no allocator at all.
 // Larger captures (cold paths: chaos plans, test fixtures) transparently
 // fall back to the heap, so SmallFn is a drop-in for std::function<void()>

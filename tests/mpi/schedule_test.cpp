@@ -4,9 +4,13 @@
 // that never completes, and the mailbox that matches it all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <limits>
+#include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mpi/mailbox.h"
@@ -15,6 +19,7 @@
 #include "net/topology.h"
 #include "support/check.h"
 #include "support/hash.h"
+#include "support/rng.h"
 
 namespace mb::mpi {
 namespace {
@@ -307,6 +312,65 @@ TEST(Mailbox, FifoPerKeyAndLeftoversInSourceTagOrder) {
     EXPECT_TRUE(std::tie(src0, tag0, v0) < std::tie(src1, tag1, v1));
   }
   EXPECT_EQ(std::get<1>(left.front()), -5);
+}
+
+TEST(Mailbox, MatchesAMapOfQueuesUnderRandomPushAndPop) {
+  using Key = std::pair<std::uint32_t, std::int32_t>;
+  const std::vector<Key> keys = {{0, -7}, {0, 0},     {0, 65536}, {1, -1},
+                                 {1, 3},  {2, -7},    {2, 0},     {3, 3},
+                                 {5, -1}, {5, 65536}, {7, 0},     {9, -2}};
+  Mailbox<std::uint64_t> box;
+  std::map<Key, std::deque<std::uint64_t>> ref;
+  const auto flatten = [&ref] {
+    std::vector<std::tuple<std::uint32_t, std::int32_t, std::uint64_t>> out;
+    for (const auto& [k, fifo] : ref)
+      for (const std::uint64_t v : fifo) out.emplace_back(k.first, k.second, v);
+    return out;
+  };
+  support::Rng rng(0x6d61696c626f78ull);
+  std::size_t pushes_after_a_pop = 0;
+  std::size_t pops = 0;
+  std::size_t peak = 0;
+  // Three phases: mostly pushes (several messages per key, the table
+  // grows), mostly pops (drains keys and frees nodes), then balanced
+  // traffic whose pushes take freed nodes.
+  for (const double push_share : {0.8, 0.25, 0.5}) {
+    for (std::uint64_t op = 0; op < 1500; ++op) {
+      const Key k = keys[rng.index(keys.size())];
+      std::deque<std::uint64_t>& fifo = ref[k];
+      if (rng.bernoulli(push_share)) {
+        const std::uint64_t value = rng();
+        box.push(k.first, k.second, value);
+        fifo.push_back(value);
+        pushes_after_a_pop += pops > 0;
+      } else {
+        std::uint64_t value = 0;
+        ASSERT_EQ(box.pop(k.first, k.second, value), !fifo.empty())
+            << "src " << k.first << " tag " << k.second;
+        if (!fifo.empty()) {
+          EXPECT_EQ(value, fifo.front());
+          fifo.pop_front();
+          ++pops;
+        }
+      }
+      std::size_t queued = 0;
+      for (const auto& [key, queue] : ref) queued += queue.size();
+      peak = std::max(peak, queued);
+      ASSERT_EQ(box.leftovers(), flatten()) << "after op " << op;
+    }
+  }
+  EXPECT_GT(box.capacity(), 8u);  // grow() doubled the table
+  EXPECT_GT(peak, 3 * keys.size());
+  EXPECT_GT(pushes_after_a_pop, 500u);
+  EXPECT_GT(pops, 1000u);
+  for (const auto& [k, fifo] : ref) {
+    for (const std::uint64_t expected : fifo) {
+      std::uint64_t value = 0;
+      ASSERT_TRUE(box.pop(k.first, k.second, value));
+      EXPECT_EQ(value, expected);
+    }
+  }
+  EXPECT_TRUE(box.leftovers().empty());
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "support/check.h"
 #include "support/json.h"
 
@@ -102,6 +105,37 @@ TEST(Metrics, CounterSubsetIndexesOnlyCounters) {
   EXPECT_EQ(r.counter_key(0), "a");
   EXPECT_EQ(r.counter_key(1), "b{k=v}");
   EXPECT_THROW(r.counter_value(2), support::Error);
+}
+
+TEST(Metrics, ManySeriesResolveToTheirHandlesUntilClear) {
+  Registry r;
+  constexpr std::size_t kRanks = 10000;
+  std::vector<Counter*> sent;
+  std::vector<Gauge*> depth;
+  for (std::size_t i = 0; i < kRanks; ++i) {
+    sent.push_back(&r.counter("sent", {{"rank", std::to_string(i)}}));
+    depth.push_back(&r.gauge("depth", {{"rank", std::to_string(i)}}));
+  }
+  ASSERT_EQ(r.size(), 2u * kRanks);
+  for (std::size_t i = 0; i < kRanks; ++i) {
+    EXPECT_EQ(&r.counter("sent", {{"rank", std::to_string(i)}}), sent[i]);
+    EXPECT_EQ(&r.gauge("depth", {{"rank", std::to_string(i)}}), depth[i]);
+  }
+  EXPECT_EQ(r.size(), 2u * kRanks);
+  // Names and label text that concatenate alike stay separate series.
+  r.counter("ab", {{"c", "d"}});
+  r.counter("a", {{"bc", "d"}});
+  r.counter("a", {{"b", "cd"}});
+  EXPECT_EQ(r.size(), 2u * kRanks + 3);
+  EXPECT_THROW(r.gauge("sent", {{"rank", "7"}}), support::Error);
+
+  r.clear();
+  EXPECT_EQ(r.size(), 0u);
+  // No stale entry survives: the old counter's key takes a new type.
+  Gauge& g = r.gauge("sent", {{"rank", "7"}});
+  EXPECT_EQ(r.size(), 1u);
+  EXPECT_EQ(&r.gauge("sent", {{"rank", "7"}}), &g);
+  EXPECT_EQ(r.counter_count(), 0u);
 }
 
 TEST(Metrics, SnapshotRoundTripsThroughJson) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <vector>
 
 #include "support/check.h"
@@ -91,6 +93,47 @@ TEST(EventQueue, ExecutedCountAccumulates) {
   for (int i = 0; i < 5; ++i) q.schedule_at(i, [] {});
   q.run();
   EXPECT_EQ(q.executed(), 5u);
+}
+
+TEST(EventQueue, CapturesAreDestroyedOnceWhetherRunOrPending) {
+  auto token = std::make_shared<int>(3);
+  int sum = 0;
+  {
+    EventQueue q;
+    for (int i = 0; i < 100; ++i) {
+      if (i % 2 == 0) {
+        q.schedule_at(i, [token, &sum] { sum += *token; });
+      } else {
+        // Past SmallFn's inline capacity: the heap-held capture.
+        std::array<int, 16> pad{};
+        pad[0] = 1;
+        q.schedule_at(i, [token, pad, &sum] { sum += *token * pad[0]; });
+      }
+    }
+    EXPECT_EQ(token.use_count(), 101);
+    q.run_until(59.5);  // runs 60 events, leaves 40 pending
+    EXPECT_EQ(sum, 180);
+    EXPECT_EQ(token.use_count(), 41);
+    // Callbacks parked in reused slots die with the queue as well.
+    for (int i = 0; i < 60; ++i) q.schedule_at(200.0, [token] {});
+    EXPECT_EQ(token.use_count(), 101);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, RunningCallbackOutlivesSlotArrayGrowth) {
+  EventQueue q;
+  std::vector<int> seen;
+  // A heap-owning capture: were the callback run in place, the array's
+  // growth would relocate it mid-call and leave it reading freed memory.
+  std::vector<int> captured = {4, 8, 15, 16};
+  q.schedule_at(1.0, [&q, &seen, captured] {
+    for (int i = 0; i < 5000; ++i) q.schedule_in(1.0, [] {});
+    seen = captured;
+  });
+  q.run();
+  EXPECT_EQ(seen, captured);
+  EXPECT_EQ(q.executed(), 5001u);
 }
 
 }  // namespace
