@@ -2,17 +2,73 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
+#include <mutex>
+#include <ostream>
+#include <shared_mutex>
 #include <string>
+#include <unordered_set>
 
 #include "support/check.h"
 
 namespace mb::mpi {
 
-Op Op::compute(double seconds, std::string label) {
+constinit const std::string Label::kEmpty{};
+
+namespace {
+
+/// The process-wide label set. Its nodes never move or die, and the set
+/// itself is never destroyed, so a Label stays valid through static
+/// destructors too.
+class Interner {
+ public:
+  const std::string* intern(std::string_view text) {
+    {
+      const std::shared_lock lock(mutex_);
+      const auto it = set_.find(text);
+      if (it != set_.end()) return &*it;
+    }
+    const std::unique_lock lock(mutex_);
+    return &*set_.emplace(text).first;
+  }
+
+ private:
+  struct Hash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+  std::shared_mutex mutex_;
+  std::unordered_set<std::string, Hash, std::equal_to<>> set_;
+};
+
+Interner& interner() {
+  static Interner* const set = new Interner;
+  return *set;
+}
+
+}  // namespace
+
+Label::Label(std::string_view text)
+    : text_(text.empty() ? &kEmpty : interner().intern(text)) {}
+
+std::ostream& operator<<(std::ostream& os, const Label& label) {
+  return os << label.str();
+}
+
+Counts::Counts(const std::vector<std::uint64_t>& counts) {
+  const auto block = std::make_shared<std::uint64_t[]>(counts.size() + 1);
+  block[0] = counts.size();
+  std::copy(counts.begin(), counts.end(), &block[1]);
+  block_ = block;
+}
+
+Op Op::compute(double seconds, Label label) {
   Op op;
   op.kind = Kind::kCompute;
   op.seconds = seconds;
-  op.label = std::move(label);
+  op.label = label;
   return op;
 }
 
@@ -40,65 +96,65 @@ Op Op::barrier() {
   return op;
 }
 
-Op Op::bcast(std::uint32_t root, std::uint64_t bytes, std::string label) {
+Op Op::bcast(std::uint32_t root, std::uint64_t bytes, Label label) {
   Op op;
   op.kind = Kind::kBcast;
   op.root = root;
   op.bytes = bytes;
-  op.label = std::move(label);
+  op.label = label;
   return op;
 }
 
-Op Op::allreduce(std::uint64_t bytes, std::string label) {
+Op Op::allreduce(std::uint64_t bytes, Label label) {
   Op op;
   op.kind = Kind::kAllreduce;
   op.bytes = bytes;
-  op.label = std::move(label);
+  op.label = label;
   return op;
 }
 
-Op Op::alltoallv(std::vector<std::uint64_t> counts, std::string label) {
+Op Op::alltoallv(const std::vector<std::uint64_t>& counts, Label label) {
   Op op;
   op.kind = Kind::kAlltoallv;
-  op.counts = std::move(counts);
-  op.label = std::move(label);
+  op.counts = counts;
+  op.label = label;
   return op;
 }
 
 Op Op::gather(std::uint32_t root, std::uint64_t bytes_per_rank,
-              std::string label) {
+              Label label) {
   Op op;
   op.kind = Kind::kGather;
   op.root = root;
   op.bytes = bytes_per_rank;
-  op.label = std::move(label);
+  op.label = label;
   return op;
 }
 
 Op Op::scatter(std::uint32_t root, std::uint64_t bytes_per_rank,
-               std::string label) {
+               Label label) {
   Op op;
   op.kind = Kind::kScatter;
   op.root = root;
   op.bytes = bytes_per_rank;
-  op.label = std::move(label);
+  op.label = label;
   return op;
 }
 
-Op Op::allgather(std::uint64_t bytes_per_rank, std::string label) {
+Op Op::allgather(std::uint64_t bytes_per_rank, Label label) {
   Op op;
   op.kind = Kind::kAllgather;
   op.bytes = bytes_per_rank;
-  op.label = std::move(label);
+  op.label = label;
   return op;
 }
 
-Op Op::reduce(std::uint32_t root, std::uint64_t bytes, std::string label) {
+Op Op::reduce(std::uint32_t root, std::uint64_t bytes, Label label) {
   Op op;
   op.kind = Kind::kReduce;
   op.root = root;
   op.bytes = bytes;
-  op.label = std::move(label);
+  op.label = label;
   return op;
 }
 
@@ -116,6 +172,11 @@ bool is_collective(Op::Kind kind) {
     default:
       return false;
   }
+}
+
+bool is_rooted(Op::Kind kind) {
+  return kind == Op::Kind::kBcast || kind == Op::Kind::kReduce ||
+         kind == Op::Kind::kGather || kind == Op::Kind::kScatter;
 }
 
 std::string_view kind_name(Op::Kind kind) {
@@ -180,6 +241,14 @@ void check_counts(const Op& op, std::uint32_t ranks) {
                       " ranks (need one byte count per destination)");
 }
 
+void check_root(const Op& op, std::uint32_t ranks) {
+  if (is_rooted(op.kind) && op.root >= ranks)
+    support::fail("lower_collective",
+                  std::string(kind_name(op.kind)) + " root " +
+                      std::to_string(op.root) + " is outside the program's " +
+                      std::to_string(ranks) + " ranks");
+}
+
 /// The binomial tree of bcast and reduce (MPICH shape), relative to the
 /// root: `up` is the mask of the edge to the parent (0 at the root), the
 /// children hang off masks first, first/2, ..., 1.
@@ -202,6 +271,7 @@ Tree tree(const Op& op, std::uint32_t rank, std::uint32_t ranks) {
 std::size_t collective_steps(const Op& op, std::uint32_t rank,
                              std::uint32_t ranks) {
   check_counts(op, ranks);
+  check_root(op, ranks);
   switch (op.kind) {
     case Op::Kind::kBcast:
     case Op::Kind::kReduce: {

@@ -6,15 +6,87 @@
 // pairwise-exchange alltoallv, dissemination barrier) exactly like a real
 // MPI library over Ethernet would, so their congestion behaviour is the
 // emergent property the paper studies, not an input parameter.
+//
+// A Program holds its ops and nothing derived from them. An Op is a
+// 56-byte value: SPMD programs repeat the same few labels on every rank,
+// so an op's label is an interned mpi::Label (one pointer), and an
+// alltoallv's P byte counts are an immutable mpi::Counts block that every
+// copy of the op shares. append_all(), Program copies and program
+// rewrites therefore cost one op per rank, never P counts per rank.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace mb::mpi {
+
+/// An interned op label: a pointer to the one copy of its text in a
+/// process-wide, append-only string set. Labels live until the process
+/// exits; only code (op factories, app builders, the generator, tests)
+/// creates them, never input data. Interning locks and is safe from any
+/// thread; reading a label does not lock. Two labels are equal when they
+/// point at the same entry. Nothing may depend on the address itself or
+/// on interning order. The empty label is the default and is never
+/// interned.
+class Label {
+ public:
+  Label() = default;
+  // Implicit both ways, so ops take string literals and read as strings.
+  Label(std::string_view text);                                      // NOLINT
+  Label(const char* text) : Label(std::string_view(text)) {}         // NOLINT
+  Label(const std::string& text) : Label(std::string_view(text)) {}  // NOLINT
+  operator const std::string&() const { return *text_; }             // NOLINT
+  operator std::string_view() const { return *text_; }               // NOLINT
+
+  const std::string& str() const { return *text_; }
+  bool empty() const { return text_->empty(); }
+
+  friend bool operator==(const Label& a, const Label& b) {
+    return a.text_ == b.text_;
+  }
+  friend bool operator==(const Label& a, std::string_view b) {
+    return *a.text_ == b;
+  }
+  friend bool operator==(const Label& a, const char* b) {
+    return *a.text_ == b;
+  }
+  friend bool operator==(const Label& a, const std::string& b) {
+    return *a.text_ == b;
+  }
+  friend std::ostream& operator<<(std::ostream& os, const Label& label);
+
+ private:
+  static const std::string kEmpty;
+  const std::string* text_ = &kEmpty;
+};
+
+/// An alltoallv's bytes per destination rank: an immutable block shared
+/// by every copy of the op. Assigning new counts to an op gives it a new
+/// block and leaves the other copies alone.
+class Counts {
+ public:
+  Counts() = default;
+  Counts(const std::vector<std::uint64_t>& counts);  // NOLINT: op.counts = v
+
+  std::size_t size() const { return block_ ? block_[0] : 0; }
+  const std::uint64_t& operator[](std::size_t i) const {
+    return block_[i + 1];
+  }
+  const std::uint64_t* begin() const {
+    return block_ ? &block_[1] : nullptr;
+  }
+  const std::uint64_t* end() const { return begin() + size(); }
+
+ private:
+  /// {size, counts...}: an entry is one load away from the op, as it was
+  /// when each op held its own vector.
+  std::shared_ptr<const std::uint64_t[]> block_;
+};
 
 struct Op {
   enum class Kind : std::uint8_t {
@@ -33,36 +105,42 @@ struct Op {
     kEndGroup,    ///< trace marker: a lowered collective ends
   };
 
+  // kind, tag, peer and root pack into 16 bytes: 56 bytes in all.
   Kind kind = Kind::kCompute;
-  double seconds = 0.0;               ///< kCompute
-  std::uint32_t peer = 0;             ///< kSend dst / kRecv src
-  std::uint64_t bytes = 0;            ///< payload
-  std::int32_t tag = 0;               ///< message matching
-  std::uint32_t root = 0;             ///< kBcast
-  std::vector<std::uint64_t> counts;  ///< kAlltoallv: bytes per destination
-  std::string label;                  ///< trace label
+  std::int32_t tag = 0;      ///< message matching
+  std::uint32_t peer = 0;    ///< kSend dst / kRecv src
+  std::uint32_t root = 0;    ///< rooted collectives
+  double seconds = 0.0;      ///< kCompute
+  std::uint64_t bytes = 0;   ///< payload
+  Counts counts;             ///< kAlltoallv: bytes per destination
+  Label label;               ///< trace label
 
-  static Op compute(double seconds, std::string label = "compute");
+  static Op compute(double seconds, Label label = "compute");
   static Op send(std::uint32_t dst, std::uint64_t bytes, std::int32_t tag);
   static Op recv(std::uint32_t src, std::int32_t tag);
   static Op barrier();
   static Op bcast(std::uint32_t root, std::uint64_t bytes,
-                  std::string label = "bcast");
-  static Op allreduce(std::uint64_t bytes, std::string label = "allreduce");
-  static Op alltoallv(std::vector<std::uint64_t> counts,
-                      std::string label = "alltoallv");
+                  Label label = "bcast");
+  static Op allreduce(std::uint64_t bytes, Label label = "allreduce");
+  static Op alltoallv(const std::vector<std::uint64_t>& counts,
+                      Label label = "alltoallv");
   static Op gather(std::uint32_t root, std::uint64_t bytes_per_rank,
-                   std::string label = "gather");
+                   Label label = "gather");
   static Op scatter(std::uint32_t root, std::uint64_t bytes_per_rank,
-                    std::string label = "scatter");
+                    Label label = "scatter");
   static Op allgather(std::uint64_t bytes_per_rank,
-                      std::string label = "allgather");
+                      Label label = "allgather");
   static Op reduce(std::uint32_t root, std::uint64_t bytes,
-                   std::string label = "reduce");
+                   Label label = "reduce");
 };
+static_assert(sizeof(Op) <= 56, "a Program stores every op once per rank");
 
 /// True for the kinds lower_collective() accepts.
 bool is_collective(Op::Kind kind);
+
+/// True for bcast, reduce, gather and scatter: the kinds whose root must
+/// name a rank of the program.
+bool is_rooted(Op::Kind kind);
 
 /// "compute", "send", ..., "alltoallv", ..., "end_group".
 std::string_view kind_name(Op::Kind kind);
@@ -112,7 +190,9 @@ struct LoweredOp {
 /// computed in O(1). `tag_base` must be unique per collective instance so
 /// rounds of different collectives never cross-match. Both throw
 /// support::Error for a non-collective op or an alltoallv whose counts do
-/// not name every rank.
+/// not name every rank; collective_steps() also throws for a bcast,
+/// reduce, gather or scatter whose root is not below `ranks`, so every
+/// walk that sizes a collective before stepping it rejects bad roots.
 std::size_t collective_steps(const Op& op, std::uint32_t rank,
                              std::uint32_t ranks);
 LoweredOp collective_step(const Op& op, std::uint32_t rank,

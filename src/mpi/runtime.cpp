@@ -115,29 +115,33 @@ RunOutcome Runtime::run_outcome(const Program& program) {
   // What the runtime itself cannot survive, checked before the first
   // event in one pass that stores nothing (each rank's cursor lowers its
   // collectives on the fly). With verification off, nothing else keeps
-  // the ranks a message goes to inside the program.
+  // the ranks a message goes to inside the program: collective_steps()
+  // rejects roots and alltoallv counts, this loop send peers.
   for (std::uint32_t r = 0; r < ranks; ++r) {
     std::size_t instances = 0;
     for (std::size_t i = 0; i < program.rank(r).size(); ++i) {
       const Op& op = program.rank(r)[i];
-      std::uint32_t to = 0;
+      const auto where = [r, i] {
+        return "rank " + std::to_string(r) + " op " + std::to_string(i) +
+               ": ";
+      };
       if (is_collective(op.kind)) {
-        collective_tag_base(instances++, ranks);
-        collective_steps(op, r, ranks);  // alltoallv counts
-        if (op.kind == Op::Kind::kGather || op.kind == Op::Kind::kScatter)
-          to = op.root;
+        try {
+          collective_tag_base(instances++, ranks);
+          collective_steps(op, r, ranks);
+        } catch (const support::Error& e) {
+          support::fail("Runtime::run", where() + e.what());
+        }
       } else if (op.kind == Op::Kind::kSend || op.kind == Op::Kind::kRecv) {
         support::check(op.tag < kUserTagLimit, "Runtime::run",
                        "user tags must stay below 1<<16");
-        if (op.kind == Op::Kind::kSend) to = op.peer;
+        if (op.kind == Op::Kind::kSend && op.peer >= ranks)
+          support::fail("Runtime::run",
+                        where() + "send names rank " +
+                            std::to_string(op.peer) +
+                            ", but the program has only " +
+                            std::to_string(ranks) + " ranks");
       }
-      if (to >= ranks)
-        support::fail("Runtime::run",
-                      "rank " + std::to_string(r) + " op " +
-                          std::to_string(i) + ": " +
-                          std::string(kind_name(op.kind)) + " names rank " +
-                          std::to_string(to) + ", but the program has only " +
-                          std::to_string(ranks) + " ranks");
     }
   }
   states_.clear();

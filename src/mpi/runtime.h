@@ -127,9 +127,10 @@ class Runtime {
   /// throw — a malformed program is a bug, not a simulated failure, and
   /// so do, before the first event and with verification off too, user
   /// tags >= kUserTagLimit, alltoallv counts that do not name every rank,
-  /// send peers and gather/scatter roots outside the program, and more
-  /// collectives than the tag space holds). The program must outlive the
-  /// run.
+  /// send peers and the roots of bcast, reduce, gather and scatter outside
+  /// the program, and more collectives than the tag space holds; each
+  /// such error names the rank and the op index). The program must
+  /// outlive the run.
   RunOutcome run_outcome(const Program& program);
 
   /// Fault injection: fail-stop `rank` at the current simulation time.

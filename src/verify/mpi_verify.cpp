@@ -15,11 +15,6 @@ using mpi::kind_name;
 using mpi::Op;
 using mpi::Program;
 
-bool uses_root(Op::Kind kind) {
-  return kind == Op::Kind::kBcast || kind == Op::Kind::kGather ||
-         kind == Op::Kind::kScatter || kind == Op::Kind::kReduce;
-}
-
 /// One collective occurrence, as seen by one rank (MPI004 comparison key).
 struct CollectiveSig {
   Op::Kind kind = Op::Kind::kBarrier;
@@ -35,7 +30,7 @@ std::string describe_origin(const Program& program, std::uint32_t rank,
   std::string out = "op " + std::to_string(origin);
   if (is_collective(op.kind)) {
     out += " ('" + (op.label.empty() ? std::string(kind_name(op.kind))
-                                     : op.label) +
+                                     : op.label.str()) +
            "' collective)";
   }
   return out;
@@ -107,7 +102,7 @@ bool structural_scan(const Program& program, Report& report) {
         }
         default:
           if (is_collective(op.kind)) {
-            if (uses_root(op.kind) && op.root >= ranks) {
+            if (mpi::is_rooted(op.kind) && op.root >= ranks) {
               report.add(kRuleRootOutOfRange, here,
                          std::string(kind_name(op.kind)) + " root rank " +
                              std::to_string(op.root) +

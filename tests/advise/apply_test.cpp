@@ -9,6 +9,7 @@
 #include <set>
 #include <vector>
 
+#include "apps/bigdft.h"
 #include "support/check.h"
 
 namespace mb::advise {
@@ -143,6 +144,38 @@ TEST(Apply, RewriteAllreduceSplitsOnlyTheNamedCollective) {
     EXPECT_EQ(ops[2].label, "energy");
     EXPECT_EQ(ops[3].kind, mpi::Op::Kind::kAllreduce);
     EXPECT_EQ(ops[3].label, "density");
+  }
+}
+
+// A Program holds one block of alltoallv counts per op, whichever rank
+// or copy reads it: bigdft's transposes at 1024 ranks would otherwise
+// hold 1024 copies of a 1024-entry vector per instance.
+TEST(Apply, RewriteAllreduceKeepsSharedAlltoallvCounts) {
+  apps::BigDftParams params;
+  params.ranks = 1024;
+  params.iterations = 2;
+  const mpi::Program program = apps::bigdft_program(params);
+  const mpi::Program copy = program;
+  const mpi::Program rewritten =
+      rewrite_allreduce(program, "energy_allreduce");
+  // Each alltoallv instance's block, as rank 0 of the original reads it.
+  std::vector<const std::uint64_t*> blocks;
+  for (const mpi::Op& op : program.rank(0)) {
+    if (op.kind != mpi::Op::Kind::kAlltoallv) continue;
+    ASSERT_EQ(op.counts.size(), 1024u);
+    blocks.push_back(&op.counts[0]);
+  }
+  ASSERT_EQ(blocks.size(), 4u);  // 2 iterations x 2 transposes
+  for (const mpi::Program* p : {&program, &copy, &rewritten}) {
+    for (std::uint32_t r = 0; r < params.ranks; ++r) {
+      std::size_t instance = 0;
+      for (const mpi::Op& op : p->rank(r)) {
+        if (op.kind != mpi::Op::Kind::kAlltoallv) continue;
+        ASSERT_LT(instance, blocks.size());
+        ASSERT_EQ(&op.counts[0], blocks[instance++]) << "rank " << r;
+      }
+      EXPECT_EQ(instance, blocks.size());
+    }
   }
 }
 

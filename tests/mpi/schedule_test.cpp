@@ -245,8 +245,9 @@ TEST(LoweredSchedule, RunRejectsUnlowerableOpsBeforeTheFirstEvent) {
   counts.append_all(Op::barrier());
   counts.rank(2).push_back(Op::alltoallv({1, 2}));
   EXPECT_EQ(run_error(counts),
-            "lower_collective: alltoallv counts vector has 2 entries for 4 "
-            "ranks (need one byte count per destination)");
+            "Runtime::run: rank 2 op 1: lower_collective: alltoallv counts "
+            "vector has 2 entries for 4 ranks (need one byte count per "
+            "destination)");
 }
 
 // With verification off nothing else bounds these ranks: each would index
@@ -264,8 +265,8 @@ TEST(LoweredSchedule, RunRejectsGatherRootOutsideTheProgram) {
   Program p(4);
   p.append_all(Op::gather(9, 64));
   EXPECT_EQ(run_error(p),
-            "Runtime::run: rank 0 op 0: gather names rank 9, but the program "
-            "has only 4 ranks");
+            "Runtime::run: rank 0 op 0: lower_collective: gather root 9 is "
+            "outside the program's 4 ranks");
 }
 
 TEST(LoweredSchedule, RunRejectsScatterRootOutsideTheProgram) {
@@ -273,8 +274,27 @@ TEST(LoweredSchedule, RunRejectsScatterRootOutsideTheProgram) {
   p.append_all(Op::barrier());
   p.append_all(Op::scatter(4, 64));
   EXPECT_EQ(run_error(p),
-            "Runtime::run: rank 0 op 1: scatter names rank 4, but the "
-            "program has only 4 ranks");
+            "Runtime::run: rank 0 op 1: lower_collective: scatter root 4 is "
+            "outside the program's 4 ranks");
+}
+
+// Unchecked, a bcast or reduce root past the program runs as if it were
+// a smaller rank (the tree arithmetic wraps) or wedges the tree.
+TEST(LoweredSchedule, RunRejectsEveryRootOutsideTheProgram) {
+  for (const std::uint32_t root : {6u, 7u}) {
+    const Op rooted[] = {Op::bcast(root, 64), Op::reduce(root, 64),
+                         Op::gather(root, 64), Op::scatter(root, 64)};
+    for (const Op& op : rooted) {
+      Program p(6);
+      p.append_all(Op::compute(0.1));
+      p.append_all(op);
+      EXPECT_EQ(run_error(p),
+                "Runtime::run: rank 0 op 1: lower_collective: " +
+                    std::string(kind_name(op.kind)) + " root " +
+                    std::to_string(root) +
+                    " is outside the program's 6 ranks");
+    }
+  }
 }
 
 TEST(Mailbox, DrainedKeysDoNotGrowTheTable) {
