@@ -137,6 +137,8 @@ void Platform::validate() const {
               "Platform::validate", "cache parameters must be positive");
     sp::check((c.line_bytes & (c.line_bytes - 1)) == 0, "Platform::validate",
               "cache line size must be a power of two");
+    sp::check(c.line_bytes >= 4, "Platform::validate",
+              "cache line size must be at least 4 bytes");
     const std::uint64_t way_bytes =
         static_cast<std::uint64_t>(c.line_bytes) * c.associativity;
     sp::check(c.size_bytes % way_bytes == 0, "Platform::validate",
@@ -149,8 +151,17 @@ void Platform::validate() const {
             "memory bandwidth must be positive");
   sp::check(mem.latency_ns > 0.0, "Platform::validate",
             "memory latency must be positive");
-  sp::check((mem.page_bytes & (mem.page_bytes - 1)) == 0,
-            "Platform::validate", "page size must be a power of two");
+  sp::check(mem.page_bytes > 0 && (mem.page_bytes & (mem.page_bytes - 1)) == 0,
+            "Platform::validate", "page size must be a positive power of two");
+  sp::check(core.tlb_entries > 0 && core.tlb_associativity > 0,
+            "Platform::validate",
+            "TLB entries and associativity must be positive");
+  sp::check(core.tlb_entries % core.tlb_associativity == 0,
+            "Platform::validate",
+            "TLB entries must be a multiple of the associativity");
+  const std::uint32_t tlb_sets = core.tlb_entries / core.tlb_associativity;
+  sp::check((tlb_sets & (tlb_sets - 1)) == 0, "Platform::validate",
+            "TLB set count must be a power of two");
   sp::check(power_w > 0.0, "Platform::validate", "power must be positive");
 }
 

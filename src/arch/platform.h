@@ -170,7 +170,8 @@ struct Platform {
   std::size_t llc_index() const;
 
   /// Validates internal consistency (sizes power-of-two-divisible into
-  /// sets, nonzero frequency, ...). Throws support::Error on violation.
+  /// sets, nonzero frequency, a positive page size, a TLB geometry
+  /// cache::Tlb can build, ...). Throws support::Error on violation.
   void validate() const;
 };
 

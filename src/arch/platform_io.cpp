@@ -1,6 +1,8 @@
 #include "arch/platform_io.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -44,10 +46,16 @@ void serialize_core(std::ostringstream& out, const CoreConfig& c) {
   }
 }
 
+/// A value as written, with the line it came from for error messages.
+struct Value {
+  std::string text;
+  int line = 0;
+};
+
 /// Section = ordered key/value list (caches repeat, so order matters).
 struct Section {
   std::string name;  // "" for top level
-  std::map<std::string, std::string> kv;
+  std::map<std::string, Value> kv;
   int line = 0;
 };
 
@@ -78,65 +86,81 @@ std::vector<Section> split_sections(const std::string& text) {
     support::check(!key.empty(), "parse_platform",
                    "empty key at line " + std::to_string(line_no));
     auto& section = sections.back();
-    support::check(section.kv.emplace(key, value).second, "parse_platform",
+    support::check(section.kv.emplace(key, Value{value, line_no}).second,
+                   "parse_platform",
                    "duplicate key '" + key + "' at line " +
                        std::to_string(line_no));
   }
   return sections;
 }
 
-double to_double(const Section& s, const std::string& key) {
-  const auto it = s.kv.find(key);
-  support::check(it != s.kv.end(), "parse_platform",
-                 "missing key '" + key + "' in section [" + s.name + "]");
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  support::check(end != nullptr && *end == '\0', "parse_platform",
-                 "bad numeric value for '" + key + "'");
-  return v;
-}
-
-std::uint64_t to_u64(const Section& s, const std::string& key) {
-  const double v = to_double(s, key);
-  support::check(v >= 0.0, "parse_platform",
-                 "'" + key + "' must be non-negative");
-  return static_cast<std::uint64_t>(v);
-}
-
-bool to_bool(const Section& s, const std::string& key) {
-  return to_u64(s, key) != 0;
-}
-
-std::string to_string_value(const Section& s, const std::string& key) {
+const Value& find_value(const Section& s, const std::string& key) {
   const auto it = s.kv.find(key);
   support::check(it != s.kv.end(), "parse_platform",
                  "missing key '" + key + "' in section [" + s.name + "]");
   return it->second;
 }
 
+double to_double(const Section& s, const std::string& key) {
+  const Value& v = find_value(s, key);
+  char* end = nullptr;
+  const double d = std::strtod(v.text.c_str(), &end);
+  support::check(!v.text.empty() && *end == '\0', "parse_platform",
+                 "bad numeric value for '" + key + "' at line " +
+                     std::to_string(v.line));
+  return d;
+}
+
+/// An integer field: decimal digits only (no sign, fraction, exponent,
+/// inf or nan) and no larger than the field's type holds.
+template <typename T>
+T to_uint(const Section& s, const std::string& key) {
+  const Value& v = find_value(s, key);
+  std::uint64_t n = 0;
+  const char* first = v.text.data();
+  const char* last = first + v.text.size();
+  const auto [end, ec] = std::from_chars(first, last, n);
+  support::check(ec == std::errc{} && end == last &&
+                     n <= std::numeric_limits<T>::max(),
+                 "parse_platform",
+                 "'" + key + "' at line " + std::to_string(v.line) +
+                     " must be an unsigned integer below 2^" +
+                     std::to_string(std::numeric_limits<T>::digits) +
+                     ", not '" + v.text + "'");
+  return static_cast<T>(n);
+}
+
+bool to_bool(const Section& s, const std::string& key) {
+  return to_uint<std::uint64_t>(s, key) != 0;
+}
+
+std::string to_string_value(const Section& s, const std::string& key) {
+  return find_value(s, key).text;
+}
+
 CoreConfig parse_core(const Section& s) {
   CoreConfig c;
   c.name = to_string_value(s, "name");
   c.freq_hz = to_double(s, "freq_hz");
-  c.issue_width = static_cast<std::uint32_t>(to_u64(s, "issue_width"));
+  c.issue_width = to_uint<std::uint32_t>(s, "issue_width");
   c.out_of_order = to_bool(s, "out_of_order");
   c.split_lsu = to_bool(s, "split_lsu");
-  c.vector_bits = static_cast<std::uint32_t>(to_u64(s, "vector_bits"));
+  c.vector_bits = to_uint<std::uint32_t>(s, "vector_bits");
   c.vector_dp = to_bool(s, "vector_dp");
-  c.int_registers = static_cast<std::uint32_t>(to_u64(s, "int_registers"));
-  c.fp_registers = static_cast<std::uint32_t>(to_u64(s, "fp_registers"));
+  c.int_registers = to_uint<std::uint32_t>(s, "int_registers");
+  c.fp_registers = to_uint<std::uint32_t>(s, "fp_registers");
   c.dp_scalar_registers =
-      static_cast<std::uint32_t>(to_u64(s, "dp_scalar_registers"));
+      to_uint<std::uint32_t>(s, "dp_scalar_registers");
   c.miss_overlap = to_double(s, "miss_overlap");
   c.mshr = to_double(s, "mshr");
   c.branch_mispredict_penalty = to_double(s, "branch_mispredict_penalty");
   c.branch_mispredict_rate = to_double(s, "branch_mispredict_rate");
   c.fp_dep_latency_cycles = to_double(s, "fp_dep_latency_cycles");
-  c.tlb_entries = static_cast<std::uint32_t>(to_u64(s, "tlb_entries"));
+  c.tlb_entries = to_uint<std::uint32_t>(s, "tlb_entries");
   c.tlb_associativity =
-      static_cast<std::uint32_t>(to_u64(s, "tlb_associativity"));
+      to_uint<std::uint32_t>(s, "tlb_associativity");
   c.tlb_walk_cycles =
-      static_cast<std::uint32_t>(to_u64(s, "tlb_walk_cycles"));
+      to_uint<std::uint32_t>(s, "tlb_walk_cycles");
   for (std::size_t i = 0; i < kOpClassCount; ++i) {
     const auto cls = static_cast<OpClass>(i);
     c.recip_throughput[i] =
@@ -148,12 +172,12 @@ CoreConfig parse_core(const Section& s) {
 CacheConfig parse_cache(const Section& s) {
   CacheConfig c;
   c.name = to_string_value(s, "name");
-  c.size_bytes = to_u64(s, "size_bytes");
-  c.line_bytes = static_cast<std::uint32_t>(to_u64(s, "line_bytes"));
+  c.size_bytes = to_uint<std::uint64_t>(s, "size_bytes");
+  c.line_bytes = to_uint<std::uint32_t>(s, "line_bytes");
   c.associativity =
-      static_cast<std::uint32_t>(to_u64(s, "associativity"));
+      to_uint<std::uint32_t>(s, "associativity");
   c.latency_cycles =
-      static_cast<std::uint32_t>(to_u64(s, "latency_cycles"));
+      to_uint<std::uint32_t>(s, "latency_cycles");
   c.shared = to_bool(s, "shared");
   c.physically_indexed = to_bool(s, "physically_indexed");
   return c;
@@ -164,8 +188,8 @@ MemConfig parse_mem(const Section& s) {
   m.kind = to_string_value(s, "kind");
   m.latency_ns = to_double(s, "latency_ns");
   m.bandwidth_bytes_per_s = to_double(s, "bandwidth_bytes_per_s");
-  m.total_bytes = to_u64(s, "total_bytes");
-  m.page_bytes = static_cast<std::uint32_t>(to_u64(s, "page_bytes"));
+  m.total_bytes = to_uint<std::uint64_t>(s, "total_bytes");
+  m.page_bytes = to_uint<std::uint32_t>(s, "page_bytes");
   return m;
 }
 
@@ -209,7 +233,7 @@ Platform parse_platform(const std::string& text) {
     if (s.name.empty()) {
       if (s.kv.empty()) continue;
       p.name = to_string_value(s, "name");
-      p.cores = static_cast<std::uint32_t>(to_u64(s, "cores"));
+      p.cores = to_uint<std::uint32_t>(s, "cores");
       p.power_w = to_double(s, "power_w");
     } else if (s.name == "core") {
       support::check(!have_core, "parse_platform",

@@ -1,81 +1,49 @@
 #include "cache/cache.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "support/check.h"
 
 namespace mb::cache {
+namespace {
+
+/// The set count of `config`, once its geometry is checked: before
+/// anything divides by the line size or the ways.
+std::uint64_t checked_sets(const arch::CacheConfig& config) {
+  support::check(config.associativity > 0, "Cache",
+                 "associativity must be positive");
+  support::check(std::has_single_bit(config.line_bytes) &&
+                     config.line_bytes >= 4,
+                 "Cache",
+                 "line size must be a power of two of at least 4 bytes (a "
+                 "line's word keeps its valid and dirty bits below the line "
+                 "address)");
+  const std::uint64_t sets = config.sets();
+  support::check(std::has_single_bit(sets), "Cache",
+                 "set count must be a nonzero power of two");
+  return sets;
+}
+
+}  // namespace
 
 Cache::Cache(const arch::CacheConfig& config)
     : config_(config),
-      sets_(config.sets()),
+      set_mask_(checked_sets(config) - 1),
       ways_(config.associativity),
       line_shift_(static_cast<std::uint32_t>(
           std::countr_zero(static_cast<std::uint64_t>(config.line_bytes)))),
-      lines_(sets_ * ways_) {
-  support::check(sets_ > 0 && (sets_ & (sets_ - 1)) == 0, "Cache",
-                 "set count must be a nonzero power of two");
-}
-
-std::uint64_t Cache::set_index(std::uint64_t addr) const {
-  return (addr >> line_shift_) & (sets_ - 1);
-}
-
-std::uint64_t Cache::tag(std::uint64_t addr) const {
-  return addr >> line_shift_;  // full line address as tag; set is implied
-}
-
-bool Cache::access_line(std::uint64_t addr, bool write) {
-  ++stats_.accesses;
-  const std::uint64_t set = set_index(addr);
-  const std::uint64_t t = tag(addr);
-  Line* base = &lines_[set * ways_];
-
-  // MRU-first search.
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].tag == t) {
-      // Move to front (true LRU).
-      Line hit = base[w];
-      for (std::uint32_t k = w; k > 0; --k) base[k] = base[k - 1];
-      hit.dirty = hit.dirty || write;
-      base[0] = hit;
-      ++stats_.hits;
-      return true;
-    }
-  }
-
-  ++stats_.misses;
-  // Evict the LRU way (last slot).
-  Line& victim = base[ways_ - 1];
-  if (victim.valid) {
-    ++stats_.evictions;
-    if (victim.dirty) ++stats_.writebacks;
-  }
-  for (std::uint32_t k = ways_ - 1; k > 0; --k) base[k] = base[k - 1];
-  base[0] = Line{t, /*valid=*/true, /*dirty=*/write};
-  return false;
-}
+      lines_((set_mask_ + 1) * ways_, 0) {}
 
 void Cache::fill_line(std::uint64_t addr) {
-  const std::uint64_t set = set_index(addr);
-  const std::uint64_t t = tag(addr);
-  Line* base = &lines_[set * ways_];
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].tag == t) {
-      // Already resident: refresh LRU position only.
-      Line hit = base[w];
-      for (std::uint32_t k = w; k > 0; --k) base[k] = base[k - 1];
-      base[0] = hit;
-      return;
-    }
+  const std::uint64_t key = key_of(addr);
+  std::uint64_t* set = &lines_[set_base(key)];
+  const std::uint32_t way = find(set, key);
+  if (way < ways_) {
+    promote(set, way, set[way]);
+    return;
   }
-  Line& victim = base[ways_ - 1];
-  if (victim.valid) {
-    ++stats_.evictions;
-    if (victim.dirty) ++stats_.writebacks;
-  }
-  for (std::uint32_t k = ways_ - 1; k > 0; --k) base[k] = base[k - 1];
-  base[0] = Line{t, /*valid=*/true, /*dirty=*/false};
+  insert(set, key);
 }
 
 std::uint32_t Cache::access(std::uint64_t addr, std::uint32_t bytes,
@@ -89,17 +57,6 @@ std::uint32_t Cache::access(std::uint64_t addr, std::uint32_t bytes,
   return misses;
 }
 
-bool Cache::contains(std::uint64_t addr) const {
-  const std::uint64_t set = set_index(addr);
-  const std::uint64_t t = tag(addr);
-  const Line* base = &lines_[set * ways_];
-  for (std::uint32_t w = 0; w < ways_; ++w)
-    if (base[w].valid && base[w].tag == t) return true;
-  return false;
-}
-
-void Cache::flush() {
-  for (auto& line : lines_) line = Line{};
-}
+void Cache::flush() { std::fill(lines_.begin(), lines_.end(), 0); }
 
 }  // namespace mb::cache

@@ -1,7 +1,5 @@
 #include "cache/hierarchy.h"
 
-#include <algorithm>
-
 #include "support/check.h"
 
 namespace mb::cache {
@@ -10,6 +8,8 @@ Hierarchy::Hierarchy(std::span<const arch::CacheConfig> configs) {
   support::check(!configs.empty(), "Hierarchy", "need at least one level");
   levels_.reserve(configs.size());
   for (const auto& c : configs) levels_.emplace_back(c);
+  line_shift_ = levels_.front().line_shift();
+  llc_line_bytes_ = levels_.back().config().line_bytes;
 }
 
 Hierarchy::Hierarchy(const arch::Platform& platform)
@@ -34,7 +34,7 @@ void Hierarchy::prefetch_line(std::uint64_t paddr) {
   // pays DRAM traffic.
   for (auto& level : levels_) level.fill_line(paddr);
   ++prefetches_;
-  memory_bytes_ += levels_.back().config().line_bytes;
+  memory_bytes_ += llc_line_bytes_;
 
   // Track it so a demand hit on this line keeps the stream running.
   if (outstanding_.insert(paddr).second) {
@@ -50,6 +50,9 @@ void Hierarchy::prefetch_line(std::uint64_t paddr) {
 }
 
 void Hierarchy::continue_stream(std::uint64_t paddr_line) {
+  const auto it = outstanding_.find(paddr_line);
+  if (it == outstanding_.end()) return;
+  outstanding_.erase(it);
   const std::uint32_t line = levels_.front().config().line_bytes;
   prefetch_line(paddr_line +
                 static_cast<std::uint64_t>(prefetcher_.degree) * line);
@@ -82,55 +85,13 @@ void Hierarchy::train_prefetcher(std::uint64_t paddr_line) {
   streams_[0] = Stream{paddr_line + line, 1, true};
 }
 
-AccessResult Hierarchy::access(std::uint64_t vaddr, std::uint64_t paddr,
-                               std::uint32_t bytes, bool write) {
-  AccessResult result;
-  // Walk each line touched by the access through the hierarchy.
-  const std::uint32_t line0 = levels_.front().config().line_bytes;
-  const std::uint64_t first = paddr / line0;
-  const std::uint64_t last = (paddr + bytes - 1) / line0;
-  result.lines_touched = static_cast<std::uint32_t>(last - first + 1);
-
-  std::size_t deepest = 0;
-  for (std::uint64_t line = first; line <= last; ++line) {
-    const std::uint64_t offset = line * line0 - paddr;
-    const std::uint64_t pa = line * line0;
-    const std::uint64_t va = vaddr + offset;
-    if (prefetcher_.enabled) {
-      const auto it = outstanding_.find(pa);
-      if (it != outstanding_.end()) {
-        outstanding_.erase(it);
-        continue_stream(pa);
-      }
-    }
-    std::size_t lvl = 0;
-    for (; lvl < levels_.size(); ++lvl) {
-      const std::uint64_t a =
-          levels_[lvl].config().physically_indexed ? pa : va;
-      if (levels_[lvl].access_line(a, write)) break;
-    }
-    if (lvl == levels_.size()) {
-      ++memory_accesses_;
-      const std::uint32_t llc_line = levels_.back().config().line_bytes;
-      memory_bytes_ += llc_line;
-      if (prefetcher_.enabled) train_prefetcher(pa);
-    }
-    deepest = std::max(deepest, lvl);
-  }
-  // Writeback traffic is accounted lazily in stats(): dirty evictions at
-  // the LLC reach DRAM.
-  result.hit_level = deepest;
-  return result;
-}
-
 HierarchyStats Hierarchy::stats() const {
   HierarchyStats s;
   s.level.reserve(levels_.size());
   for (const auto& c : levels_) s.level.push_back(c.stats());
   s.memory_accesses = memory_accesses_;
-  s.memory_bytes = memory_bytes_ +
-                   levels_.back().stats().writebacks *
-                       levels_.back().config().line_bytes;
+  s.memory_bytes =
+      memory_bytes_ + levels_.back().stats().writebacks * llc_line_bytes_;
   s.prefetches = prefetches_;
   return s;
 }

@@ -63,9 +63,23 @@ class Hierarchy {
   /// Accesses `bytes` at the given address pair. Levels with
   /// `physically_indexed` use `paddr`; virtually-indexed levels use `vaddr`.
   /// The access must not straddle a page boundary (callers split there,
-  /// since the physical mapping changes).
+  /// since the physical mapping changes). Each L1 line it covers walks the
+  /// levels once; the virtual address moves in step with the physical one
+  /// (unsigned wrap covers a first line that starts below `paddr`). DRAM
+  /// writebacks are counted lazily, in stats().
   AccessResult access(std::uint64_t vaddr, std::uint64_t paddr,
-                      std::uint32_t bytes, bool write);
+                      std::uint32_t bytes, bool write) {
+    const std::uint64_t first = paddr >> line_shift_;
+    const std::uint64_t last = (paddr + bytes - 1) >> line_shift_;
+    AccessResult result;
+    result.lines_touched = static_cast<std::uint32_t>(last - first + 1);
+    for (std::uint64_t line = first; line <= last; ++line) {
+      const std::uint64_t pa = line << line_shift_;
+      const std::size_t lvl = access_line(vaddr + (pa - paddr), pa, write);
+      if (lvl > result.hit_level) result.hit_level = lvl;
+    }
+    return result;
+  }
 
   /// Convenience for identity-mapped traces (tests, analyzers).
   AccessResult access(std::uint64_t addr, std::uint32_t bytes, bool write) {
@@ -86,14 +100,34 @@ class Hierarchy {
     bool valid = false;
   };
 
+  /// Walks one L1 line (physical `pa`, virtual `va`) down the levels:
+  /// the per-line step of every access, one-line or straddling, and where
+  /// the prefetcher watches demand traffic. Returns the level that hit
+  /// (levels() = memory).
+  std::size_t access_line(std::uint64_t va, std::uint64_t pa, bool write) {
+    if (prefetcher_.enabled) continue_stream(pa);
+    for (std::size_t lvl = 0; lvl < levels_.size(); ++lvl) {
+      Cache& level = levels_[lvl];
+      if (level.access_line(level.config().physically_indexed ? pa : va,
+                            write))
+        return lvl;
+    }
+    ++memory_accesses_;
+    memory_bytes_ += llc_line_bytes_;
+    if (prefetcher_.enabled) train_prefetcher(pa);
+    return levels_.size();
+  }
   /// Brings one line into every level without touching demand stats and
   /// remembers it as an outstanding prefetch (stream continuation).
   void prefetch_line(std::uint64_t paddr);
   void train_prefetcher(std::uint64_t paddr_line);
-  /// Demand access touched a prefetched line: keep the stream ahead.
+  /// A demand access reached `paddr_line`: if it is an outstanding
+  /// prefetch, keep its stream ahead.
   void continue_stream(std::uint64_t paddr_line);
 
   std::vector<Cache> levels_;
+  std::uint32_t line_shift_ = 0;      // L1's: accesses split into L1 lines
+  std::uint32_t llc_line_bytes_ = 0;  // DRAM traffic per fill or writeback
   std::uint64_t memory_accesses_ = 0;
   std::uint64_t memory_bytes_ = 0;
   std::uint64_t prefetches_ = 0;

@@ -1,5 +1,6 @@
 #include "cache/tlb.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "support/check.h"
@@ -8,44 +9,46 @@ namespace mb::cache {
 
 Tlb::Tlb(const TlbConfig& config)
     : config_(config),
-      sets_(config.entries / config.associativity),
+      set_mask_(0),
       ways_(config.associativity),
       page_shift_(static_cast<std::uint32_t>(
           std::countr_zero(static_cast<std::uint64_t>(config.page_bytes)))),
-      entries_(config.entries) {
+      vpn_(config.entries, 0),
+      stamp_(config.entries, 0) {
   support::check(config.entries > 0 && config.associativity > 0, "Tlb",
                  "entries and associativity must be positive");
   support::check(config.entries % config.associativity == 0, "Tlb",
                  "entries must divide evenly into sets");
-  support::check((sets_ & (sets_ - 1)) == 0, "Tlb",
+  const std::uint32_t sets = config.entries / config.associativity;
+  support::check((sets & (sets - 1)) == 0, "Tlb",
                  "set count must be a power of two");
-  support::check((config.page_bytes & (config.page_bytes - 1)) == 0, "Tlb",
-                 "page size must be a power of two");
+  support::check(config.page_bytes > 0 &&
+                     (config.page_bytes & (config.page_bytes - 1)) == 0,
+                 "Tlb", "page size must be a positive power of two");
+  set_mask_ = sets - 1;
 }
 
-bool Tlb::access(std::uint64_t vaddr) {
-  ++stats_.accesses;
-  const std::uint64_t vpn = vaddr >> page_shift_;
-  const std::uint64_t set = vpn & (sets_ - 1);
-  Entry* base = &entries_[set * ways_];
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].vpn == vpn) {
-      Entry hit = base[w];
-      for (std::uint32_t k = w; k > 0; --k) base[k] = base[k - 1];
-      base[0] = hit;
+bool Tlb::access_slow(std::uint64_t vpn, std::uint32_t& hint) {
+  const std::uint32_t base =
+      static_cast<std::uint32_t>(vpn & set_mask_) * ways_;
+  std::uint32_t lru = base;
+  for (std::uint32_t e = base; e < base + ways_; ++e) {
+    if (vpn_[e] == vpn && stamp_[e] != 0) {
+      stamp_[e] = ++clock_;
+      hint = e;
       ++stats_.hits;
       return true;
     }
+    if (stamp_[e] < stamp_[lru]) lru = e;
   }
   ++stats_.misses;
-  if (base[ways_ - 1].valid) ++stats_.evictions;
-  for (std::uint32_t k = ways_ - 1; k > 0; --k) base[k] = base[k - 1];
-  base[0] = Entry{vpn, true};
+  if (stamp_[lru] != 0) ++stats_.evictions;
+  vpn_[lru] = vpn;
+  stamp_[lru] = ++clock_;
+  hint = lru;
   return false;
 }
 
-void Tlb::flush() {
-  for (auto& e : entries_) e = Entry{};
-}
+void Tlb::flush() { std::fill(stamp_.begin(), stamp_.end(), 0); }
 
 }  // namespace mb::cache

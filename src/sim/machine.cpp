@@ -1,6 +1,7 @@
 #include "sim/machine.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/check.h"
 
@@ -56,23 +57,15 @@ Machine::Machine(arch::Platform platform, PagePolicy policy, support::Rng rng)
       space_(make_allocator(policy, frame_pool_size(platform_), rng),
              platform_.mem.page_bytes),
       hierarchy_(platform_),
-      tlb_(tlb_config(platform_)) {}
+      tlb_(tlb_config(platform_)),
+      page_shift_(static_cast<std::uint32_t>(
+          std::countr_zero(platform_.mem.page_bytes))),
+      page_mask_(platform_.mem.page_bytes - 1) {
+  clear_translations();
+}
 
-void Machine::touch(std::uint64_t vaddr, std::uint32_t bytes, bool write) {
-  support::check(bytes > 0, "Machine::touch", "bytes must be positive");
-  const std::uint32_t page = platform_.mem.page_bytes;
-  std::uint64_t va = vaddr;
-  std::uint64_t remaining = bytes;
-  while (remaining > 0) {
-    const std::uint64_t in_page = page - (va & (page - 1));
-    const auto chunk =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(in_page, remaining));
-    tlb_.access(va);
-    const std::uint64_t pa = space_.translate(va);
-    hierarchy_.access(va, pa, chunk, write);
-    va += chunk;
-    remaining -= chunk;
-  }
+void Machine::clear_translations() {
+  for (std::size_t s = 0; s < kTranslations; ++s) translations_[s] = {s ^ 1, 0};
 }
 
 void Machine::begin_measurement() {

@@ -3,9 +3,18 @@
 // Binds a Platform descriptor to live state: a virtual address space backed
 // by one of the OS page-allocation models, a private cache hierarchy, and a
 // data TLB. Kernels drive their memory accesses through touch() and then
-// convert their instruction mix into cycles/time/counters with run().
+// convert their instruction mix into cycles, time and counters with
+// end_measurement().
+//
+// touch() runs once per simulated load or store, so it keeps the last
+// translations in a small direct-mapped memo in front of the address
+// space's page table. The address space stays the authority: a memo miss
+// asks it (an unmapped address still throws), and munmap() clears the memo
+// before any page leaves, so no entry outlives its mapping.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -17,6 +26,7 @@
 #include "os/address_space.h"
 #include "sim/cost_model.h"
 #include "sim/instr_mix.h"
+#include "support/check.h"
 #include "support/rng.h"
 
 namespace mb::sim {
@@ -51,11 +61,27 @@ class Machine {
 
   /// Maps / unmaps a buffer (whole pages).
   os::Region mmap(std::uint64_t bytes) { return space_.mmap(bytes); }
-  void munmap(const os::Region& r) { space_.munmap(r); }
+  void munmap(const os::Region& r) {
+    clear_translations();
+    space_.munmap(r);
+  }
 
   /// Performs one data access of `bytes` at virtual `vaddr`: TLB lookup,
   /// translation, cache hierarchy walk. Splits at page boundaries.
-  void touch(std::uint64_t vaddr, std::uint32_t bytes, bool write);
+  void touch(std::uint64_t vaddr, std::uint32_t bytes, bool write) {
+    if (bytes == 0) support::fail("Machine::touch", "bytes must be positive");
+    std::uint64_t va = vaddr;
+    std::uint64_t remaining = bytes;
+    while (remaining > 0) {
+      const std::uint64_t in_page = page_mask_ + 1 - (va & page_mask_);
+      const auto chunk = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(in_page, remaining));
+      tlb_.access(va);
+      hierarchy_.access(va, translate(va), chunk, write);
+      va += chunk;
+      remaining -= chunk;
+    }
+  }
 
   /// Starts a measurement interval: zeroes hierarchy/TLB statistics.
   void begin_measurement();
@@ -80,11 +106,32 @@ class Machine {
   const CostModel& cost_model() const { return cost_model_; }
 
  private:
+  /// One memoized translation: virtual page number -> physical page base.
+  struct Translation {
+    std::uint64_t vpn = 0;
+    std::uint64_t frame = 0;
+  };
+  static constexpr std::size_t kTranslations = 64;
+
+  /// Physical address of mapped `vaddr`, through the memo.
+  std::uint64_t translate(std::uint64_t vaddr) {
+    const std::uint64_t vpn = vaddr >> page_shift_;
+    Translation& t = translations_[vpn & (kTranslations - 1)];
+    if (t.vpn != vpn) t = {vpn, space_.translate(vaddr) & ~page_mask_};
+    return t.frame | (vaddr & page_mask_);
+  }
+  /// Empties the memo. An empty slot s holds vpn s ^ 1, a page that maps to
+  /// another slot, so no lookup can match it.
+  void clear_translations();
+
   arch::Platform platform_;
   CostModel cost_model_;
   os::AddressSpace space_;
   cache::Hierarchy hierarchy_;
   cache::Tlb tlb_;
+  std::uint32_t page_shift_ = 0;
+  std::uint64_t page_mask_ = 0;
+  std::array<Translation, kTranslations> translations_{};
 };
 
 /// Builds the page-allocator model named by `policy` over `frames` frames.

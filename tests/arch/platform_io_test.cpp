@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
 #include "arch/platforms.h"
 #include "support/check.h"
 
@@ -91,6 +95,73 @@ TEST(PlatformIo, ValidationRunsOnParse) {
   const auto pos = text.find("cores = ");
   text.replace(pos, text.find('\n', pos) - pos, "cores = 0");
   EXPECT_THROW(parse_platform(text), support::Error);
+}
+
+/// Replaces the value of the first `key = ...` line; returns that line's
+/// 1-based number.
+int set_value(std::string& text, const std::string& key,
+              const std::string& value) {
+  const auto pos = text.find("\n" + key + " = ") + 1;
+  text.replace(pos, text.find('\n', pos) - pos, key + " = " + value);
+  const auto end = text.begin() + static_cast<std::ptrdiff_t>(pos);
+  return 1 + static_cast<int>(std::count(text.begin(), end, '\n'));
+}
+
+TEST(PlatformIo, IntegerFieldsRejectWhatIsNotAnInteger) {
+  struct Case {
+    const char* key;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"tlb_walk_cycles", "1e30"},              // exponent, far out of range
+      {"page_bytes", "4096.9"},                 // fraction
+      {"line_bytes", "4294967328"},             // above 2^32 - 1
+      {"size_bytes", "18446744073709551616"},   // above 2^64 - 1
+      {"cores", "-1"},                          // sign
+      {"issue_width", "+2"},                    // sign
+      {"tlb_entries", "inf"},
+      {"associativity", "nan"},
+      {"latency_cycles", "0x10"},               // hex
+      {"total_bytes", "1e9"},                   // exponent
+      {"out_of_order", "1.0"},                  // flags are integers too
+      {"vector_bits", "12 ab"},                 // trailing garbage
+      {"dp_scalar_registers", ""},              // empty
+  };
+  for (const Case& c : cases) {
+    std::string text = serialize_platform(snowball());
+    const int line = set_value(text, c.key, c.value);
+    try {
+      parse_platform(text);
+      ADD_FAILURE() << c.key << " = '" << c.value << "' was accepted";
+    } catch (const support::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + std::string(c.key) + "'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("line " + std::to_string(line)), std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(PlatformIo, IntegerFieldsAcceptTheirWholeRange) {
+  std::string text = serialize_platform(snowball());
+  set_value(text, "tlb_walk_cycles", "4294967295");
+  set_value(text, "total_bytes", "18446744073709551615");
+  const Platform p = parse_platform(text);
+  EXPECT_EQ(p.core.tlb_walk_cycles, 4294967295u);
+  EXPECT_EQ(p.mem.total_bytes, 18446744073709551615u);
+}
+
+TEST(PlatformIo, RejectsGeometryTheSimulatorCannotBuild) {
+  // Each parses as numbers but would fail (or divide by zero) only when a
+  // machine is built from it.
+  for (const auto& [key, value] :
+       {std::pair{"page_bytes", "0"}, std::pair{"tlb_entries", "0"},
+        std::pair{"tlb_associativity", "0"}}) {
+    std::string text = serialize_platform(snowball());
+    set_value(text, key, value);
+    EXPECT_THROW(parse_platform(text), support::Error) << key;
+  }
 }
 
 TEST(PlatformIo, ParsedPlatformIsUsable) {

@@ -68,6 +68,31 @@ TEST(Platform, RejectsZeroPower) {
   EXPECT_THROW(p.validate(), support::Error);
 }
 
+TEST(Platform, RejectsLinesBelowFourBytes) {
+  auto p = minimal_platform();
+  p.caches[0].line_bytes = 2;
+  p.caches[0].size_bytes = 2 * 4 * 256;
+  EXPECT_THROW(p.validate(), support::Error);
+}
+
+TEST(Platform, RejectsTlbGeometryTheModelCannotBuild) {
+  struct Tlb {
+    std::uint32_t entries;
+    std::uint32_t ways;
+  };
+  for (const Tlb bad : {Tlb{0, 32}, Tlb{32, 0}, Tlb{48, 32}, Tlb{96, 32}}) {
+    auto p = minimal_platform();
+    p.core.tlb_entries = bad.entries;
+    p.core.tlb_associativity = bad.ways;
+    EXPECT_THROW(p.validate(), support::Error)
+        << bad.entries << " entries, " << bad.ways << " ways";
+  }
+  auto p = minimal_platform();
+  p.core.tlb_entries = 64;
+  p.core.tlb_associativity = 4;  // 16 sets
+  EXPECT_NO_THROW(p.validate());
+}
+
 TEST(Platform, SecondsFromCycles) {
   const auto p = minimal_platform();
   EXPECT_DOUBLE_EQ(p.seconds(1e9), 1.0);
