@@ -1,6 +1,7 @@
 #include "arch/platform.h"
 
 #include <algorithm>
+#include <string>
 
 #include "support/check.h"
 
@@ -130,6 +131,23 @@ void Platform::validate() const {
   sp::check(cores >= 1, "Platform::validate", "at least one core");
   sp::check(core.issue_width >= 1, "Platform::validate",
             "issue width must be >= 1");
+  // Written so that NaN fails every range too.
+  sp::check(core.miss_overlap >= 0.0 && core.miss_overlap <= 1.0,
+            "Platform::validate", "miss_overlap must lie in [0, 1]");
+  sp::check(core.mshr >= 1.0, "Platform::validate", "mshr must be >= 1");
+  sp::check(core.branch_mispredict_rate >= 0.0 &&
+                core.branch_mispredict_rate <= 1.0,
+            "Platform::validate",
+            "branch_mispredict_rate must lie in [0, 1]");
+  sp::check(core.branch_mispredict_penalty >= 0.0, "Platform::validate",
+            "branch_mispredict_penalty must be >= 0");
+  sp::check(core.fp_dep_latency_cycles >= 0.0, "Platform::validate",
+            "fp_dep_latency_cycles must be >= 0");
+  for (std::size_t i = 0; i < kOpClassCount; ++i)
+    sp::check(core.recip_throughput[i] >= 0.0, "Platform::validate",
+              "recip." +
+                  std::string(op_class_name(static_cast<OpClass>(i))) +
+                  " must be >= 0");
   sp::check(!caches.empty(), "Platform::validate",
             "at least one cache level required");
   for (const auto& c : caches) {

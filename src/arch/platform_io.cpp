@@ -1,6 +1,7 @@
 #include "arch/platform_io.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -101,6 +102,8 @@ const Value& find_value(const Section& s, const std::string& key) {
   return it->second;
 }
 
+/// A real-valued field: a finite number (strtod syntax without inf and
+/// nan, which no model input can use).
 double to_double(const Section& s, const std::string& key) {
   const Value& v = find_value(s, key);
   char* end = nullptr;
@@ -108,6 +111,9 @@ double to_double(const Section& s, const std::string& key) {
   support::check(!v.text.empty() && *end == '\0', "parse_platform",
                  "bad numeric value for '" + key + "' at line " +
                      std::to_string(v.line));
+  support::check(std::isfinite(d), "parse_platform",
+                 "'" + key + "' at line " + std::to_string(v.line) +
+                     " must be a finite number, not '" + v.text + "'");
   return d;
 }
 

@@ -17,53 +17,16 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
+#include "support/label.h"
+
 namespace mb::mpi {
 
-/// An interned op label: a pointer to the one copy of its text in a
-/// process-wide, append-only string set. Labels live until the process
-/// exits; only code (op factories, app builders, the generator, tests)
-/// creates them, never input data. Interning locks and is safe from any
-/// thread; reading a label does not lock. Two labels are equal when they
-/// point at the same entry. Nothing may depend on the address itself or
-/// on interning order. The empty label is the default and is never
-/// interned.
-class Label {
- public:
-  Label() = default;
-  // Implicit both ways, so ops take string literals and read as strings.
-  Label(std::string_view text);                                      // NOLINT
-  Label(const char* text) : Label(std::string_view(text)) {}         // NOLINT
-  Label(const std::string& text) : Label(std::string_view(text)) {}  // NOLINT
-  operator const std::string&() const { return *text_; }             // NOLINT
-  operator std::string_view() const { return *text_; }               // NOLINT
-
-  const std::string& str() const { return *text_; }
-  bool empty() const { return text_->empty(); }
-
-  friend bool operator==(const Label& a, const Label& b) {
-    return a.text_ == b.text_;
-  }
-  friend bool operator==(const Label& a, std::string_view b) {
-    return *a.text_ == b;
-  }
-  friend bool operator==(const Label& a, const char* b) {
-    return *a.text_ == b;
-  }
-  friend bool operator==(const Label& a, const std::string& b) {
-    return *a.text_ == b;
-  }
-  friend std::ostream& operator<<(std::ostream& os, const Label& label);
-
- private:
-  static const std::string kEmpty;
-  const std::string* text_ = &kEmpty;
-};
+/// An op's trace label, interned (support/label.h).
+using support::Label;
 
 /// An alltoallv's bytes per destination rank: an immutable block shared
 /// by every copy of the op. Assigning new counts to an op gives it a new

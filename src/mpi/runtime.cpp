@@ -10,6 +10,15 @@
 
 namespace mb::mpi {
 
+namespace {
+
+// The runtime's own trace labels, interned once.
+const Label kSendLabel("send");
+const Label kRecvLabel("recv");
+const Label kRecvTimeoutLabel("recv_timeout");
+
+}  // namespace
+
 std::string FailureReport::to_string() const {
   std::ostringstream os;
   os << "failure report:\n";
@@ -61,23 +70,15 @@ Runtime::Runtime(sim::ShardedEngine& engine, net::Network& network,
 }
 
 void Runtime::record(std::uint32_t rank, double t0, double t1,
-                     trace::EventKind kind, const std::string& label,
+                     trace::EventKind kind, Label label,
                      std::uint64_t bytes) {
   // wants() is the cheap pre-filter: an unsampled rank or filtered kind
-  // skips the label copy entirely.
+  // builds no record.
   if (sink_ == nullptr || !sink_->wants(rank, kind)) return;
-  trace::Record r;
-  r.rank = rank;
-  r.t0 = t0;
-  r.t1 = t1;
-  r.kind = kind;
-  r.label = label;
-  r.bytes = bytes;
-  sink_->emit(std::move(r));
+  sink_->emit({rank, t0, t1, kind, label, bytes});
 }
 
-void Runtime::mark_fault(std::uint32_t rank, double t_s,
-                         const std::string& label) {
+void Runtime::mark_fault(std::uint32_t rank, double t_s, Label label) {
   record(rank, t_s, t_s, trace::EventKind::kFault, label, 0);
 }
 
@@ -265,8 +266,8 @@ void Runtime::on_recv_timeout(std::uint32_t rank, std::uint64_t epoch) {
   failure_.detected_s = std::max(failure_.detected_s, now);
   metrics_[rank].recv_timeouts += 1.0;
   metrics_[rank].time_wait += now - s.wait_start;
-  record(rank, s.wait_start, now, trace::EventKind::kWait,
-         "recv_timeout", 0);
+  record(rank, s.wait_start, now, trace::EventKind::kWait, kRecvTimeoutLabel,
+         0);
   BlockedOp b;
   b.rank = rank;
   b.peer = s.waiting->first;
@@ -302,7 +303,7 @@ void Runtime::advance(std::uint32_t rank) {
         if (!s.in_group) {
           metrics_[rank].time_p2p += config_.send_overhead_s;
           record(rank, now, now + config_.send_overhead_s,
-                 trace::EventKind::kSend, "send", bytes);
+                 trace::EventKind::kSend, kSendLabel, bytes);
         }
         if (rank_to_host_[rank] == rank_to_host_[dst]) {
           const double t = config_.intra_latency_s +
@@ -339,7 +340,7 @@ void Runtime::advance(std::uint32_t rank) {
         if (!s.in_group) {
           metrics_[rank].time_p2p += config_.recv_overhead_s;
           record(rank, now, now + config_.recv_overhead_s,
-                 trace::EventKind::kRecv, "recv", bytes);
+                 trace::EventKind::kRecv, kRecvLabel, bytes);
         }
         c.next();
         schedule_for(rank, config_.recv_overhead_s,

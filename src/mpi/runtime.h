@@ -147,7 +147,7 @@ class Runtime {
   /// Fault injection: records an instant kFault mark at `t_s` on
   /// `rank`'s track, through the sink like every other record (capture
   /// filters apply).
-  void mark_fault(std::uint32_t rank, double t_s, const std::string& label);
+  void mark_fault(std::uint32_t rank, double t_s, Label label);
 
  private:
   /// Metric deltas accumulated on the owning shard, flushed rank-major
@@ -191,8 +191,7 @@ class Runtime {
                  std::uint32_t attempt);
   void on_recv_timeout(std::uint32_t rank, std::uint64_t epoch);
   void record(std::uint32_t rank, double t0, double t1,
-              trace::EventKind kind, const std::string& label,
-              std::uint64_t bytes);
+              trace::EventKind kind, Label label, std::uint64_t bytes);
   void schedule_for(std::uint32_t rank, double delay_s,
                     sim::ShardedEngine::Callback cb);
   void flush_observability(std::uint32_t ranks);

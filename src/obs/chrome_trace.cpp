@@ -17,6 +17,9 @@ namespace {
 
 constexpr int kClusterPid = 0;
 constexpr int kProfilerPid = 1;
+/// Events between two flushes of the writer: about half a megabyte of
+/// text, so the document streams out and is never held whole.
+constexpr std::size_t kFlushEvents = 2048;
 
 void write_thread_name(JsonWriter& w, int pid, std::uint32_t tid,
                        const std::string& name) {
@@ -89,10 +92,13 @@ void write_chrome_trace(std::ostream& os, const trace::Trace& trace,
   w.key("traceEvents").begin_array();
 
   write_process_name(w, kClusterPid, "cluster");
-  for (std::uint32_t r = 0; r < ranks; ++r)
+  for (std::uint32_t r = 0; r < ranks; ++r) {
     write_thread_name(w, kClusterPid, r, "rank " + std::to_string(r));
+    if ((r + 1) % kFlushEvents == 0) w.flush_to(os);
+  }
 
   for (std::size_t k = 0; k < trace.size(); ++k) {
+    if (k % kFlushEvents == 0) w.flush_to(os);
     const trace::Record& rec = trace.records()[k];
     if (rec.kind == trace::EventKind::kFault) {
       // Injected faults are global instant markers, not rank work: the

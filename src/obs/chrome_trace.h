@@ -31,7 +31,9 @@ struct ChromeTraceOptions {
 };
 
 /// Writes the complete document: {"traceEvents": [...], ...}. The output
-/// parses with support::parse_json and loads in chrome://tracing.
+/// parses with support::parse_json and loads in chrome://tracing. It
+/// streams to `os` a few thousand events at a time, so memory does not
+/// grow with the document.
 void write_chrome_trace(std::ostream& os, const trace::Trace& trace,
                         const ChromeTraceOptions& options = {});
 

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <ostream>
 
 #include "support/check.h"
 
@@ -104,7 +105,7 @@ void JsonWriter::newline_indent() {
 
 void JsonWriter::before_value() {
   if (stack_.empty()) {
-    check(out_.empty(), "JsonWriter",
+    check(out_.empty() && !flushed_, "JsonWriter",
           "only one top-level value is allowed");
     return;
   }
@@ -213,9 +214,15 @@ JsonWriter& JsonWriter::null() {
   return *this;
 }
 
+void JsonWriter::flush_to(std::ostream& os) {
+  os.write(out_.data(), static_cast<std::streamsize>(out_.size()));
+  flushed_ = flushed_ || !out_.empty();
+  out_.clear();
+}
+
 void JsonWriter::check_finished() const {
   check(stack_.empty(), "JsonWriter", "unclosed object or array");
-  check(!out_.empty(), "JsonWriter", "no value written");
+  check(!out_.empty() || flushed_, "JsonWriter", "no value written");
 }
 
 std::string JsonWriter::str() const& {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,6 +43,9 @@ std::string json_number(double v);
 ///
 /// Commas and (optionally) indentation are inserted automatically. Misuse
 /// (value without key inside an object, unbalanced end_*) throws Error.
+/// A large document can stream: flush_to() hands the text buffered so far
+/// to a stream at any point, and the flushed pieces followed by str() are
+/// the bytes str() alone would have returned.
 class JsonWriter {
  public:
   /// `pretty` inserts newlines and two-space indentation.
@@ -74,9 +78,13 @@ class JsonWriter {
     return value(v);
   }
 
-  /// The finished document. Throws if containers are still open. The
-  /// rvalue overload (`std::move(w).str()`) hands over the buffer
-  /// instead of copying it.
+  /// Writes the text buffered so far to `os` and empties the buffer,
+  /// keeping its capacity for the text that follows.
+  void flush_to(std::ostream& os);
+
+  /// The finished document, or after flush_to() the rest of it. Throws
+  /// if containers are still open. The rvalue overload
+  /// (`std::move(w).str()`) hands over the buffer instead of copying it.
   std::string str() const&;
   std::string str() &&;
 
@@ -89,6 +97,7 @@ class JsonWriter {
   std::string out_;
   std::vector<Frame> stack_;
   bool pretty_;
+  bool flushed_ = false;  // some text already went out through flush_to()
   bool expect_key_ = false;   // inside an object, next token must be a key
   bool first_in_frame_ = true;
 };

@@ -93,10 +93,10 @@ MbTraceRecord read_record(std::istream& is) {
           std::bit_cast<double>(get_le<std::uint64_t>(buf + 25))};
 }
 
-std::uint32_t LabelTable::intern(const std::string& label) {
+std::uint32_t LabelTable::intern(support::Label label) {
   const auto [it, inserted] =
       ids_.try_emplace(label, static_cast<std::uint32_t>(labels_.size()));
-  if (inserted) labels_.push_back(label);
+  if (inserted) labels_.push_back(label.str());
   return it->second;
 }
 
@@ -169,31 +169,41 @@ MbTraceFile read_mb_trace(std::istream& is) {
                  "implausible total_ranks " +
                      std::to_string(file.meta.total_ranks));
   file.meta.dropped = read_le<std::uint64_t>(is);
+  // Header counts are claims until their entries are read: both lists
+  // grow as entries arrive, so a short file fails as truncated instead
+  // of allocating what its header declares.
   const auto sampled = read_le<std::uint32_t>(is);
   support::check(sampled <= kMaxTraceRanks, "read_mb_trace",
                  "implausible sampled-rank count");
-  file.meta.sampled_ranks.reserve(sampled);
   for (std::uint32_t i = 0; i < sampled; ++i)
     file.meta.sampled_ranks.push_back(read_le<std::uint32_t>(is));
 
   const auto strings = read_le<std::uint32_t>(is);
-  support::check(strings <= (1u << 24), "read_mb_trace",
-                 "implausible label-table size");
-  std::vector<std::string> table;
-  table.reserve(strings);
-  for (std::uint32_t i = 0; i < strings; ++i)
-    table.push_back(read_string(is, 1u << 16));
+  FileLabels labels("read_mb_trace", "label");
+  std::vector<support::Label> table;
+  std::string text;
+  for (std::uint32_t i = 0; i < strings; ++i) {
+    const auto len = read_le<std::uint32_t>(is);
+    labels.check_length(len, i);
+    text.resize(len);
+    read_exact(is, text.data(), len);
+    table.push_back(labels.intern(text, i));
+  }
 
   const std::uint32_t rank_limit =
       file.meta.total_ranks > 0 ? file.meta.total_ranks : kMaxTraceRanks;
   const auto count = read_le<std::uint64_t>(is);
   for (std::uint64_t i = 0; i < count; ++i) {
     const MbTraceRecord rec = read_record(is);
-    if (rec.rank >= rank_limit)
+    const auto fail_at = [i](const std::string& why) {
       support::fail("read_mb_trace",
-                    "record " + std::to_string(i) + ": rank " +
-                        std::to_string(rec.rank) + " is not below " +
-                        std::to_string(rank_limit));
+                    "record " + std::to_string(i) + ": " + why);
+    };
+    if (rec.rank >= rank_limit)
+      fail_at("rank " + std::to_string(rec.rank) + " is not below " +
+              std::to_string(rank_limit));
+    const std::string_view why = interval_error(rec.t0, rec.t1);
+    if (!why.empty()) fail_at(std::string(why));
     support::check(rec.label_id < table.size(), "read_mb_trace",
                    "label id out of range");
     file.trace.add({rec.rank, rec.t0, rec.t1, rec.kind, table[rec.label_id],

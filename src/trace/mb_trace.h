@@ -31,7 +31,10 @@
 // the reader, write_mb_trace() and the streaming sink's spill alike.
 // Readers accept ranks below kMaxTraceRanks only: total_ranks above it,
 // or a record whose rank is not below total_ranks (kMaxTraceRanks when
-// total_ranks is 0), is an error naming the record.
+// total_ranks is 0), is an error naming the record. So is a record whose
+// times interval_error() rejects. The label table is held to the
+// FileLabels bounds, and header counts allocate only as their entries
+// are read, so a short file fails as truncated.
 #pragma once
 
 #include <cstdint>
@@ -63,14 +66,15 @@ void write_record(std::ostream& os, const MbTraceRecord& r);
 /// Throws support::Error on a short read or an unknown event kind.
 MbTraceRecord read_record(std::istream& is);
 
-/// Label interner: ids count up from 0 in first-intern order.
+/// A file's label table: ids count up from 0 in first-intern order.
+/// Records carry interned labels, so a lookup hashes one pointer.
 class LabelTable {
  public:
-  std::uint32_t intern(const std::string& label);
+  std::uint32_t intern(support::Label label);
   const std::vector<std::string>& labels() const { return labels_; }
 
  private:
-  std::unordered_map<std::string, std::uint32_t> ids_;
+  std::unordered_map<support::Label, std::uint32_t> ids_;
   std::vector<std::string> labels_;
 };
 
@@ -113,7 +117,8 @@ struct MbTraceFile {
 
 /// Parses a file produced by write_mb_trace()/MbTraceWriter. Throws
 /// support::Error on bad magic, unsupported version, a rank out of
-/// bounds or a truncated or corrupt body.
+/// bounds, a bad interval, a label beyond the FileLabels bounds or a
+/// truncated or corrupt body.
 MbTraceFile read_mb_trace(std::istream& is);
 
 /// True when the stream starts with the mb-trace magic. The stream

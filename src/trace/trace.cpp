@@ -24,9 +24,22 @@ std::string_view event_kind_name(EventKind k) {
   return "?";
 }
 
+std::string_view interval_error(double t0, double t1) {
+  // 2^63 us: past it std::llround(t * 1e6) has no long long result.
+  constexpr double kLimitUs = 0x1p63;
+  if (!std::isfinite(t0) || !std::isfinite(t1))
+    return "timestamp is not finite";
+  if (t0 < 0.0 || t1 < 0.0) return "timestamp is negative";
+  if (!(t0 * 1e6 < kLimitUs) || !(t1 * 1e6 < kLimitUs))
+    return "timestamp is not below 2^63 microseconds";
+  if (t1 < t0) return "event ends before it starts";
+  return {};
+}
+
 void Trace::add(Record r) {
-  support::check(r.t1 >= r.t0, "Trace::add", "event ends before it starts");
-  records_.push_back(std::move(r));
+  const std::string_view why = interval_error(r.t0, r.t1);
+  if (!why.empty()) support::fail("Trace::add", std::string(why));
+  records_.push_back(r);
 }
 
 void Trace::set_provenance(std::string tool_version, std::uint64_t seed) {
@@ -72,7 +85,7 @@ void Trace::write_paraver(std::ostream& os) const {
   // into two unparseable lines, so refuse before writing anything.
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const Record& r = records_[i];
-    if (r.label.find_first_of("\r\n") != std::string::npos)
+    if (r.label.str().find_first_of("\r\n") != std::string::npos)
       support::fail("Trace::write_paraver",
                     "record " + std::to_string(i) + " (rank " +
                         std::to_string(r.rank) +
@@ -93,6 +106,31 @@ void Trace::write_paraver(std::ostream& os) const {
        << static_cast<std::uint64_t>(std::llround(r.t1 * 1e6)) << ':'
        << r.bytes << '\n';
   }
+}
+
+void FileLabels::fail(std::uint64_t index, const std::string& why) const {
+  support::fail(std::string(reader_), std::string(unit_) + " " +
+                                          std::to_string(index) + ": " + why);
+}
+
+void FileLabels::check_length(std::size_t bytes, std::uint64_t index) const {
+  if (bytes > kMaxTraceLabelBytes)
+    fail(index, "label of " + std::to_string(bytes) +
+                    " bytes is longer than " +
+                    std::to_string(kMaxTraceLabelBytes));
+}
+
+support::Label FileLabels::intern(std::string_view text,
+                                  std::uint64_t index) {
+  const auto it = seen_.find(text);
+  if (it != seen_.end()) return it->second;
+  check_length(text.size(), index);
+  if (seen_.size() >= kMaxTraceLabels)
+    fail(index, "more than " + std::to_string(kMaxTraceLabels) +
+                    " distinct labels in one file");
+  const support::Label label(text);
+  seen_.emplace(label.str(), label);
+  return label;
 }
 
 namespace {
@@ -124,6 +162,7 @@ std::uint64_t parse_u64_field(std::string_view field, std::size_t line_no) {
 
 Trace parse_paraver(std::istream& is) {
   Trace trace;
+  FileLabels labels("parse_paraver", "line");
   std::string line;
   std::size_t line_no = 0;
   constexpr std::string_view kProvenancePrefix = "#provenance tool_version=";
@@ -170,7 +209,7 @@ Trace parse_paraver(std::istream& is) {
                                 " is not below 2^24");
     r.rank = static_cast<std::uint32_t>(rank);
     r.kind = parse_event_kind(view.substr(c1 + 1, c2 - c1 - 1));
-    r.label = std::string(view.substr(c2 + 1, c3 - c2 - 1));
+    r.label = labels.intern(view.substr(c2 + 1, c3 - c2 - 1), line_no);
     r.t0 = static_cast<double>(
                parse_u64_field(view.substr(c3 + 1, c4 - c3 - 1), line_no)) /
            1e6;
@@ -178,8 +217,9 @@ Trace parse_paraver(std::istream& is) {
                parse_u64_field(view.substr(c4 + 1, c5 - c4 - 1), line_no)) /
            1e6;
     r.bytes = parse_u64_field(view.substr(c5 + 1), line_no);
-    if (r.t1 < r.t0) fail_at_line(line_no, "event ends before it starts");
-    trace.add(std::move(r));
+    const std::string_view why = interval_error(r.t0, r.t1);
+    if (!why.empty()) fail_at_line(line_no, why);
+    trace.add(r);
   }
   return trace;
 }

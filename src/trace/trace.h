@@ -16,7 +16,12 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
+
+#include "support/label.h"
 
 namespace mb::trace {
 
@@ -34,19 +39,38 @@ std::string_view event_kind_name(EventKind k);
 /// Inverse of event_kind_name(); throws support::Error on unknown names.
 EventKind parse_event_kind(std::string_view name);
 
+/// One interval of one rank: a 40-byte value. Every record of a label
+/// shares its interned text, so sink rings and traces hold no strings.
 struct Record {
-  std::uint32_t rank = 0;
   double t0 = 0.0;
   double t1 = 0.0;
-  EventKind kind = EventKind::kCompute;
-  std::string label;        ///< e.g. "alltoallv", "compute", "halo"
   std::uint64_t bytes = 0;  ///< payload for communication events
+  support::Label label;     ///< e.g. "alltoallv", "compute", "halo"
+  std::uint32_t rank = 0;
+  EventKind kind = EventKind::kCompute;
+
+  Record() = default;
+  /// The field order of traces written by hand: {rank, t0, t1, kind,
+  /// label, bytes}.
+  Record(std::uint32_t rank, double t0, double t1, EventKind kind,
+         support::Label label, std::uint64_t bytes)
+      : t0(t0), t1(t1), bytes(bytes), label(label), rank(rank), kind(kind) {}
 
   double duration() const { return t1 - t0; }
 };
+static_assert(sizeof(Record) == 40 && std::is_trivially_copyable_v<Record>,
+              "traces and sink rings hold millions of records");
+
+/// Why [t0, t1] cannot be a record's interval, or an empty view when it
+/// can. Both ends must be finite and non-negative, t1 must not precede
+/// t0, and each end's microsecond count must fit std::llround's result,
+/// which the Paraver writer rounds with (below 2^63 us, ~292k years).
+std::string_view interval_error(double t0, double t1);
 
 class Trace {
  public:
+  /// Appends a record; throws support::Error when interval_error()
+  /// rejects its times.
   void add(Record r);
 
   const std::vector<Record>& records() const { return records_; }
@@ -90,12 +114,49 @@ class Trace {
 /// file cannot make per-rank tables wrap or exhaust memory.
 inline constexpr std::uint32_t kMaxTraceRanks = 1u << 24;
 
+/// Labels one trace file may name. The readers intern each label they
+/// read, and interned labels live until the process exits, so one file
+/// adds at most kMaxTraceLabels distinct labels of at most
+/// kMaxTraceLabelBytes bytes each to the process (64 MiB).
+inline constexpr std::size_t kMaxTraceLabels = 1u << 16;
+inline constexpr std::size_t kMaxTraceLabelBytes = 1u << 10;
+
+/// Interns the labels of one input file under the per-file bounds. Both
+/// trace readers use it, so both enforce the same limits; a label seen
+/// before in the file costs one hash lookup and no lock.
+class FileLabels {
+ public:
+  /// Errors read "<reader>: <unit> <index>: ...", for example
+  /// "parse_paraver: line 7: ...". Both names must outlive the object.
+  FileLabels(std::string_view reader, std::string_view unit)
+      : reader_(reader), unit_(unit) {}
+
+  /// Throws support::Error at `index` when a label of `bytes` bytes is
+  /// longer than kMaxTraceLabelBytes; a reader calls it before it
+  /// allocates the text.
+  void check_length(std::size_t bytes, std::uint64_t index) const;
+
+  /// `text` as a label. Throws support::Error at `index` when the text
+  /// is too long or would be the file's (kMaxTraceLabels + 1)-th
+  /// distinct label.
+  support::Label intern(std::string_view text, std::uint64_t index);
+
+ private:
+  [[noreturn]] void fail(std::uint64_t index, const std::string& why) const;
+
+  std::string_view reader_;
+  std::string_view unit_;
+  /// Keyed by the interned text, which never moves.
+  std::unordered_map<std::string_view, support::Label> seen_;
+};
+
 /// Parses a dump produced by Trace::write_paraver(). Lines starting with
 /// '#' and blank lines are ignored. Labels may themselves contain ':'
 /// (the rank/kind prefix and the three numeric suffix fields anchor the
 /// split). Throws support::Error naming the line on a malformed record,
-/// a numeric field that overflows 64 bits or a rank of kMaxTraceRanks
-/// or more.
+/// a numeric field that overflows 64 bits, a rank of kMaxTraceRanks or
+/// more, a time interval_error() rejects, or a label beyond the
+/// FileLabels bounds.
 Trace parse_paraver(std::istream& is);
 Trace parse_paraver(std::string_view text);
 

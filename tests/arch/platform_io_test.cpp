@@ -164,6 +164,58 @@ TEST(PlatformIo, RejectsGeometryTheSimulatorCannotBuild) {
   }
 }
 
+TEST(PlatformIo, RealFieldsRejectNonFiniteAndOutOfRangeValues) {
+  struct Case {
+    const char* key;
+    const char* value;
+    bool located;  ///< a parse error names the line; a range error cannot
+  };
+  const Case cases[] = {
+      {"freq_hz", "inf", true},
+      {"miss_overlap", "nan", true},
+      {"latency_ns", "-inf", true},
+      {"bandwidth_bytes_per_s", "1e999", true},  // overflows to inf
+      {"recip.fp_add_dp", "NaN", true},
+      {"power_w", "infinity", true},
+      {"miss_overlap", "1.5", false},
+      {"miss_overlap", "-0.1", false},
+      {"mshr", "0.5", false},
+      {"branch_mispredict_rate", "-3", false},
+      {"branch_mispredict_rate", "1.01", false},
+      {"branch_mispredict_penalty", "-1", false},
+      {"fp_dep_latency_cycles", "-4", false},
+      {"recip.int_alu", "-0.5", false},
+  };
+  for (const Case& c : cases) {
+    std::string text = serialize_platform(snowball());
+    const int line = set_value(text, c.key, c.value);
+    try {
+      parse_platform(text);
+      ADD_FAILURE() << c.key << " = '" << c.value << "' was accepted";
+    } catch (const support::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.key), std::string::npos) << what;
+      if (c.located) {
+        EXPECT_NE(what.find("line " + std::to_string(line)),
+                  std::string::npos)
+            << what;
+      }
+    }
+  }
+  // The ends of each range are models a platform may use.
+  for (const auto& [key, value] :
+       {std::pair{"miss_overlap", "0"}, std::pair{"miss_overlap", "1"},
+        std::pair{"mshr", "1"}, std::pair{"branch_mispredict_rate", "0"},
+        std::pair{"branch_mispredict_rate", "1"},
+        std::pair{"branch_mispredict_penalty", "0"},
+        std::pair{"fp_dep_latency_cycles", "0"},
+        std::pair{"recip.int_alu", "0"}}) {
+    std::string text = serialize_platform(snowball());
+    set_value(text, key, value);
+    EXPECT_NO_THROW(parse_platform(text)) << key << " = " << value;
+  }
+}
+
 TEST(PlatformIo, ParsedPlatformIsUsable) {
   // A hand-written minimal board (single-issue in-order microcontroller).
   const Platform p = parse_platform(serialize_platform(tegra2_node()));

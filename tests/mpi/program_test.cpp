@@ -4,7 +4,6 @@
 
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "support/check.h"
@@ -164,32 +163,13 @@ TEST(Program, AssigningCountsToACopyLeavesTheOriginal) {
   EXPECT_EQ(Op::compute(1.0).counts.size(), 0u);
 }
 
-// Built before main() runs: a constant initializer, no interning.
-constinit const Label kNoLabel;
-
-TEST(Label, RoundTripsItsStringAndComparesByIdentity) {
-  const std::string text = "a label well past the small-string size";
-  const Label a(text);
-  const Label b(std::string_view(text).substr(0));
-  EXPECT_EQ(a.str(), text);
-  EXPECT_NE(&a.str(), &text);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(&a.str(), &b.str());  // one entry per distinct string
-  EXPECT_EQ(a, text);
-  EXPECT_FALSE(a == Label("another label"));
+TEST(Program, FactoriesInternTheirLabels) {
+  const Label none;
   EXPECT_EQ(Op::bcast(0, 8).label, "bcast");
   EXPECT_EQ(Op::bcast(0, 8).label, Op::bcast(3, 9).label);
   const std::string& as_string = Op::compute(1.0, "halo").label;
   EXPECT_EQ(as_string, "halo");
-}
-
-TEST(Label, EmptyLabelIsTheDefault) {
-  EXPECT_TRUE(kNoLabel.empty());
-  EXPECT_EQ(kNoLabel.str(), "");
-  EXPECT_EQ(Label(""), kNoLabel);
-  EXPECT_EQ(Label(std::string()), kNoLabel);
-  EXPECT_EQ(Op::send(1, 8, 0).label, kNoLabel);
-  EXPECT_FALSE(Label("x") == kNoLabel);
+  EXPECT_EQ(Op::send(1, 8, 0).label, none);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
 #include <set>
 #include <sstream>
+#include <streambuf>
 
 #include "obs/profiler.h"
 #include "support/json.h"
@@ -156,6 +159,63 @@ TEST(ChromeTrace, EmptyTraceStillValid) {
   const auto doc = export_and_parse(trace::Trace{});
   // Only the cluster process_name metadata; still a well-formed document.
   EXPECT_EQ(doc.at("traceEvents").as_array().size(), 1u);
+}
+
+/// Counts what a stream writes without keeping it: the total and the
+/// largest single write handed to the buffer.
+class CountingBuf : public std::streambuf {
+ public:
+  std::size_t total = 0;
+  std::size_t largest = 0;
+
+ protected:
+  std::streamsize xsputn(const char* /*s*/, std::streamsize n) override {
+    note(static_cast<std::size_t>(n));
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) note(1);
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  void note(std::size_t n) {
+    total += n;
+    largest = std::max(largest, n);
+  }
+};
+
+TEST(ChromeTrace, StreamsInBoundedWrites) {
+  // 256 ranks x 401 records: compute, a send and a collective per step,
+  // with every 50th alltoallv slow so delayed instances carry args too.
+  trace::Trace t;
+  constexpr std::uint32_t kRanks = 256;
+  for (std::uint32_t rank = 0; rank < kRanks; ++rank) {
+    double clock = rank * 1e-6;
+    for (int step = 0; step < 134; ++step) {
+      t.add(rec(rank, clock, clock + 1e-3, trace::EventKind::kCompute,
+                "compute"));
+      clock += 1e-3;
+      t.add(rec(rank, clock, clock + 2e-6, trace::EventKind::kSend, "halo",
+                4096));
+      clock += 2e-6;
+      if (step == 133) break;
+      const double dur = step % 50 == 49 ? 5e-3 : 1e-4;
+      t.add(rec(rank, clock, clock + dur, trace::EventKind::kCollective,
+                "alltoallv", 1 << 20));
+      clock += dur;
+    }
+  }
+  ASSERT_GE(t.size(), 100'000u);
+
+  CountingBuf buf;
+  std::ostream os(&buf);
+  write_chrome_trace(os, t);
+  ASSERT_TRUE(os.good());
+  EXPECT_GT(buf.total, std::size_t{16} << 20);
+  // The document is never handed over whole: no single write reaches
+  // 1 MiB, whatever the trace's size.
+  EXPECT_LT(buf.largest, std::size_t{1} << 20);
 }
 
 }  // namespace

@@ -7,7 +7,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <sstream>
+#include <string>
 
 #include "support/check.h"
 #include "support/rng.h"
@@ -231,6 +234,94 @@ TEST(JsonWriter, MisuseThrows) {
     w.begin_object();
     EXPECT_THROW(w.str(), Error);  // unclosed container
   }
+}
+
+/// Writes a seeded random value into `w`, calling `after_token` after
+/// every writer call: objects and arrays nest up to `depth` levels, and
+/// strings carry quotes, backslashes and control bytes.
+void write_random_value(JsonWriter& w, Rng& rng, int depth,
+                        const std::function<void()>& after_token) {
+  const auto random_text = [&rng] {
+    std::string text;
+    const std::size_t n = rng.index(12);
+    for (std::size_t i = 0; i < n; ++i)
+      text += "ab\"\\\n\x01z:9"[rng.index(9)];
+    return text;
+  };
+  const std::size_t kind = depth > 0 ? rng.index(8) : rng.index(6);
+  switch (kind) {
+    case 0: w.value(random_text()); break;
+    case 1: w.value(rng.uniform(-1e6, 1e6)); break;
+    case 2: w.value(static_cast<std::int64_t>(rng.uniform_u64(0, 1u << 30)) -
+                    (1 << 29)); break;
+    case 3: w.value(rng.uniform_u64(0, ~std::uint64_t{0})); break;
+    case 4: w.value(rng.bernoulli(0.5)); break;
+    case 5: w.null(); break;
+    case 6: {
+      w.begin_object();
+      after_token();
+      const std::size_t n = rng.index(5);
+      for (std::size_t i = 0; i < n; ++i) {
+        w.key(random_text());
+        after_token();
+        write_random_value(w, rng, depth - 1, after_token);
+      }
+      w.end_object();
+      break;
+    }
+    default: {
+      w.begin_array();
+      after_token();
+      const std::size_t n = rng.index(5);
+      for (std::size_t i = 0; i < n; ++i)
+        write_random_value(w, rng, depth - 1, after_token);
+      w.end_array();
+      break;
+    }
+  }
+  after_token();
+}
+
+TEST(JsonWriter, FlushingAfterEveryTokenChangesNoByte) {
+  for (const bool pretty : {true, false}) {
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+      Rng whole_rng(seed);
+      JsonWriter whole(pretty);
+      whole.begin_object();
+      whole.key("doc");
+      write_random_value(whole, whole_rng, 4, [] {});
+      whole.end_object();
+
+      Rng streamed_rng(seed);
+      JsonWriter streamed(pretty);
+      std::ostringstream os;
+      const auto flush = [&] { streamed.flush_to(os); };
+      streamed.begin_object();
+      flush();
+      streamed.key("doc");
+      flush();
+      write_random_value(streamed, streamed_rng, 4, flush);
+      streamed.end_object();
+      flush();
+      os << std::move(streamed).str();
+
+      EXPECT_EQ(os.str(), whole.str()) << "seed " << seed;
+      EXPECT_NO_THROW(parse_json(os.str())) << "seed " << seed;
+    }
+  }
+}
+
+TEST(JsonWriter, FlushedDocumentStillTakesOneTopLevelValue) {
+  JsonWriter w(/*pretty=*/false);
+  std::ostringstream os;
+  w.value(1);
+  w.flush_to(os);
+  EXPECT_EQ(os.str(), "1");
+  EXPECT_EQ(w.str(), "");  // everything already went out
+  EXPECT_THROW(w.value(2), Error);
+  JsonWriter empty;
+  empty.flush_to(os);
+  EXPECT_THROW(empty.str(), Error);  // flushing nothing writes no value
 }
 
 TEST(JsonParse, Scalars) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "support/check.h"
 
@@ -181,6 +185,95 @@ TEST(MbTrace, RejectsRanksOutOfBoundsNamingTheRecord) {
     EXPECT_NE(read_error(is).find("implausible total_ranks 16777217"),
               std::string::npos);
   }
+}
+
+std::string fixture_error(const std::string& name) {
+  std::ifstream in(std::string(MB_TRACE_FIXTURES) + "/" + name,
+                   std::ios::binary);
+  if (!in.good()) return "cannot open " + name;
+  return read_error(in);
+}
+
+/// A file of the given label table and raw records, as MbTraceWriter
+/// writes it whatever the records hold.
+std::string raw_file(const std::vector<std::string>& labels,
+                     const std::vector<MbTraceRecord>& records) {
+  std::ostringstream os(std::ios::binary);
+  MbTraceWriter writer(os, MbTraceMeta{}, labels, records.size());
+  for (const MbTraceRecord& r : records) writer.append(r);
+  writer.finish();
+  return os.str();
+}
+
+TEST(MbTrace, RejectsTimesNoExportCanCarryNamingTheRecord) {
+  // Checked-in files: record 0 is fine, record 1 is not.
+  const std::pair<const char*, const char*> fixtures[] = {
+      {"times_infinite.mbt", "record 1: timestamp is not finite"},
+      {"times_negative.mbt", "record 1: timestamp is negative"},
+      {"times_beyond_llround.mbt",
+       "record 1: timestamp is not below 2^63 microseconds"},
+  };
+  for (const auto& [name, want] : fixtures)
+    EXPECT_NE(fixture_error(name).find(std::string("read_mb_trace: ") + want),
+              std::string::npos)
+        << name << ": " << fixture_error(name);
+
+  const MbTraceRecord fine{0, EventKind::kCompute, 0, 0, 0.0, 1.0};
+  MbTraceRecord not_finite = fine;
+  not_finite.t1 = std::nan("");
+  MbTraceRecord backwards = fine;
+  backwards.t0 = 2.0;
+  for (const auto& [bad, want] :
+       {std::pair{not_finite, "record 2: timestamp is not finite"},
+        std::pair{backwards, "record 2: event ends before it starts"}}) {
+    std::istringstream is(raw_file({"x"}, {fine, fine, bad}),
+                          std::ios::binary);
+    EXPECT_NE(read_error(is).find(want), std::string::npos) << want;
+  }
+}
+
+TEST(MbTrace, HeaderCountsBeyondTheFileAreATruncatedFile) {
+  // 40 bytes whose header declares 2^24 labels: the reader grows the
+  // table as entries arrive, so the first missing entry is the error.
+  // (The ctest mbctl_analyze_labels_beyond_file_ulimit runs this file
+  // under an address-space limit the old up-front reserve broke.)
+  EXPECT_NE(fixture_error("labels_beyond_file.mbt")
+                .find("read_mb_trace: truncated file"),
+            std::string::npos);
+  // The same for a sampled-rank list of 2^24 entries: the header up to
+  // its count (little-endian), and nothing after.
+  const std::string sampled =
+      raw_file({}, {}).substr(0, 32) + std::string("\x00\x00\x00\x01", 4);
+  std::istringstream is(sampled, std::ios::binary);
+  EXPECT_NE(read_error(is).find("read_mb_trace: truncated file"),
+            std::string::npos);
+}
+
+TEST(MbTrace, BoundsItsLabelsNamingTheEntry) {
+  const std::string longest(kMaxTraceLabelBytes, 'x');
+  {
+    std::istringstream is(raw_file({"a", longest}, {}), std::ios::binary);
+    EXPECT_EQ(read_mb_trace(is).trace.size(), 0u);
+  }
+  {
+    std::istringstream is(raw_file({"a", longest + "y"}, {}),
+                          std::ios::binary);
+    EXPECT_NE(read_error(is).find("read_mb_trace: label 1: label of 1025 "
+                                  "bytes is longer than 1024"),
+              std::string::npos);
+  }
+  std::vector<std::string> labels;
+  for (std::size_t i = 0; i < kMaxTraceLabels; ++i)
+    labels.push_back("bound-" + std::to_string(i));
+  {
+    std::istringstream is(raw_file(labels, {}), std::ios::binary);
+    EXPECT_EQ(read_mb_trace(is).trace.size(), 0u);
+  }
+  labels.push_back("one-too-many");
+  std::istringstream is(raw_file(labels, {}), std::ios::binary);
+  EXPECT_NE(read_error(is).find("read_mb_trace: label 65536: more than "
+                                "65536 distinct labels in one file"),
+            std::string::npos);
 }
 
 TEST(MbTrace, RecordCodecRoundTripsEveryField) {

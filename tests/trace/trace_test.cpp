@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "support/check.h"
 
@@ -43,6 +47,41 @@ TEST(Trace, RejectsNegativeDuration) {
   Trace t;
   EXPECT_THROW(t.add(rec(0, 2, 1, EventKind::kCompute, "x")),
                support::Error);
+}
+
+TEST(Trace, RejectsTimesNoExportCanCarry) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> bad[] = {
+      {-inf, inf}, {0.0, inf}, {std::nan(""), 1.0}, {0.0, std::nan("")},
+      {-5.0, -4.0}, {-1e-9, 1.0}, {0.0, 1e13}, {1e13, 1e13}};
+  for (const auto& [t0, t1] : bad) {
+    EXPECT_FALSE(interval_error(t0, t1).empty()) << t0 << ", " << t1;
+    Trace t;
+    EXPECT_THROW(t.add(rec(0, t0, t1, EventKind::kCompute, "x")),
+                 support::Error)
+        << t0 << ", " << t1;
+  }
+  // The edges that stay: zero, and the last microsecond count below 2^63
+  // that llround rounds without overflow.
+  EXPECT_TRUE(interval_error(0.0, 0.0).empty());
+  EXPECT_TRUE(interval_error(-0.0, 0.0).empty());
+  EXPECT_TRUE(interval_error(0.0, 9.2e12).empty());
+  EXPECT_EQ(interval_error(-5.0, -4.0), "timestamp is negative");
+  EXPECT_EQ(interval_error(2.0, 1.0), "event ends before it starts");
+}
+
+TEST(TraceRecord, HandWrittenOrderFillsEveryFieldAndSharesTheLabel) {
+  // trace.h pins the 40-byte layout; the {rank, t0, t1, kind, label,
+  // bytes} order of hand-written traces must still land in each field.
+  const Record r{3, 0.25, 0.5, EventKind::kSend, "halo", 64};
+  EXPECT_EQ(r.rank, 3u);
+  EXPECT_EQ(r.t0, 0.25);
+  EXPECT_EQ(r.t1, 0.5);
+  EXPECT_EQ(r.kind, EventKind::kSend);
+  EXPECT_EQ(r.label, "halo");
+  EXPECT_EQ(r.bytes, 64u);
+  const Record other{0, 0.0, 1.0, EventKind::kCompute, std::string("halo"), 0};
+  EXPECT_EQ(&r.label.str(), &other.label.str());
 }
 
 TEST(Trace, ParaverExportFormat) {
@@ -199,12 +238,61 @@ TEST(Trace, ParseParaverRejectsHostileNumbersNamingTheLine) {
           << file << ": " << e.what();
     }
   }
+  // A microsecond count of 2^63 or more has no llround result to write
+  // back, so it is rejected although it fits 64 bits.
+  try {
+    parse_paraver("#\n0:compute:x:0:18446744073705551616:0\n");
+    ADD_FAILURE() << "a time of 2^64 - 4e6 us parsed";
+  } catch (const support::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "line 2: timestamp is not below 2^63 microseconds"),
+              std::string::npos)
+        << e.what();
+  }
   // The bounds themselves: the largest rank and the largest u64 parse.
   const Trace t =
       parse_paraver("16777215:send:x:0:1:18446744073709551615\n");
   EXPECT_EQ(t.records()[0].rank, 16777215u);
   EXPECT_EQ(t.records()[0].bytes, 18446744073709551615u);
   EXPECT_THROW(parse_paraver("16777216:send:x:0:1:0\n"), support::Error);
+}
+
+/// The error parse_paraver() or read_mb_trace() throws, or "no error".
+template <typename Read>
+std::string error_of(Read read) {
+  try {
+    read();
+  } catch (const support::Error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Trace, ParseParaverBoundsItsLabelsNamingTheLine) {
+  const std::string longest(kMaxTraceLabelBytes, 'x');
+  EXPECT_EQ(parse_paraver("0:compute:" + longest + ":0:1:0\n")
+                .records()[0]
+                .label,
+            longest);
+  EXPECT_NE(error_of([&] {
+              parse_paraver("0:compute:x:0:1:0\n0:compute:" + longest +
+                            "y:0:1:0\n");
+            }).find("parse_paraver: line 2: label of 1025 bytes is longer "
+                    "than 1024"),
+            std::string::npos);
+
+  // kMaxTraceLabels distinct labels parse, however often each repeats;
+  // one more is an error naming its line.
+  std::string dump = "#\n";
+  for (std::size_t i = 0; i < kMaxTraceLabels; ++i)
+    dump += "0:compute:bound-" + std::to_string(i) + ":0:1:0\n";
+  dump += "1:compute:bound-0:0:1:0\n";
+  EXPECT_EQ(parse_paraver(dump).size(), kMaxTraceLabels + 1);
+  dump += "1:compute:one-too-many:0:1:0\n";
+  EXPECT_NE(error_of([&] { parse_paraver(dump); })
+                .find("parse_paraver: line 65539: more than 65536 distinct "
+                      "labels in one file"),
+            std::string::npos);
 }
 
 TEST(Trace, ParseEventKindInvertsNames) {
