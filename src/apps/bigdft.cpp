@@ -1,5 +1,8 @@
 #include "apps/bigdft.h"
 
+#include <cstddef>
+#include <vector>
+
 #include "support/check.h"
 #include "support/rng.h"
 
@@ -18,6 +21,13 @@ mpi::Program bigdft_program(const BigDftParams& params) {
   params.validate();
   const std::uint32_t p = params.ranks;
   mpi::Program program(p);
+  // Per iteration, every rank gets a convolution and an alltoallv per
+  // transpose, then the allreduces.
+  const std::size_t ops_per_rank =
+      std::size_t{params.iterations} *
+      (2 * std::size_t{params.transposes} + params.allreduces);
+  for (std::uint32_t r = 0; r < p; ++r) program.rank(r).reserve(ops_per_rank);
+  const mpi::Label convolution("convolution");
 
   // Per-pair transpose payload: the array is scattered from p row-slabs
   // to p column-slabs, each rank exchanging 1/p^2 of the volume with
@@ -40,8 +50,7 @@ mpi::Program bigdft_program(const BigDftParams& params) {
       for (std::uint32_t r = 0; r < p; ++r) {
         const double skew =
             1.0 + rng.uniform(-params.imbalance, params.imbalance);
-        program.rank(r).push_back(
-            mpi::Op::compute(slice * skew, "convolution"));
+        program.rank(r).push_back(mpi::Op::compute(slice * skew, convolution));
       }
       program.append_all(mpi::Op::alltoallv(counts, "alltoallv"));
     }

@@ -1,6 +1,9 @@
 #include "apps/hpl.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include "support/check.h"
 
@@ -21,37 +24,37 @@ double HplParams::total_flops() const {
 
 namespace {
 
-/// Appends a pipelined (segmented) ring broadcast among `members` rooted at
+/// Emits a pipelined (segmented) ring broadcast among `members` rooted at
 /// members[0]: the owner streams segments to the next member, every member
 /// forwards while receiving. Critical path ~ one transfer time plus a
 /// pipeline fill — the shape HPL's row/column broadcasts are tuned to.
-void append_ring_bcast(mpi::Program& program,
-                       const std::vector<std::uint32_t>& members,
-                       std::uint64_t bytes, std::int32_t tag_base,
-                       std::uint64_t segment_bytes) {
+template <class Emit>
+void ring_bcast(const std::vector<std::uint32_t>& members,
+                std::uint64_t bytes, std::int32_t tag_base,
+                std::uint64_t segment_bytes, Emit& emit) {
   if (members.size() < 2 || bytes == 0) return;
   const std::uint64_t segments =
       std::max<std::uint64_t>(1, (bytes + segment_bytes - 1) / segment_bytes);
   for (std::size_t m = 0; m < members.size(); ++m) {
-    auto& ops = program.rank(members[m]);
     for (std::uint64_t s = 0; s < segments; ++s) {
       const auto tag = static_cast<std::int32_t>(
           (tag_base + static_cast<std::int32_t>(s)) % (1 << 15));
       const std::uint64_t seg =
           s + 1 == segments ? bytes - s * segment_bytes : segment_bytes;
-      if (m > 0) ops.push_back(mpi::Op::recv(members[m - 1], tag));
+      if (m > 0) emit(members[m], mpi::Op::recv(members[m - 1], tag));
       if (m + 1 < members.size())
-        ops.push_back(mpi::Op::send(members[m + 1], seg, tag));
+        emit(members[m], mpi::Op::send(members[m + 1], seg, tag));
     }
   }
 }
 
-}  // namespace
-
-mpi::Program hpl_program(const HplParams& params) {
-  params.validate();
+/// The panel loop: hands every op of the program to `emit(rank, op)`, in
+/// each rank's program order.
+template <class Emit>
+void hpl_panels(const HplParams& params, Emit&& emit) {
   const std::uint32_t p = params.ranks;
-  mpi::Program program(p);
+  const mpi::Label panel_factor("panel_factor");
+  const mpi::Label trailing_update("trailing_update");
 
   // 2-D process grid prow x pcol (prow ~ sqrt(p)); rank = r + c * prow.
   const auto prow = std::max<std::uint32_t>(
@@ -74,9 +77,9 @@ mpi::Program hpl_program(const HplParams& params) {
     const double panel_flops =
         2.0 * nk * params.block * params.block / prow;
     for (std::uint32_t r = 0; r < prow; ++r) {
-      const std::uint32_t rank = r + owner_col * prow;
-      program.rank(rank).push_back(mpi::Op::compute(
-          panel_flops * params.seconds_per_flop, "panel_factor"));
+      emit(r + owner_col * prow,
+           mpi::Op::compute(panel_flops * params.seconds_per_flop,
+                            panel_factor));
     }
 
     // --- broadcast the column panel along each process row. ---
@@ -87,8 +90,8 @@ mpi::Program hpl_program(const HplParams& params) {
       row.push_back(r + owner_col * prow);  // owner first
       for (std::uint32_t c = 0; c < pcol; ++c)
         if (c != owner_col) row.push_back(r + c * prow);
-      append_ring_bcast(program, row, panel_bytes,
-                        static_cast<std::int32_t>(k * 64), segment);
+      ring_bcast(row, panel_bytes, static_cast<std::int32_t>(k * 64),
+                 segment, emit);
     }
 
     // --- broadcast the U12 row block along each process column. ---
@@ -99,17 +102,34 @@ mpi::Program hpl_program(const HplParams& params) {
       col.push_back(owner_row + c * prow);
       for (std::uint32_t r = 0; r < prow; ++r)
         if (r != owner_row) col.push_back(r + c * prow);
-      append_ring_bcast(program, col, u_bytes,
-                        static_cast<std::int32_t>(k * 64 + 32), segment);
+      ring_bcast(col, u_bytes, static_cast<std::int32_t>(k * 64 + 32),
+                 segment, emit);
     }
 
     // --- trailing update, spread over the whole grid. ---
     const double update_flops = 2.0 * nk * nk * params.block / grid;
     for (std::uint32_t rank = 0; rank < grid; ++rank) {
-      program.rank(rank).push_back(mpi::Op::compute(
-          update_flops * params.seconds_per_flop, "trailing_update"));
+      emit(rank, mpi::Op::compute(update_flops * params.seconds_per_flop,
+                                  trailing_update));
     }
   }
+}
+
+}  // namespace
+
+mpi::Program hpl_program(const HplParams& params) {
+  params.validate();
+  mpi::Program program(params.ranks);
+  // The panel loop runs twice: once to count each rank's ops, once to
+  // append them to vectors reserved to exactly that size.
+  std::vector<std::size_t> sizes(params.ranks, 0);
+  hpl_panels(params,
+             [&sizes](std::uint32_t rank, const mpi::Op&) { ++sizes[rank]; });
+  for (std::uint32_t r = 0; r < params.ranks; ++r)
+    program.rank(r).reserve(sizes[r]);
+  hpl_panels(params, [&program](std::uint32_t rank, const mpi::Op& op) {
+    program.rank(rank).push_back(op);
+  });
   return program;
 }
 

@@ -1,5 +1,8 @@
 #include "apps/specfem.h"
 
+#include <cstddef>
+#include <vector>
+
 #include "support/check.h"
 #include "support/rng.h"
 
@@ -26,6 +29,10 @@ mpi::Program specfem_program(const SpecfemParams& params) {
                  "(the paper's use-case cannot run on less than 2 nodes)");
   const std::uint32_t p = params.ranks;
   mpi::Program program(p);
+  // Five ops per rank and step: a compute, two sends, two receives.
+  for (std::uint32_t r = 0; r < p; ++r)
+    program.rank(r).reserve(std::size_t{params.steps} * 5);
+  const mpi::Label element_compute("element_compute");
 
   support::Rng rng(params.seed);
   std::vector<double> skew(p);
@@ -36,7 +43,7 @@ mpi::Program specfem_program(const SpecfemParams& params) {
     for (std::uint32_t r = 0; r < p; ++r) {
       auto& ops = program.rank(r);
       ops.push_back(mpi::Op::compute(
-          params.compute_s_per_step / p * skew[r], "element_compute"));
+          params.compute_s_per_step / p * skew[r], element_compute));
       // Halo exchange with ring neighbours; buffered sends first so the
       // symmetric receives cannot deadlock. Tags encode direction.
       const std::uint32_t right = (r + 1) % p;

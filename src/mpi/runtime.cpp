@@ -234,27 +234,35 @@ void Runtime::deliver(std::uint32_t dst_rank, std::uint32_t src_rank,
 void Runtime::post_send(std::uint32_t src_rank, std::uint32_t dst_rank,
                         std::int32_t tag, std::uint64_t bytes,
                         std::uint32_t attempt) {
-  net::Network::Callback on_failed;
+  using Callback = net::Network::Callback;
+  // Captures are ordered 8-byte first so each fits Callback's 32 bytes.
+  Callback on_failed;
   if (attempt < config_.max_send_retries) {
-    on_failed = [this, src_rank, dst_rank, tag, bytes, attempt] {
+    const auto failed = [this, bytes, src_rank, dst_rank, tag, attempt] {
       if (states_[src_rank].crashed) return;
       metrics_[src_rank].retries += 1.0;
       constexpr double kSendRetryBackoff = 2.0;
       const double delay =
           config_.send_retry_base_s *
           std::pow(kSendRetryBackoff, static_cast<double>(attempt));
-      schedule_for(src_rank, delay,
-                   [this, src_rank, dst_rank, tag, bytes, attempt] {
-                     post_send(src_rank, dst_rank, tag, bytes,
-                               attempt + 1);
-                   });
+      const auto retry = [this, bytes, src_rank, dst_rank, tag, attempt] {
+        post_send(src_rank, dst_rank, tag, bytes, attempt + 1);
+      };
+      static_assert(Callback::fits<decltype(retry)>,
+                    "a send retry must stay inline");
+      schedule_for(src_rank, delay, retry);
     };
+    static_assert(Callback::fits<decltype(failed)>,
+                  "a failure hook must stay inline");
+    on_failed = failed;
   }
+  const auto arrived = [this, bytes, dst_rank, src_rank, tag] {
+    deliver(dst_rank, src_rank, tag, bytes);
+  };
+  static_assert(Callback::fits<decltype(arrived)>,
+                "network delivery must stay inline");
   network_.send(rank_to_host_[src_rank], rank_to_host_[dst_rank], bytes,
-                [this, dst_rank, src_rank, tag, bytes] {
-                  deliver(dst_rank, src_rank, tag, bytes);
-                },
-                std::move(on_failed));
+                arrived, std::move(on_failed));
 }
 
 void Runtime::on_recv_timeout(std::uint32_t rank, std::uint64_t epoch) {
@@ -282,6 +290,9 @@ void Runtime::on_recv_timeout(std::uint32_t rank, std::uint64_t epoch) {
 void Runtime::advance(std::uint32_t rank) {
   RankState& s = states_[rank];
   if (s.crashed || s.timed_out) return;  // fail-stop: no further progress
+  const auto resume = [this, rank] { advance(rank); };
+  static_assert(sim::ShardedEngine::Callback::fits<decltype(resume)>,
+                "advance must stay inline");
   Cursor& c = s.cursor;
   while (!c.done()) {
     const LoweredOp op = c.op();
@@ -292,7 +303,7 @@ void Runtime::advance(std::uint32_t rank) {
         record(rank, now, now + seconds, trace::EventKind::kCompute,
                c.user_op().label, 0);
         c.next();
-        schedule_for(rank, seconds, [this, rank] { advance(rank); });
+        schedule_for(rank, seconds, resume);
         return;
       }
       case Op::Kind::kSend: {
@@ -309,16 +320,17 @@ void Runtime::advance(std::uint32_t rank) {
           const double t = config_.intra_latency_s +
                            static_cast<double>(bytes) /
                                config_.intra_bandwidth_bytes_per_s;
-          schedule_for(rank, config_.send_overhead_s + t,
-                       [this, dst, rank, tag, bytes] {
-                         deliver(dst, rank, tag, bytes);
-                       });
+          const auto arrived = [this, bytes, dst, rank, tag] {
+            deliver(dst, rank, tag, bytes);
+          };
+          static_assert(sim::ShardedEngine::Callback::fits<decltype(arrived)>,
+                        "intra-node delivery must stay inline");
+          schedule_for(rank, config_.send_overhead_s + t, arrived);
         } else {
           post_send(rank, dst, tag, bytes, 0);
         }
         c.next();
-        schedule_for(rank, config_.send_overhead_s,
-                     [this, rank] { advance(rank); });
+        schedule_for(rank, config_.send_overhead_s, resume);
         return;
       }
       case Op::Kind::kRecv: {
@@ -343,8 +355,7 @@ void Runtime::advance(std::uint32_t rank) {
                  trace::EventKind::kRecv, kRecvLabel, bytes);
         }
         c.next();
-        schedule_for(rank, config_.recv_overhead_s,
-                     [this, rank] { advance(rank); });
+        schedule_for(rank, config_.recv_overhead_s, resume);
         return;
       }
       case Op::Kind::kBeginGroup:

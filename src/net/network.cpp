@@ -10,6 +10,11 @@
 namespace mb::net {
 
 namespace {
+
+constexpr std::uint32_t kMaxRetransmits = 1u << 31;
+// Frames per message: Message's 32-bit counters hold one per frame.
+constexpr std::uint64_t kMaxFrames = ~std::uint32_t{0};
+
 double backoff_delay(const LinkSpec& spec, std::uint32_t attempt) {
   const double raw = spec.retransmit_timeout_s *
                      std::pow(spec.retransmit_backoff,
@@ -40,6 +45,9 @@ void Network::add_link(NodeId a, NodeId b, LinkSpec spec) {
   support::check(a != b, "Network::add_link", "no self links");
   support::check(spec.bandwidth_bytes_per_s > 0.0, "Network::add_link",
                  "bandwidth must be positive");
+  // A pending retransmit packs its attempt and first-hop bit in one word.
+  support::check(spec.max_retransmits <= kMaxRetransmits, "Network::add_link",
+                 "max_retransmits must be at most 2^31");
   for (auto [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
     adjacency_[from].push_back(static_cast<std::uint32_t>(from_.size()));
     from_.push_back(from);
@@ -193,15 +201,23 @@ void Network::send(NodeId src, NodeId dst, std::uint64_t bytes,
 
   const std::uint32_t first = route_first_link(src, dst, "Network::send");
 
+  // Rounded up without the overflow of bytes + mtu_ - 1.
   const std::uint64_t frames =
-      std::max<std::uint64_t>(1, (bytes + mtu_ - 1) / mtu_);
+      bytes == 0 ? 1 : bytes / mtu_ + (bytes % mtu_ != 0 ? 1 : 0);
+  support::check(frames <= kMaxFrames, "Network::send",
+                 "message of 2^32 or more frames");
+  // With more shards an abandoned message throws in retransmit(), so the
+  // hook could never run: keep it only on the one-shard engine.
+  const std::uint32_t hook = on_failed && engine_.shards() == 1
+                                 ? park_hook(std::move(on_failed))
+                                 : kNoHook;
   Message* msg = msg_pool_.allocate();
   in_flight_.fetch_add(1, std::memory_order_relaxed);
-  msg->remaining = frames;
+  msg->remaining = static_cast<std::uint32_t>(frames);
   msg->refs = static_cast<std::uint32_t>(frames);
+  msg->hook = hook;
   msg->failed = false;
   msg->on_delivered = std::move(on_delivered);
-  msg->on_failed = std::move(on_failed);
 
   std::uint64_t left = std::max<std::uint64_t>(bytes, 1);
   for (std::uint64_t f = 0; f < frames; ++f) {
@@ -213,8 +229,25 @@ void Network::send(NodeId src, NodeId dst, std::uint64_t bytes,
   }
 }
 
+std::uint32_t Network::park_hook(Callback on_failed) {
+  if (!free_hooks_.empty()) {
+    const std::uint32_t hook = free_hooks_.back();
+    free_hooks_.pop_back();
+    failed_hooks_[hook] = std::move(on_failed);
+    return hook;
+  }
+  support::check(failed_hooks_.size() < kNoHook, "Network::send",
+                 "more than 2^32 - 1 failure hooks in flight");
+  failed_hooks_.push_back(std::move(on_failed));
+  return static_cast<std::uint32_t>(failed_hooks_.size() - 1);
+}
+
 void Network::release_ref(Message* msg) {
   if (--msg->refs == 0) {
+    if (msg->hook != kNoHook) {
+      failed_hooks_[msg->hook] = nullptr;
+      free_hooks_.push_back(msg->hook);
+    }
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
     msg_pool_.release(msg);
   }
@@ -277,7 +310,7 @@ void Network::forward(std::uint32_t li, std::uint32_t frame_bytes, NodeId dst,
   // The continuation is homed on the receiving endpoint: cross-shard
   // frames carry at least the link latency of delay, which is what makes
   // the sharded engine's lookahead window sound.
-  engine_.schedule(next, arrival, [this, frame_bytes, dst, next, msg] {
+  const auto arrive = [this, frame_bytes, dst, next, msg] {
     if (next != dst) {
       // The frame advanced a hop: its retransmit budget starts fresh.
       forward(hop_link(next, dst), frame_bytes, dst, 0, false, msg);
@@ -291,7 +324,10 @@ void Network::forward(std::uint32_t li, std::uint32_t frame_bytes, NodeId dst,
     } else {
       release_ref(msg);
     }
-  });
+  };
+  static_assert(Callback::fits<decltype(arrive)>,
+                "frame arrival must stay inline");
+  engine_.schedule(next, arrival, arrive);
 }
 
 void Network::retransmit(std::uint32_t li, std::uint32_t frame_bytes,
@@ -309,10 +345,10 @@ void Network::retransmit(std::uint32_t li, std::uint32_t frame_bytes,
     }
     if (!msg->failed) {
       msg->failed = true;
-      if (msg->on_failed) {
+      if (msg->hook != kNoHook) {
         ++msg->refs;
         engine_.schedule(from_[li], engine_.now(), [this, msg] {
-          Callback cb = std::move(msg->on_failed);
+          Callback cb = std::move(failed_hooks_[msg->hook]);
           release_ref(msg);
           cb();
         });
@@ -322,11 +358,15 @@ void Network::retransmit(std::uint32_t li, std::uint32_t frame_bytes,
     return;
   }
   stats_[li].retransmits += 1;
-  engine_.schedule(
-      from_[li], engine_.now() + backoff_delay(spec, attempt),
-      [this, li, frame_bytes, dst, attempt, first_hop, msg] {
-        forward(li, frame_bytes, dst, attempt + 1, first_hop, msg);
-      });
+  // attempt < max_retransmits <= 2^31, so it shares a word with first_hop.
+  const std::uint32_t state = attempt << 1 | (first_hop ? 1u : 0u);
+  const auto retry = [this, li, frame_bytes, dst, state, msg] {
+    forward(li, frame_bytes, dst, (state >> 1) + 1, (state & 1) != 0, msg);
+  };
+  static_assert(Callback::fits<decltype(retry)>,
+                "retransmit must stay inline");
+  engine_.schedule(from_[li], engine_.now() + backoff_delay(spec, attempt),
+                   retry);
 }
 
 }  // namespace mb::net

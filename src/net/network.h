@@ -18,7 +18,9 @@
 // 10k+ simulated ranks. Frames carry no path: each hop looks up the next
 // link from compact routing rows (only nodes with degree > 1 get a row;
 // leaf hosts take their only link), and in-flight messages are pooled
-// (support::Pool) instead of heap-allocated per send.
+// (support::Pool) instead of heap-allocated per send. A pooled message is
+// 64 bytes: counters plus the inline delivery callback. The rarely set
+// failure hook lives out of line (see Network::Message).
 #pragma once
 
 #include <atomic>
@@ -49,7 +51,7 @@ struct LinkSpec {
   double retransmit_timeout_s = 0.2;   ///< base RTO (Linux TCP minimum)
   double retransmit_backoff = 2.0;     ///< per-attempt delay multiplier
   double retransmit_timeout_max_s = 5.0;  ///< backoff cap
-  std::uint32_t max_retransmits = 16;  ///< give-up threshold per hop
+  std::uint32_t max_retransmits = 16;  ///< give-up threshold per hop, <= 2^31
 };
 
 /// Vertex id in the network graph (hosts and switches share the space).
@@ -95,13 +97,15 @@ class Network {
   using Callback = sim::EventQueue::Callback;
 
   /// Sends `bytes` from `src` to `dst`; invokes `on_delivered` when the
-  /// last frame arrives. Zero-byte messages are sent as one header frame.
-  /// When any frame exhausts its per-hop retransmit budget the message is
-  /// abandoned: `on_failed` (if given) fires once and `on_delivered`
-  /// never does. Without `on_failed` an abandoned message is simply lost —
-  /// the caller's own timeout must notice. Abandonment is a hard error
-  /// with more than one shard (fault injection needs the one-shard
-  /// engine).
+  /// last frame arrives. Zero-byte messages are sent as one header frame;
+  /// a message of 2^32 or more frames is rejected before anything is
+  /// scheduled. When any frame exhausts its per-hop retransmit budget the
+  /// message is abandoned: `on_failed` (if given) fires once and
+  /// `on_delivered` never does. Without `on_failed` an abandoned message
+  /// is simply lost — the caller's own timeout must notice. Abandonment
+  /// is a hard error with more than one shard (fault injection needs the
+  /// one-shard engine), so there `on_failed` could never run and is
+  /// dropped.
   void send(NodeId src, NodeId dst, std::uint64_t bytes,
             Callback on_delivered, Callback on_failed = nullptr);
 
@@ -162,15 +166,21 @@ class Network {
   /// on_failed dispatch) and frees the record when it reaches zero. All
   /// touches of one message happen on the destination's shard (or, for
   /// failures, on the one-shard engine), so the counters stay plain.
+  /// send() caps a message at 2^32 - 1 frames, so both counters fit 32
+  /// bits. `on_failed` is not here: `hook` indexes failed_hooks_, or is
+  /// kNoHook when the sender gave none (or the engine has several shards).
   struct Message {
-    std::uint64_t remaining = 0;
+    std::uint32_t remaining = 0;
     std::uint32_t refs = 0;
+    std::uint32_t hook = 0;
     bool failed = false;
     Callback on_delivered;
-    Callback on_failed;  ///< may be null
   };
+  static_assert(sizeof(Message) == 64,
+                "~482k messages are in flight at bigdft/1024's peak");
 
   static constexpr std::uint32_t kNoHop = ~std::uint32_t{0};
+  static constexpr std::uint32_t kNoHook = ~std::uint32_t{0};
 
   std::size_t link_index(NodeId a, NodeId b) const;
   /// Next directed link from `cur` toward `dst`; kNoHop when unroutable.
@@ -182,6 +192,8 @@ class Network {
   void retransmit(std::uint32_t li, std::uint32_t frame_bytes, NodeId dst,
                   std::uint32_t attempt, bool first_hop, Message* msg);
   void release_ref(Message* msg);
+  /// Parks `on_failed` in a free failed_hooks_ entry and returns its index.
+  std::uint32_t park_hook(Callback on_failed);
 
   sim::ShardedEngine& engine_;
   std::uint32_t mtu_;
@@ -211,6 +223,13 @@ class Network {
 
   support::Pool<Message, true> msg_pool_;
   std::atomic<std::uint64_t> in_flight_{0};
+  // Failure hooks of in-flight messages, with a free list. Filled only on
+  // a one-shard engine (with more shards abandonment throws before any
+  // hook could run), so the store is single-threaded and needs no lock.
+  // Revisit when abandonment learns to cross shards (ROADMAP, "Every run
+  // can shard").
+  std::vector<Callback> failed_hooks_;
+  std::vector<std::uint32_t> free_hooks_;
 };
 
 }  // namespace mb::net

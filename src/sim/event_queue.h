@@ -29,11 +29,14 @@
 // by tests/sim/event_queue_property_test.cpp).
 //
 // An event is a trivially copyable 24-byte key {time, seq, slot}: heaps,
-// buckets and rungs copy keys, never callbacks. Each callback (a
-// support::SmallFn, captures inline) sits in a per-queue slot array from
-// schedule_at() until step() moves it out, frees the slot and runs it.
-// Freed slots are reused, so the array is bounded by the pending high-water
-// mark and scheduling touches no allocator in steady state.
+// buckets and rungs copy keys, never callbacks. Each callback (a 48-byte
+// support::SmallFn holding up to 32 bytes of captures inline) sits in a
+// per-queue slot array from schedule_at() until step() moves it out, frees
+// the slot and runs it. Freed slots are reused, so the array is bounded by
+// the pending high-water mark and scheduling touches no allocator in
+// steady state. Every hot-path lambda (frame arrival, retransmit, rank
+// advance, delivery) is pinned inside the 32 bytes by a static_assert at
+// its call site.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +49,8 @@ namespace mb::sim {
 
 class EventQueue {
  public:
-  using Callback = support::SmallFn<48>;
+  /// 32 bytes of captures: `this` plus a pointer and four 32-bit ids.
+  using Callback = support::SmallFn<32>;
 
   /// Schedules `cb` at absolute simulated time `time_s` (>= now()).
   void schedule_at(double time_s, Callback cb);
@@ -82,6 +86,8 @@ class EventQueue {
   std::size_t max_pending() const { return max_pending_; }
 
  private:
+  static_assert(sizeof(Callback) == 48,
+                "one slot per pending event: 482k at bigdft/1024");
   /// Ordering key of a pending event; `slot` indexes slots_.
   struct Event {
     double time;

@@ -28,6 +28,7 @@ struct ShardedEngine::Shard {
   /// destination's worker during the next merge — phases are barrier
   /// separated, so no slot is ever touched concurrently.
   std::vector<std::vector<Pending>> outbox;
+  static_assert(sizeof(Pending) == 64, "a cross-shard event is 64 bytes");
 };
 
 thread_local ShardedEngine::Shard* ShardedEngine::tls_current_ = nullptr;

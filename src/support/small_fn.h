@@ -9,7 +9,10 @@
 // that captures {this, a handful of ints} touches no allocator at all.
 // Larger captures (cold paths: chaos plans, test fixtures) transparently
 // fall back to the heap, so SmallFn is a drop-in for std::function<void()>
-// anywhere the callable is only moved and invoked.
+// anywhere the callable is only moved and invoked. Hot paths pin their
+// lambdas with static_assert(SmallFn<Cap>::fits<decltype(fn)>), so a
+// capture that grows past the cap fails to compile instead of silently
+// allocating per call.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +26,12 @@ namespace mb::support {
 template <std::size_t Cap = 48>
 class SmallFn {
  public:
+  /// True when a callable of type F is stored inline (no heap fallback).
+  template <typename F>
+  static constexpr bool fits =
+      sizeof(F) <= Cap && alignof(F) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<F>;
+
   SmallFn() noexcept = default;
   SmallFn(std::nullptr_t) noexcept {}  // NOLINT: match std::function
 
@@ -32,9 +41,7 @@ class SmallFn {
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   SmallFn(F&& f) {  // NOLINT: implicit, match std::function
     using D = std::decay_t<F>;
-    if constexpr (sizeof(D) <= Cap &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
+    if constexpr (fits<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       invoke_ = [](void* p) { (*std::launder(reinterpret_cast<D*>(p)))(); };
       manage_ = [](Action a, void* self, void* other) {

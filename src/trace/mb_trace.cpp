@@ -175,8 +175,23 @@ MbTraceFile read_mb_trace(std::istream& is) {
   const auto sampled = read_le<std::uint32_t>(is);
   support::check(sampled <= kMaxTraceRanks, "read_mb_trace",
                  "implausible sampled-rank count");
-  for (std::uint32_t i = 0; i < sampled; ++i)
-    file.meta.sampled_ranks.push_back(read_le<std::uint32_t>(is));
+  // The ids are strictly ascending and, when total_ranks is known, below
+  // it: the only lists the sink's sampling writes.
+  std::vector<std::uint32_t>& ids = file.meta.sampled_ranks;
+  for (std::uint32_t i = 0; i < sampled; ++i) {
+    const auto id = read_le<std::uint32_t>(is);
+    const auto fail_at = [i, id](const std::string& why) {
+      support::fail("read_mb_trace", "sampled rank " + std::to_string(i) +
+                                         ": rank " + std::to_string(id) +
+                                         " " + why);
+    };
+    if (file.meta.total_ranks > 0 && id >= file.meta.total_ranks)
+      fail_at("is not below " + std::to_string(file.meta.total_ranks));
+    if (!ids.empty() && id <= ids.back())
+      fail_at("does not follow rank " + std::to_string(ids.back()) +
+              " in ascending order");
+    ids.push_back(id);
+  }
 
   const auto strings = read_le<std::uint32_t>(is);
   FileLabels labels("read_mb_trace", "label");

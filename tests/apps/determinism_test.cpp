@@ -4,6 +4,8 @@
 // able to *rely* on.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "apps/bigdft.h"
 #include "apps/hpl.h"
 #include "apps/specfem.h"
@@ -11,6 +13,7 @@
 #include "kernels/chessbench.h"
 #include "kernels/linpack.h"
 #include "kernels/membench.h"
+#include "obs/metrics.h"
 
 namespace mb::apps {
 namespace {
@@ -48,6 +51,48 @@ TEST(Determinism, SpecfemAndHplIdentical) {
   cluster.mtu_bytes = 1u << 20;
   EXPECT_EQ(run_hpl(cluster, hp).makespan_s,
             run_hpl(cluster, hp).makespan_s);
+}
+
+TEST(Determinism, ShardedRunWithSendRetriesMatchesSerial) {
+  // Send retries give every message a failure hook. The one-shard engine
+  // keeps it; more shards drop it, since abandonment throws there before
+  // a hook could run. With no faults no hook fires, so four shards must
+  // reproduce the serial run bit for bit, result and trace.
+  const auto run = [](std::uint32_t sim_jobs, double& shards) {
+    BigDftParams p;
+    p.ranks = 256;
+    p.iterations = 1;
+    p.transposes = 1;
+    p.allreduces = 1;
+    p.compute_s_per_iter = 100.0;
+    p.transpose_bytes = 64ull << 20;
+    p.seed = 2013;
+    // 128 boards on 48-port leaf switches: three leaves plus the root.
+    ClusterConfig cluster = tibidabo_cluster(128);
+    cluster.mpi.verify = false;
+    cluster.mpi.max_send_retries = 3;
+    cluster.sim_jobs = sim_jobs;
+    AppRunResult result = run_bigdft(cluster, p);
+    shards = obs::metrics().gauge("sim.shards").value();
+    return result;
+  };
+  const auto paraver = [](const AppRunResult& r) {
+    std::ostringstream out;
+    r.trace.write_paraver(out);
+    return out.str();
+  };
+  double serial_shards = 0.0;
+  double sharded_shards = 0.0;
+  const AppRunResult serial = run(0, serial_shards);
+  const AppRunResult sharded = run(4, sharded_shards);
+  EXPECT_EQ(serial_shards, 1.0);
+  EXPECT_EQ(sharded_shards, 4.0);
+  EXPECT_TRUE(serial.completed && sharded.completed);
+  EXPECT_GT(serial.network_drops, 0u);  // the retransmit path ran
+  EXPECT_EQ(serial.makespan_s, sharded.makespan_s);
+  EXPECT_EQ(serial.network_drops, sharded.network_drops);
+  EXPECT_EQ(serial.network_retransmits, sharded.network_retransmits);
+  EXPECT_EQ(paraver(serial), paraver(sharded));
 }
 
 TEST(Determinism, MachineRunsAreBitIdentical) {

@@ -120,6 +120,36 @@ TEST(FaultInjection, PermanentOutageGivesUpAndReportsFailure) {
   EXPECT_GT(c.net.link_stats(host, leaf).gave_up, 0u);
 }
 
+TEST(FaultInjection, EachAbandonedMessageFiresItsOwnHook) {
+  // Failure hooks wait out of line, in slots freed when their message
+  // retires: three abandoned messages fire their own hooks once each, and
+  // later messages reusing the slots deliver without firing any.
+  Cluster c(2);
+  const NodeId host = c.topo.hosts[0];
+  const NodeId leaf = c.topo.leaf_switches[0];
+  c.net.set_link_state(host, leaf, false);
+  int fired[5] = {};
+  int delivered = 0;
+  for (int m = 0; m < 3; ++m)
+    c.net.send(host, c.topo.hosts[1], 3000, [&] { ++delivered; },
+               [&fired, m] { ++fired[m]; });
+  c.engine.run_all();
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(fired[0], 1);
+  EXPECT_EQ(fired[1], 1);
+  EXPECT_EQ(fired[2], 1);
+  EXPECT_EQ(c.net.in_flight_messages(), 0u);
+
+  c.net.set_link_state(host, leaf, true);
+  for (int m = 3; m < 5; ++m)
+    c.net.send(host, c.topo.hosts[1], 3000, [&] { ++delivered; },
+               [&fired, m] { ++fired[m]; });
+  c.engine.run_all();
+  EXPECT_EQ(delivered, 2);
+  EXPECT_EQ(fired[3] + fired[4], 0);
+  EXPECT_EQ(fired[0] + fired[1] + fired[2], 3);
+}
+
 TEST(FaultInjection, InjectedLossStillDeliversEverything) {
   Cluster c(2);
   const NodeId host = c.topo.hosts[0];

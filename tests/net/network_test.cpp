@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 
 #include "support/check.h"
@@ -167,6 +168,44 @@ TEST(Network, ZeroByteMessageStillOneFrame) {
   f.net.send(a, b, 0, [&] { t = f.engine.now(); });
   f.engine.run_all();
   EXPECT_GT(t, 0.0);
+}
+
+TEST(Network, RejectsMessagesOf2To32FramesBeforeScheduling) {
+  // A message counts its frames in 32 bits: at MTU 64 a 2^38-byte send is
+  // 2^32 frames, rejected before a single frame (or hook) is queued.
+  sim::ShardedEngine engine{1};
+  engine.configure({}, 1, kInf);
+  Network net{engine, 64};
+  const NodeId a = net.add_node("a", false);
+  const NodeId b = net.add_node("b", false);
+  net.add_link(a, b, gig());
+  net.finalize_routes();
+  int delivered = 0;
+  int failed = 0;
+  EXPECT_THROW(net.send(a, b, std::uint64_t{1} << 38, [&] { ++delivered; },
+                        [&] { ++failed; }),
+               support::Error);
+  EXPECT_EQ(engine.stats().pending, 0u);
+  EXPECT_EQ(engine.stats().scheduled, 0u);
+  EXPECT_EQ(net.in_flight_messages(), 0u);
+  // The network is untouched: the next message goes through.
+  net.send(a, b, 640, [&] { ++delivered; }, [&] { ++failed; });
+  engine.run_all();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(net.in_flight_messages(), 0u);
+}
+
+TEST(Network, RetransmitBudgetFitsThirtyOneBits) {
+  Fixture f;
+  const NodeId a = f.net.add_node("a", false);
+  const NodeId b = f.net.add_node("b", false);
+  const NodeId c = f.net.add_node("c", false);
+  LinkSpec spec = gig();
+  spec.max_retransmits = 1u << 31;
+  f.net.add_link(a, b, spec);
+  spec.max_retransmits = (1u << 31) + 1;
+  EXPECT_THROW(f.net.add_link(a, c, spec), support::Error);
 }
 
 TEST(Network, Preconditions) {

@@ -29,6 +29,33 @@ TEST(SmallFn, InvokesInlineCapture) {
   EXPECT_EQ(calls, 2);
 }
 
+TEST(SmallFn, FitsNamesTheCallablesStoredInline) {
+  struct Words {
+    void* p[4];
+    void operator()() const {}
+  };
+  struct Throwing {
+    Throwing() = default;
+    Throwing(Throwing&&) noexcept(false) {}
+    void operator()() const {}
+  };
+  static_assert(sizeof(SmallFn<32>) == 48);
+  static_assert(SmallFn<32>::fits<Words>);
+  static_assert(!SmallFn<24>::fits<Words>);
+  static_assert(!SmallFn<32>::fits<Throwing>);  // moves must not throw
+  std::array<double, 4> four{};
+  std::array<double, 5> five{};
+  const auto small = [four] { (void)four; };
+  const auto large = [five] { (void)five; };
+  static_assert(SmallFn<32>::fits<decltype(small)>);
+  static_assert(!SmallFn<32>::fits<decltype(large)>);
+  // Both run either way; only where the capture lives differs.
+  SmallFn<32> a = small;
+  SmallFn<32> b = large;
+  a();
+  b();
+}
+
 TEST(SmallFn, LargeCaptureFallsBackToHeapAndStillWorks) {
   std::array<double, 32> big{};  // 256 bytes: far past any inline cap
   big[31] = 42.0;

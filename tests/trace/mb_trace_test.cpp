@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -228,6 +229,43 @@ TEST(MbTrace, RejectsTimesNoExportCanCarryNamingTheRecord) {
         std::pair{backwards, "record 2: event ends before it starts"}}) {
     std::istringstream is(raw_file({"x"}, {fine, fine, bad}),
                           std::ios::binary);
+    EXPECT_NE(read_error(is).find(want), std::string::npos) << want;
+  }
+}
+
+/// A one-record file whose header carries `sampled` as written.
+std::string sampled_file(std::uint32_t total_ranks,
+                         std::vector<std::uint32_t> sampled) {
+  MbTraceMeta meta;
+  meta.total_ranks = total_ranks;
+  meta.sampled_ranks = std::move(sampled);
+  std::ostringstream os(std::ios::binary);
+  MbTraceWriter writer(os, meta, {"x"}, 1);
+  writer.append({0, EventKind::kCompute, 0, 0, 0.0, 1.0});
+  writer.finish();
+  return os.str();
+}
+
+TEST(MbTrace, SampledRanksAscendBelowTotalRanks) {
+  // Checked-in file: total_ranks 2, sampled ranks [99, 5, 5].
+  EXPECT_NE(fixture_error("sampled_ranks_unsorted.mbt")
+                .find("read_mb_trace: sampled rank 0: rank 99 is not below 2"),
+            std::string::npos)
+      << fixture_error("sampled_ranks_unsorted.mbt");
+  const std::pair<std::uint32_t, std::vector<std::uint32_t>> fine[] = {
+      {4, {0, 2}}, {4, {0, 1, 2, 3}}, {0, {3, 99}}, {2, {}}};
+  for (const auto& [total, ids] : fine) {
+    std::istringstream is(sampled_file(total, ids), std::ios::binary);
+    EXPECT_EQ(read_mb_trace(is).meta.sampled_ranks, ids);
+  }
+  const std::tuple<std::uint32_t, std::vector<std::uint32_t>, const char*>
+      bad[] = {
+          {4, {0, 4}, "sampled rank 1: rank 4 is not below 4"},
+          {4, {2, 2}, "sampled rank 1: rank 2 does not follow rank 2"},
+          {0, {7, 3}, "sampled rank 1: rank 3 does not follow rank 7"},
+      };
+  for (const auto& [total, ids, want] : bad) {
+    std::istringstream is(sampled_file(total, ids), std::ios::binary);
     EXPECT_NE(read_error(is).find(want), std::string::npos) << want;
   }
 }

@@ -190,6 +190,16 @@ std::optional<std::uint64_t> parse_u64(const std::string& text) {
   }
 }
 
+/// `v` when it is at most `limit`; otherwise a usage error naming `--flag`
+/// and the limit, so no flag value wraps when narrowed or scaled.
+std::uint64_t flag_at_most(const std::string& flag, std::uint64_t v,
+                           std::uint64_t limit) {
+  if (v > limit)
+    usage("--" + flag + " must be at most " + std::to_string(limit) +
+          ", got " + std::to_string(v));
+  return v;
+}
+
 /// The flags of one invocation. A flag its command does not declare is a
 /// usage error; a handler reading an undeclared flag is a bug in the
 /// command table.
@@ -226,6 +236,23 @@ class Options {
     if (text == nullptr) return fallback;
     if (const auto v = parse_u64(*text)) return *v;
     usage("--" + key + " expects an integer, got '" + *text + "'");
+  }
+
+  /// A flag stored in 32 bits (rank counts, sizes, worker counts): a
+  /// value above `limit` is a usage error naming the flag and the limit.
+  std::uint32_t get_u32(const std::string& key, std::uint32_t fallback,
+                        std::uint32_t limit = UINT32_MAX) const {
+    return static_cast<std::uint32_t>(
+        flag_at_most(key, get_u64(key, fallback), limit));
+  }
+
+  /// A size flag in units of 2^shift bytes (--size-kb: 10, --halo-kb: 10,
+  /// --transpose-mb: 20, --checkpoint-mb: 20), returned in bytes. A value
+  /// whose byte count would pass 2^64 - 1 is a usage error.
+  std::uint64_t get_scaled(const std::string& key, std::uint64_t fallback,
+                           unsigned shift) const {
+    return flag_at_most(key, get_u64(key, fallback), UINT64_MAX >> shift)
+           << shift;
   }
 
   double get_f64(const std::string& key, double fallback) const {
@@ -366,27 +393,29 @@ void apply_capture_options(const Options& opts,
     mb::trace::SinkConfig& sink = cluster.trace_sink;
     sink.seed = seed;
     sink.tool_version = std::string(mb::support::version());
-    sink.ring_capacity = static_cast<std::uint32_t>(
-        opts.get_u64("trace-buffer", sink.ring_capacity));
+    sink.ring_capacity = opts.get_u32("trace-buffer", sink.ring_capacity);
     const std::string spec = opts.get_str("trace-ranks", "all");
     const std::string bad =
         "--trace-ranks expects all, a count, or a comma list of rank ids, "
         "got '" +
         spec + "'";
+    // Rank ids and the count are 32-bit.
+    const auto number = [&bad](const std::string& token) {
+      const auto v = parse_u64(token);
+      if (!v) usage(bad);
+      return static_cast<std::uint32_t>(
+          flag_at_most("trace-ranks", *v, UINT32_MAX));
+    };
     if (spec.find(',') != std::string::npos) {
       std::stringstream ss(spec);
       std::string token;
       while (std::getline(ss, token, ',')) {
-        if (token.empty()) continue;
-        const auto rank = parse_u64(token);
-        if (!rank) usage(bad);
-        sink.rank_list.push_back(static_cast<std::uint32_t>(*rank));
+        if (!token.empty()) sink.rank_list.push_back(number(token));
       }
       if (sink.rank_list.empty())
         usage("--trace-ranks rank list is empty: '" + spec + "'");
     } else if (spec != "all") {
-      sink.sample_count =
-          static_cast<std::uint32_t>(parse_u64(spec).value_or(0));
+      sink.sample_count = number(spec);
       if (sink.sample_count == 0) usage(bad);
     }
     if (opts.has("trace-kinds")) {
@@ -420,7 +449,7 @@ void write_timeseries_artifact(const Options& opts, mb::obs::TimeSeries& ts,
 /// Campaign knobs shared by every sweeping command (campaign opts).
 mb::core::CampaignOptions campaign_options(const Options& opts) {
   mb::core::CampaignOptions co;
-  co.jobs = static_cast<std::uint32_t>(opts.get_u64("jobs", 1));
+  co.jobs = opts.get_u32("jobs", 1);
   if (co.jobs == 0) usage("--jobs must be at least 1");
   co.cache = !opts.has("no-cache");
   co.cache_dir = opts.get_str("cache-dir", ".mb-cache");
@@ -442,7 +471,7 @@ mb::advise::ApplyOptions apply_options(const Options& opts) {
   mb::advise::ApplyOptions apply;
   apply.campaign = campaign_options(opts);
   apply.compare = compare_options(opts);
-  apply.reps = static_cast<std::uint32_t>(opts.get_u64("reps", 3));
+  apply.reps = opts.get_u32("reps", 3);
   return apply;
 }
 
@@ -456,10 +485,8 @@ struct Recovery {
 Recovery read_recovery(const Options& opts) {
   Recovery r;
   r.recv_timeout_s = opts.get_f64("recv-timeout", r.recv_timeout_s);
-  r.send_retries = static_cast<std::uint32_t>(
-      opts.get_u64("send-retries", r.send_retries));
-  r.max_restarts = static_cast<std::uint32_t>(
-      opts.get_u64("max-restarts", r.max_restarts));
+  r.send_retries = opts.get_u32("send-retries", r.send_retries);
+  r.max_restarts = opts.get_u32("max-restarts", r.max_restarts);
   return r;
 }
 
@@ -536,23 +563,22 @@ AppParams read_app(const std::vector<App>& apps, const std::string& name,
   std::visit(
       [&](auto& p) {
         using P = std::decay_t<decltype(p)>;
-        p.ranks = static_cast<std::uint32_t>(opts.get_u64("ranks", p.ranks));
+        p.ranks = opts.get_u32("ranks", p.ranks);
         if constexpr (std::is_same_v<P, mb::apps::BigDftParams>) {
-          p.iterations = static_cast<std::uint32_t>(
-              opts.get_u64("iterations", p.iterations));
+          p.iterations = opts.get_u32("iterations", p.iterations);
           p.compute_s_per_iter =
               opts.get_f64("compute-s", p.compute_s_per_iter);
           p.transpose_bytes =
-              opts.get_u64("transpose-mb", p.transpose_bytes >> 20) << 20;
+              opts.get_scaled("transpose-mb", p.transpose_bytes >> 20, 20);
           p.seed = seed;
         } else if constexpr (std::is_same_v<P, mb::apps::HplParams>) {
-          p.n = static_cast<std::uint32_t>(opts.get_u64("n", p.n));
-          p.block = static_cast<std::uint32_t>(opts.get_u64("block", p.block));
+          p.n = opts.get_u32("n", p.n);
+          p.block = opts.get_u32("block", p.block);
         } else {
-          p.steps = static_cast<std::uint32_t>(opts.get_u64("steps", p.steps));
+          p.steps = opts.get_u32("steps", p.steps);
           p.compute_s_per_step =
               opts.get_f64("compute-s", p.compute_s_per_step);
-          p.halo_bytes = opts.get_u64("halo-kb", p.halo_bytes >> 10) << 10;
+          p.halo_bytes = opts.get_scaled("halo-kb", p.halo_bytes >> 10, 10);
           p.seed = seed;
         }
         enforce_clean(mb::verify::lint_rank_count(p.ranks, 2, "--ranks"));
@@ -726,14 +752,12 @@ int cmd_roofline(const Args& args, const Options& opts) {
 int cmd_membench(const Args& args, const Options& opts) {
   const auto p = resolve_platform(args[0]);
   mb::kernels::MembenchParams params;
-  params.array_bytes = opts.get_u64("size-kb", 48) * 1024;
-  params.stride_elems =
-      static_cast<std::uint32_t>(opts.get_u64("stride", 1));
-  params.elem_bits = static_cast<std::uint32_t>(opts.get_u64("bits", 64));
-  params.unroll = static_cast<std::uint32_t>(opts.get_u64("unroll", 4));
-  params.passes = static_cast<std::uint32_t>(opts.get_u64("passes", 8));
-  const auto reps =
-      static_cast<std::uint32_t>(opts.get_u64("reps", 1));
+  params.array_bytes = opts.get_scaled("size-kb", 48, 10);
+  params.stride_elems = opts.get_u32("stride", 1);
+  params.elem_bits = opts.get_u32("bits", 64);
+  params.unroll = opts.get_u32("unroll", 4);
+  params.passes = opts.get_u32("passes", 8);
+  const std::uint32_t reps = opts.get_u32("reps", 1);
   const std::uint64_t seed = effective_seed(opts, 1);
   if (reps == 0) usage("--reps must be at least 1");
   const auto co = campaign_options(opts);
@@ -796,10 +820,9 @@ int cmd_membench(const Args& args, const Options& opts) {
 int cmd_latency(const Args& args, const Options& opts) {
   const auto p = resolve_platform(args[0]);
   mb::kernels::LatencyParams params;
-  params.buffer_bytes = opts.get_u64("size-kb", 1024) * 1024;
-  params.hops = static_cast<std::uint32_t>(opts.get_u64("hops", 4096));
-  const auto reps =
-      static_cast<std::uint32_t>(opts.get_u64("reps", 1));
+  params.buffer_bytes = opts.get_scaled("size-kb", 1024, 10);
+  params.hops = opts.get_u32("hops", 4096);
+  const std::uint32_t reps = opts.get_u32("reps", 1);
   const std::uint64_t seed = effective_seed(opts, 1);
   if (reps == 0) usage("--reps must be at least 1");
 
@@ -954,7 +977,8 @@ std::vector<std::uint32_t> parse_rank_list(const std::string& text) {
     if (!v || *v == 0)
       usage("--ranks expects a comma list of rank counts, got '" + text +
             "'");
-    ranks.push_back(static_cast<std::uint32_t>(*v));
+    ranks.push_back(
+        static_cast<std::uint32_t>(flag_at_most("ranks", *v, UINT32_MAX)));
   }
   if (ranks.empty()) usage("--ranks expects at least one rank count");
   return ranks;
@@ -962,8 +986,7 @@ std::vector<std::uint32_t> parse_rank_list(const std::string& text) {
 
 int cmd_bench_scaling(const Options& opts) {
   const std::uint64_t seed = effective_seed(opts, 2013);
-  const auto sim_jobs =
-      static_cast<std::uint32_t>(opts.get_u64("sim-jobs", 0));
+  const std::uint32_t sim_jobs = opts.get_u32("sim-jobs", 0);
   const auto rank_list = parse_rank_list(opts.get_str("ranks", "1024,4096"));
   for (const std::uint32_t ranks : rank_list)
     enforce_clean(mb::verify::lint_rank_count(ranks, 2, "--ranks"));
@@ -1064,7 +1087,7 @@ int cmd_bench_suite(const Args& /*args*/, const Options& opts) {
   const std::string suite = opts.get_str("suite", "smoke");
   if (suite == "scaling") return cmd_bench_scaling(opts);
   if (suite != "smoke") usage("--suite expects smoke|scaling");
-  const auto reps = static_cast<std::uint32_t>(opts.get_u64("reps", 8));
+  const std::uint32_t reps = opts.get_u32("reps", 8);
   const std::uint64_t seed = effective_seed(opts, 2013);
   if (reps == 0) usage("--reps must be at least 1");
   const auto co = campaign_options(opts);
@@ -1299,8 +1322,7 @@ mb::apps::AppRunResult run_fig4_scenario(const Options& opts,
       app_program(read_app(kFig4Apps, "bigdft", opts, seed));
   mb::apps::ClusterConfig cluster =
       mb::apps::tibidabo_cluster(program.ranks() / 2);
-  cluster.sim_jobs =
-      static_cast<std::uint32_t>(opts.get_u64("sim-jobs", 0));
+  cluster.sim_jobs = opts.get_u32("sim-jobs", 0);
   apply_capture_options(opts, cluster, seed);
   if (!spill_path.empty()) {
     // Stream straight into the mb-trace file: memory stays bounded no
@@ -1652,8 +1674,7 @@ int cmd_lint(const Args& args, const Options& opts) {
   mb::verify::Report report;
   std::string source;
   if (target == "tibidabo-tree" || target == "upgraded-tree") {
-    const auto nodes =
-        static_cast<std::uint32_t>(opts.get_u64("nodes", 32));
+    const std::uint32_t nodes = opts.get_u32("nodes", 32);
     const auto params = target == "tibidabo-tree"
                             ? mb::net::tibidabo_tree(nodes)
                             : mb::net::upgraded_tree(nodes);
@@ -1706,8 +1727,7 @@ mb::verify::CostDescriptor descriptor_for(const mb::mpi::Program& program,
   const std::uint32_t nodes = program.ranks() / d.cores_per_node;
   d.tree = read_tree(opts) == "tibidabo" ? mb::net::tibidabo_tree(nodes)
                                          : mb::net::upgraded_tree(nodes);
-  d.mtu_bytes =
-      static_cast<std::uint32_t>(opts.get_u64("mtu", d.mtu_bytes));
+  d.mtu_bytes = opts.get_u32("mtu", d.mtu_bytes);
   if (d.mtu_bytes == 0) usage("--mtu must be positive");
   return d;
 }
@@ -1828,7 +1848,7 @@ int cmd_chaos(const Args& args, const Options& opts) {
   if (opts.has("checkpoint-mb")) {
     plan.checkpoint.enabled = true;
     plan.checkpoint.state_bytes_per_rank =
-        static_cast<double>(opts.get_u64("checkpoint-mb", 64) << 20);
+        static_cast<double>(opts.get_scaled("checkpoint-mb", 64, 20));
   }
 
   const mb::mpi::Program program =
@@ -2098,7 +2118,7 @@ int cmd_advise_bigdft(const Options& opts) {
   facts.ranks = cfg.params.ranks;
   facts.cores_per_node = 2;
   facts.measured_makespan_s = measured.time_to_solution_s;
-  facts.sim_jobs = static_cast<std::uint32_t>(opts.get_u64("sim-jobs", 0));
+  facts.sim_jobs = opts.get_u32("sim-jobs", 0);
 
   mb::advise::AdviceReport report;
   report.scenario = "chaos:bigdft";
@@ -2116,7 +2136,7 @@ int cmd_advise_magicfilter(const Options& opts) {
   const auto platform =
       resolve_platform(opts.get_str("platform", "tegra2"));
   const std::uint64_t seed = effective_seed(opts, 1);
-  const auto current = static_cast<std::uint32_t>(opts.get_u64("unroll", 1));
+  const std::uint32_t current = opts.get_u32("unroll", 1);
   if (current < 1 || current > 12) usage("--unroll must be in 1..12");
   // The same measurement as tune-magicfilter, under the same cache keys.
   const auto sweep =
@@ -2230,12 +2250,12 @@ int cmd_fuzz(const Args& /*args*/, const Options& opts) {
     spec.pin_pattern = true;
   }
   if (opts.has("ranks")) {
-    spec.base.ranks = static_cast<std::uint32_t>(opts.get_u64("ranks", 8));
+    spec.base.ranks = opts.get_u32("ranks", 8);
     enforce_clean(mb::verify::lint_rank_count(spec.base.ranks, 2, "--ranks"));
     spec.pin_ranks = true;
   }
   if (opts.has("rounds")) {
-    spec.base.rounds = static_cast<std::uint32_t>(opts.get_u64("rounds", 3));
+    spec.base.rounds = opts.get_u32("rounds", 3);
     spec.pin_rounds = true;
   }
   spec.base.min_bytes = opts.get_u64("min-bytes", spec.base.min_bytes);
@@ -2246,11 +2266,11 @@ int cmd_fuzz(const Args& /*args*/, const Options& opts) {
 
   mb::gen::DiffConfig config;
   config.tree = read_tree(opts);
-  config.sim_jobs = static_cast<std::uint32_t>(opts.get_u64("sim-jobs", 2));
+  config.sim_jobs = opts.get_u32("sim-jobs", 2);
   config.pretend_clean = opts.has("pretend-clean");
   const std::uint64_t chaos_every = opts.get_u64("chaos-every", 25);
 
-  const auto jobs = static_cast<std::uint32_t>(opts.get_u64("jobs", 1));
+  const std::uint32_t jobs = opts.get_u32("jobs", 1);
   if (jobs == 0) usage("--jobs must be at least 1");
 
   const std::size_t n = range.hi - range.lo;
@@ -2360,10 +2380,10 @@ int cmd_replay(const Args& args, const Options& opts) {
   // --jobs is accepted for symmetry with fuzz (a replay is a single-seed
   // pipeline, byte-identical for any worker count); --sim-jobs genuinely
   // re-parameterizes the sharded arm, whose digests must not change.
-  (void)opts.get_u64("jobs", 1);
+  (void)opts.get_u32("jobs", 1);
   const int sim_jobs_override =
       opts.has("sim-jobs")
-          ? static_cast<int>(opts.get_u64("sim-jobs", 0))
+          ? static_cast<int>(opts.get_u32("sim-jobs", 0, INT32_MAX))
           : -1;
 
   mb::gen::ReplayOutcome rep;
