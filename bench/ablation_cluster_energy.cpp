@@ -4,7 +4,7 @@
 // against a single Xeon server doing the same work.
 #include <iostream>
 
-#include "apps/bigdft.h"
+#include "apps/scenario.h"
 #include "arch/platforms.h"
 #include "power/cluster_energy.h"
 #include "support/table.h"
@@ -19,11 +19,8 @@ int main() {
   std::cout << "=== Sec. IV ablation: cluster-level energy to solution "
                "(BigDFT, 36 ARM cores) ===\n\n";
 
-  mb::apps::BigDftParams params;
-  params.ranks = 36;
-  params.iterations = 5;
-  params.compute_s_per_iter = 2.0;
-  params.transpose_bytes = 24ull << 20;
+  const auto params = std::get<mb::apps::BigDftParams>(
+      mb::apps::scenario("fig3/bigdft", 36, 1).params);
 
   const double stock =
       mb::apps::run_bigdft(mb::apps::tibidabo_cluster(18), params)

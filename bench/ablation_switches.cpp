@@ -4,7 +4,7 @@
 // latency).
 #include <iostream>
 
-#include "apps/bigdft.h"
+#include "apps/scenario.h"
 #include "support/table.h"
 
 namespace {
@@ -19,11 +19,10 @@ struct Outcome {
 };
 
 Outcome run(const mb::apps::ClusterConfig& cluster) {
-  mb::apps::BigDftParams p;
-  p.ranks = 36;
+  // The congestion-bound Fig. 3c instance, run for 10 iterations.
+  auto p = std::get<mb::apps::BigDftParams>(
+      mb::apps::scenario("fig3/bigdft", 36, 1).params);
   p.iterations = 10;
-  p.compute_s_per_iter = 2.0;
-  p.transpose_bytes = 24ull << 20;  // the congestion-bound Fig. 3c instance
   const auto r = mb::apps::run_bigdft(cluster, p);
   const auto report = mb::trace::analyze_collectives(r.trace, "alltoallv");
   return {r.makespan_s, r.network_drops, report.delayed_count,

@@ -13,12 +13,11 @@
 #include <algorithm>
 #include <cstring>
 #include <iostream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "apps/bigdft.h"
-#include "apps/hpl.h"
-#include "apps/specfem.h"
+#include "apps/scenario.h"
 #include "stats/scaling.h"
 #include "support/table.h"
 
@@ -38,104 +37,49 @@ void print_series(const std::string& title,
   std::cout << table << '\n';
 }
 
-std::vector<ScalingPoint> sweep(const std::vector<int>& cores,
-                                double (*run)(std::uint32_t)) {
+/// Strong scaling of the named run `name` (src/apps/scenario.h) over
+/// `cores`. With `sim_jobs` > 0 the runs shard the engine and skip
+/// re-verifying the generator-built programs, as the scaling suite does.
+std::vector<ScalingPoint> sweep(std::string_view name,
+                                const std::vector<int>& cores,
+                                std::uint64_t seed = 1,
+                                std::uint32_t sim_jobs = 0) {
   std::vector<double> times;
-  for (int c : cores) times.push_back(run(static_cast<std::uint32_t>(c)));
+  for (const int c : cores) {
+    const auto s =
+        mb::apps::scenario(name, static_cast<std::uint32_t>(c), seed);
+    auto cluster = mb::apps::cluster_for(s);
+    if (sim_jobs > 0) {
+      cluster.mpi.verify = false;
+      cluster.sim_jobs = sim_jobs;
+    }
+    times.push_back(
+        mb::apps::run_on_cluster(cluster, mb::apps::build_program(s.params))
+            .makespan_s);
+  }
   return mb::stats::strong_scaling(cores, times);
-}
-
-double hpl_time(std::uint32_t cores) {
-  mb::apps::HplParams p;
-  p.ranks = cores;
-  p.n = 32768;  // memory-filling N, as HPL is run in practice
-  p.block = 128;
-  auto cluster = mb::apps::tibidabo_cluster(std::max(1u, cores / 2));
-  cluster.mtu_bytes = 1u << 20;  // coarse frames for month-long runs
-  return mb::apps::run_hpl(cluster, p).makespan_s;
-}
-
-double specfem_time(std::uint32_t cores) {
-  mb::apps::SpecfemParams p;
-  p.ranks = cores;
-  p.steps = 10;
-  p.compute_s_per_step = 3.0;
-  const auto cluster = mb::apps::tibidabo_cluster(std::max(1u, cores / 2));
-  return mb::apps::run_specfem(cluster, p).makespan_s;
-}
-
-double bigdft_time(std::uint32_t cores) {
-  mb::apps::BigDftParams p;
-  p.ranks = cores;
-  p.iterations = 5;
-  p.compute_s_per_iter = 2.0;
-  p.transpose_bytes = 24ull << 20;
-  const auto cluster = mb::apps::tibidabo_cluster(std::max(1u, cores / 2));
-  return mb::apps::run_bigdft(cluster, p).makespan_s;
 }
 
 // ---------------------------------------------------------------------------
 // "Fig. 3 at scale": the same applications at 1k-16k simulated ranks on
-// the sharded engine. Communication-dense parameters (the scaling-suite
-// scenarios from `mbctl bench-suite --suite scaling`) keep DES event
+// the sharded engine, with the scaling suite's communication-dense
+// scenarios (`mbctl bench-suite --suite scaling`), which keep DES event
 // throughput, not the compute model, as the measured quantity.
 
-std::uint32_t scale_jobs() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::min(8u, hw == 0 ? 1u : hw);
-}
-
-mb::apps::ClusterConfig scale_cluster(std::uint32_t ranks,
-                                      std::uint32_t mtu) {
-  auto cluster = mb::apps::tibidabo_cluster(std::max(1u, ranks / 2));
-  cluster.mpi.verify = false;
-  cluster.sim_jobs = scale_jobs();
-  if (mtu != 0) cluster.mtu_bytes = mtu;
-  return cluster;
-}
-
-double hpl_time_at_scale(std::uint32_t cores) {
-  mb::apps::HplParams p;
-  p.ranks = cores;
-  p.n = 4096;
-  p.block = 128;
-  return mb::apps::run_hpl(scale_cluster(cores, 1u << 20), p).makespan_s;
-}
-
-double specfem_time_at_scale(std::uint32_t cores) {
-  mb::apps::SpecfemParams p;
-  p.ranks = cores;
-  p.steps = 8;
-  p.compute_s_per_step = 200.0;
-  p.halo_bytes = 64 * 1024;
-  p.seed = 2013;
-  return mb::apps::run_specfem(scale_cluster(cores, 0), p).makespan_s;
-}
-
-double bigdft_time_at_scale(std::uint32_t cores) {
-  mb::apps::BigDftParams p;
-  p.ranks = cores;
-  p.iterations = 1;
-  p.transposes = 1;
-  p.allreduces = 0;
-  p.compute_s_per_iter = 100.0;
-  p.transpose_bytes = 64ull << 20;
-  p.seed = 2013;
-  return mb::apps::run_bigdft(scale_cluster(cores, 0), p).makespan_s;
-}
-
 void run_at_scale() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::uint32_t jobs = std::min(8u, hw == 0 ? 1u : hw);
   std::cout << "=== Fig. 3 at scale: 1k-16k simulated ranks, sharded "
                "engine (sim-jobs "
-            << scale_jobs() << ") ===\n\n";
+            << jobs << ") ===\n\n";
   print_series("--- HPL at scale ---",
-               sweep({1024, 4096, 16384}, hpl_time_at_scale));
+               sweep("scaling/hpl", {1024, 4096, 16384}, 2013, jobs));
   print_series("--- SPECFEM3D at scale ---",
-               sweep({1024, 4096, 16384}, specfem_time_at_scale));
+               sweep("scaling/specfem", {1024, 4096, 16384}, 2013, jobs));
   // BigDFT's alltoallv is O(ranks^2) messages; 1024 is already the
   // congestion-collapse regime the paper's Fig. 3c extrapolates to.
   print_series("--- BigDFT at scale ---",
-               sweep({256, 1024}, bigdft_time_at_scale));
+               sweep("scaling/bigdft", {256, 1024}, 2013, jobs));
 }
 
 }  // namespace
@@ -148,15 +92,13 @@ int main(int argc, char** argv) {
   std::cout << "=== Figure 3: strong scaling on Tibidabo "
                "(Tegra2 nodes, 1GbE tree) ===\n\n";
 
-  const auto hpl =
-      sweep({2, 4, 8, 16, 32, 48, 64, 80, 96}, hpl_time);
+  const auto hpl = sweep("fig3/hpl", {2, 4, 8, 16, 32, 48, 64, 80, 96});
   print_series("--- Fig. 3a: LINPACK (HPL) ---", hpl);
   std::cout << "Tail linear after 32 cores: "
             << (mb::stats::tail_is_linear(hpl, 32) ? "yes" : "no")
             << " (paper: yes)\n\n";
 
-  const auto spec =
-      sweep({4, 8, 16, 32, 64, 128, 192}, specfem_time);
+  const auto spec = sweep("fig3/specfem", {4, 8, 16, 32, 64, 128, 192});
   print_series("--- Fig. 3b: SPECFEM3D (baseline = 4 cores; the instance "
                "needs 2 nodes) ---",
                spec);
@@ -164,7 +106,7 @@ int main(int argc, char** argv) {
             << fmt_fixed(mb::stats::final_efficiency(spec), 2)
             << " (paper: ~0.90)\n\n";
 
-  const auto big = sweep({2, 4, 8, 16, 24, 36}, bigdft_time);
+  const auto big = sweep("fig3/bigdft", {2, 4, 8, 16, 24, 36});
   print_series("--- Fig. 3c: BigDFT ---", big);
   std::cout << "Final efficiency: "
             << fmt_fixed(mb::stats::final_efficiency(big), 2)

@@ -7,22 +7,17 @@
 #include <iostream>
 #include <sstream>
 
-#include "apps/bigdft.h"
+#include "apps/scenario.h"
 #include "trace/gantt.h"
 #include "support/table.h"
 
 int main() {
   using mb::support::fmt_fixed;
 
-  mb::apps::BigDftParams params;
-  params.ranks = 36;
-  params.iterations = 12;
-  params.compute_s_per_iter = 2.0;
-  params.transpose_bytes = 12ull << 20;  // the borderline-incast profiling instance
-
   std::cout << "=== Figure 4: BigDFT on Tibidabo, 36 cores ===\n\n";
-  const auto result =
-      mb::apps::run_bigdft(mb::apps::tibidabo_cluster(18), params);
+  const auto fig4 = mb::apps::scenario("fig4", 36, 1);
+  const auto result = mb::apps::run_on_cluster(
+      mb::apps::cluster_for(fig4), mb::apps::build_program(fig4.params));
 
   const auto report =
       mb::trace::analyze_collectives(result.trace, "alltoallv");

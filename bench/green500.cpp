@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "apps/hpl.h"
+#include "apps/scenario.h"
 #include "gpu/hybrid.h"
 #include "power/cluster_energy.h"
 #include "power/top500.h"
@@ -22,13 +23,9 @@ int main() {
                "===\n\n";
 
   // --- Tibidabo: 48 Tegra2 nodes = 96 cores, stock GbE tree. ---
-  mb::apps::HplParams hpl;
-  hpl.ranks = 96;
-  hpl.n = 32768;
-  hpl.block = 128;
-  auto cluster = mb::apps::tibidabo_cluster(48);
-  cluster.mtu_bytes = 1u << 20;
-  const auto run = mb::apps::run_hpl(cluster, hpl);
+  const auto fig3 = mb::apps::scenario("fig3/hpl", 96, 1);
+  const auto& hpl = std::get<mb::apps::HplParams>(fig3.params);
+  const auto run = mb::apps::run_hpl(mb::apps::cluster_for(fig3), hpl);
   const double gflops = mb::apps::hpl_gflops(hpl, run.makespan_s);
 
   // Tegra2 boards draw more than Snowballs (SoC + NIC + DRAM at speed).

@@ -4,7 +4,7 @@
 #include <iostream>
 #include <vector>
 
-#include "apps/bigdft.h"
+#include "apps/scenario.h"
 #include "stats/scaling.h"
 #include "support/table.h"
 
@@ -16,15 +16,15 @@ std::vector<mb::stats::ScalingPoint> sweep(bool upgraded) {
   const std::vector<int> cores{2, 4, 8, 16, 24, 36};
   std::vector<double> times;
   for (const int c : cores) {
-    mb::apps::BigDftParams p;
-    p.ranks = static_cast<std::uint32_t>(c);
-    p.iterations = 5;
-    p.compute_s_per_iter = 2.0;
-    p.transpose_bytes = 24ull << 20;
-    const auto cluster =
-        upgraded ? mb::apps::upgraded_cluster(std::max(1, c / 2))
-                 : mb::apps::tibidabo_cluster(std::max(1, c / 2));
-    times.push_back(mb::apps::run_bigdft(cluster, p).makespan_s);
+    // The paper's Fig. 3c run (src/apps/scenario.h) at c ranks.
+    const auto s =
+        mb::apps::scenario("fig3/bigdft", static_cast<std::uint32_t>(c), 1);
+    const auto cluster = upgraded
+                             ? mb::apps::upgraded_cluster(std::max(1, c / 2))
+                             : mb::apps::cluster_for(s);
+    times.push_back(
+        mb::apps::run_on_cluster(cluster, mb::apps::build_program(s.params))
+            .makespan_s);
   }
   return mb::stats::strong_scaling(cores, times);
 }

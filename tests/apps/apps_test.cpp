@@ -2,6 +2,7 @@
 
 #include "apps/bigdft.h"
 #include "apps/hpl.h"
+#include "apps/scenario.h"
 #include "apps/specfem.h"
 #include "stats/scaling.h"
 #include "support/check.h"
@@ -20,14 +21,14 @@ std::vector<stats::ScalingPoint> scale(const std::vector<int>& cores,
 
 // Small, fast instances for unit tests; the bench uses paper-sized ones.
 
+double makespan(const Scenario& s) {
+  return run_on_cluster(cluster_for(s), build_program(s.params)).makespan_s;
+}
+
 double bigdft_time(std::uint32_t cores) {
-  BigDftParams p;
-  p.ranks = cores;
-  p.iterations = 3;
-  p.compute_s_per_iter = 2.0;
-  p.transpose_bytes = 24ull << 20;
-  const auto cluster = tibidabo_cluster(std::max(1u, cores / 2));
-  return run_bigdft(cluster, p).makespan_s;
+  Scenario s = scenario("fig3/bigdft", cores, 1);
+  std::get<BigDftParams>(s.params).iterations = 3;  // the figure runs 5
+  return makespan(s);
 }
 
 double specfem_time(std::uint32_t cores) {
@@ -40,15 +41,7 @@ double specfem_time(std::uint32_t cores) {
 }
 
 double hpl_time(std::uint32_t cores) {
-  HplParams p;
-  p.ranks = cores;
-  p.n = 32768;  // HPL is run at memory-filling N, as on the real Tibidabo
-  p.block = 128;
-  auto cluster = tibidabo_cluster(std::max(1u, cores / 2));
-  // Month-scale runs: coarsen frames (1 MB) — congestion fidelity is not
-  // the point of Fig. 3a, broadcast/update overlap structure is.
-  cluster.mtu_bytes = 1u << 20;
-  return run_hpl(cluster, p).makespan_s;
+  return makespan(scenario("fig3/hpl", cores, 1));
 }
 
 TEST(BigDft, ProgramShape) {

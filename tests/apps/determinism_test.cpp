@@ -8,6 +8,7 @@
 
 #include "apps/bigdft.h"
 #include "apps/hpl.h"
+#include "apps/scenario.h"
 #include "apps/specfem.h"
 #include "arch/platforms.h"
 #include "kernels/chessbench.h"
@@ -59,20 +60,15 @@ TEST(Determinism, ShardedRunWithSendRetriesMatchesSerial) {
   // a hook could run. With no faults no hook fires, so four shards must
   // reproduce the serial run bit for bit, result and trace.
   const auto run = [](std::uint32_t sim_jobs, double& shards) {
-    BigDftParams p;
-    p.ranks = 256;
-    p.iterations = 1;
-    p.transposes = 1;
-    p.allreduces = 1;
-    p.compute_s_per_iter = 100.0;
-    p.transpose_bytes = 64ull << 20;
-    p.seed = 2013;
-    // 128 boards on 48-port leaf switches: three leaves plus the root.
-    ClusterConfig cluster = tibidabo_cluster(128);
+    // The scaling suite's 256-rank BigDFT plus one allreduce, on 128
+    // boards under 48-port leaf switches: three leaves plus the root.
+    Scenario s = scenario("scaling/bigdft", 256, 2013);
+    std::get<BigDftParams>(s.params).allreduces = 1;
+    ClusterConfig cluster = cluster_for(s);
     cluster.mpi.verify = false;
     cluster.mpi.max_send_retries = 3;
     cluster.sim_jobs = sim_jobs;
-    AppRunResult result = run_bigdft(cluster, p);
+    AppRunResult result = run_on_cluster(cluster, build_program(s.params));
     shards = obs::metrics().gauge("sim.shards").value();
     return result;
   };

@@ -11,39 +11,27 @@
 #include <sstream>
 #include <string>
 
-#include "apps/bigdft.h"
 #include "apps/cluster.h"
-#include "apps/specfem.h"
+#include "apps/scenario.h"
 
 namespace mb::apps {
 namespace {
 
-AppRunResult run_specfem_1024(std::uint32_t sim_jobs) {
-  SpecfemParams params;
-  params.ranks = 1024;
-  params.steps = 2;
-  params.compute_s_per_step = 200.0;
-  params.halo_bytes = 64 * 1024;
-  params.seed = 2013;
-  ClusterConfig cluster = tibidabo_cluster(512);
+AppRunResult run(const Scenario& s, std::uint32_t sim_jobs) {
+  ClusterConfig cluster = cluster_for(s);
   cluster.mpi.verify = false;
   cluster.sim_jobs = sim_jobs;
-  return run_specfem(cluster, params);
+  return run_on_cluster(cluster, build_program(s.params));
+}
+
+AppRunResult run_specfem_1024(std::uint32_t sim_jobs) {
+  Scenario s = scenario("scaling/specfem", 1024, 2013);
+  std::get<SpecfemParams>(s.params).steps = 2;  // the suite runs 8
+  return run(s, sim_jobs);
 }
 
 AppRunResult run_bigdft_256(std::uint32_t sim_jobs) {
-  BigDftParams params;
-  params.ranks = 256;
-  params.iterations = 1;
-  params.transposes = 1;
-  params.allreduces = 0;
-  params.compute_s_per_iter = 100.0;
-  params.transpose_bytes = 64ull << 20;
-  params.seed = 2013;
-  ClusterConfig cluster = tibidabo_cluster(128);
-  cluster.mpi.verify = false;
-  cluster.sim_jobs = sim_jobs;
-  return run_bigdft(cluster, params);
+  return run(scenario("scaling/bigdft", 256, 2013), sim_jobs);
 }
 
 std::string paraver_bytes(const AppRunResult& result) {

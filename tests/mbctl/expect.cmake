@@ -1,4 +1,5 @@
-# Runs a command and requires its exit code and a match on its stderr:
+# Runs a command and requires its exit code and a match on its stderr
+# (EXPECT_STDERR) or on its stdout (EXPECT_STDOUT):
 #
 #   cmake -DEXPECT_EXIT=<code> -DEXPECT_STDERR=<regex> -P expect.cmake
 #         <command> [args...]
@@ -16,10 +17,13 @@ foreach(i RANGE ${last})
   endif()
 endforeach()
 execute_process(COMMAND ${command} RESULT_VARIABLE rc
-                OUTPUT_QUIET ERROR_VARIABLE err)
+                OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL EXPECT_EXIT)
   message(FATAL_ERROR "exit code ${rc}, expected ${EXPECT_EXIT}\n${err}")
 endif()
-if(NOT err MATCHES "${EXPECT_STDERR}")
+if(DEFINED EXPECT_STDERR AND NOT err MATCHES "${EXPECT_STDERR}")
   message(FATAL_ERROR "stderr does not match '${EXPECT_STDERR}':\n${err}")
+endif()
+if(DEFINED EXPECT_STDOUT AND NOT out MATCHES "${EXPECT_STDOUT}")
+  message(FATAL_ERROR "stdout does not match '${EXPECT_STDOUT}':\n${out}")
 endif()

@@ -29,6 +29,7 @@
 #include "apps/bigdft.h"
 #include "apps/cluster.h"
 #include "apps/hpl.h"
+#include "apps/scenario.h"
 #include "apps/specfem.h"
 #include "arch/platform_io.h"
 #include "arch/platforms.h"
@@ -512,8 +513,7 @@ std::string read_tree(const Options& opts) {
 // --------------------------------------------------------------------------
 // App programs: every cluster command builds its program here.
 
-using AppParams = std::variant<mb::apps::BigDftParams, mb::apps::HplParams,
-                               mb::apps::SpecfemParams>;
+using mb::apps::AppParams;
 
 /// An app a command can run, with that command's defaults (docs/cli.md,
 /// "App options"); the app flags override them.
@@ -522,14 +522,10 @@ struct App {
   AppParams defaults;
 };
 
-/// fig4, trace-export, analyze: the paper's Fig. 4 run, as in
-/// bench/fig4_trace.cpp — 36 ranks on 18 dual-core boards, 12 SCF
-/// iterations, the borderline-incast 12 MiB transpose.
+/// fig4, trace-export, analyze: the paper's Fig. 4 run, 36 ranks on 18
+/// dual-core boards.
 const std::vector<App> kFig4Apps = {
-    {"bigdft", mb::apps::BigDftParams{.ranks = 36,
-                                      .iterations = 12,
-                                      .compute_s_per_iter = 2.0,
-                                      .transpose_bytes = 12ull << 20}}};
+    {"bigdft", mb::apps::scenario("fig4", 36, 1).params}};
 /// chaos, advise: small runs that a fault plan can still hurt.
 const std::vector<App> kChaosApps = {
     {"bigdft", mb::apps::BigDftParams{.ranks = 8,
@@ -539,9 +535,9 @@ const std::vector<App> kChaosApps = {
     {"hpl", mb::apps::HplParams{.ranks = 16, .n = 4096, .block = 64}},
     {"specfem", mb::apps::SpecfemParams{}}};
 /// verify-mpi, analyze-static: the params structs' own defaults; `fig4` is
-/// bigdft at the Fig. 4 rank count.
+/// the program `mbctl fig4` runs.
 const std::vector<App> kStaticApps = {
-    {"fig4", mb::apps::BigDftParams{.ranks = 36}},
+    {"fig4", mb::apps::scenario("fig4", 36, 1).params},
     {"bigdft", mb::apps::BigDftParams{}},
     {"hpl", mb::apps::HplParams{}},
     {"specfem", mb::apps::SpecfemParams{}}};
@@ -585,21 +581,6 @@ AppParams read_app(const std::vector<App>& apps, const std::string& name,
       },
       params);
   return params;
-}
-
-mb::mpi::Program app_program(const AppParams& params) {
-  return std::visit(
-      [](const auto& p) {
-        using P = std::decay_t<decltype(p)>;
-        if constexpr (std::is_same_v<P, mb::apps::BigDftParams>) {
-          return mb::apps::bigdft_program(p);
-        } else if constexpr (std::is_same_v<P, mb::apps::HplParams>) {
-          return mb::apps::hpl_program(p);
-        } else {
-          return mb::apps::specfem_program(p);
-        }
-      },
-      params);
 }
 
 // --------------------------------------------------------------------------
@@ -961,13 +942,14 @@ int cmd_tune_magicfilter(const Args& args, const Options& opts) {
 // reports that CI gates on. `--suite smoke` (default) covers the paper's
 // Fig. 5 (RT-scheduler bimodality), Fig. 6 (membench variants), Fig. 7
 // (magicfilter unrolling) and Table II (cross-platform kernels).
-// `--suite scaling` runs the strong-scaling cluster scenarios (BigDFT /
-// HPL / SPECFEM at --ranks counts) whose wall-clock the scaling-gate CI
-// job budgets; its records are simulated quantities only (makespans and
-// drop counts), so the JSON is byte-identical for any --sim-jobs value —
-// the gate diffs serial against sharded output directly.
+// `--suite scaling` runs the scaling scenarios of src/apps/scenario.h at
+// --ranks counts, whose wall-clock the scaling-gate CI job budgets; its
+// records are simulated quantities only (makespans and drop counts), so
+// the JSON is byte-identical for any --sim-jobs value — the gate diffs
+// serial against sharded output directly.
 
-/// Parses the `--ranks 1024,4096` comma list for the scaling suite.
+/// Parses the `--ranks 1024,4096` comma list for the scaling suite. A rank
+/// count may appear once: its records are named after it.
 std::vector<std::uint32_t> parse_rank_list(const std::string& text) {
   std::vector<std::uint32_t> ranks;
   std::stringstream in(text);
@@ -977,8 +959,12 @@ std::vector<std::uint32_t> parse_rank_list(const std::string& text) {
     if (!v || *v == 0)
       usage("--ranks expects a comma list of rank counts, got '" + text +
             "'");
-    ranks.push_back(
-        static_cast<std::uint32_t>(flag_at_most("ranks", *v, UINT32_MAX)));
+    const auto n =
+        static_cast<std::uint32_t>(flag_at_most("ranks", *v, UINT32_MAX));
+    if (std::find(ranks.begin(), ranks.end(), n) != ranks.end())
+      usage("--ranks lists rank count " + std::to_string(n) + " twice: '" +
+            text + "'");
+    ranks.push_back(n);
   }
   if (ranks.empty()) usage("--ranks expects at least one rank count");
   return ranks;
@@ -994,82 +980,38 @@ int cmd_bench_scaling(const Options& opts) {
   auto report = new_report("bench-scaling", seed, 1);
   using D = mb::core::Direction;
 
-  // The scenarios deliberately exaggerate communication density (tiny
-  // compute between large transfers) so DES event throughput — not model
-  // arithmetic — dominates, making them honest wall-clock probes of the
-  // engine. Each rank count reuses the Tibidabo tree at matching size.
-  const auto cluster = [&](std::uint32_t ranks, std::uint32_t mtu) {
-    mb::apps::ClusterConfig c = mb::apps::tibidabo_cluster(ranks / 2);
-    // Generator-produced programs; statically verified once by
-    // tests/apps — skip re-verification in the timed loop.
-    c.mpi.verify = false;
-    c.sim_jobs = sim_jobs;
-    if (mtu != 0) c.mtu_bytes = mtu;
-    return c;
-  };
-
   mb::support::Table table({"Scenario", "Makespan (s)", "Drops"});
   // Wall-clock is reported on stderr only: the JSON report and stdout
   // digest must stay byte-identical across --sim-jobs values and machine
   // speeds (the CI identity check literally `cmp`s two reports).
   double total_wall = 0.0;
-  const auto run_one =
-      [&](const std::string& app, std::uint32_t ranks,
-          const std::function<mb::apps::AppRunResult()>& run) {
-        const std::string base =
-            "scaling/" + app + "/ranks=" + std::to_string(ranks);
-        const auto t0 = std::chrono::steady_clock::now();
-        mb::apps::AppRunResult result;
-        {
-          mb::obs::ScopedSpan span(mb::obs::profiler(), base);
-          result = run();
-        }
-        const double wall =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count();
-        total_wall += wall;
-        add_record(report, base + "/makespan", "tibidabo", "seconds", "s",
-                   D::kMinimize, {result.makespan_s});
-        add_record(report, base + "/drops", "tibidabo", "count", "frames",
-                   D::kMinimize,
-                   {static_cast<double>(result.network_drops)});
-        table.add_row({base, mb::support::fmt_eng(result.makespan_s),
-                       std::to_string(result.network_drops)});
-        std::cerr << base << ": wall " << fmt_fixed(wall, 2) << " s\n";
-      };
-
   for (const std::uint32_t ranks : rank_list) {
-    run_one("specfem", ranks, [&] {
-      mb::apps::SpecfemParams p;
-      p.ranks = ranks;
-      p.steps = 8;
-      p.compute_s_per_step = 200.0;
-      p.halo_bytes = 64 * 1024;
-      p.seed = seed;
-      return mb::apps::run_specfem(cluster(ranks, 0), p);
-    });
-    run_one("hpl", ranks, [&] {
-      mb::apps::HplParams p;
-      p.ranks = ranks;
-      p.n = 4096;
-      p.block = 128;
-      return mb::apps::run_hpl(cluster(ranks, 1u << 20), p);
-    });
-    // BigDFT's all-to-all transpose is O(ranks^2) messages; past 1024
-    // ranks it stops probing the engine and just burns CI minutes.
-    if (ranks <= 1024) {
-      run_one("bigdft", ranks, [&] {
-        mb::apps::BigDftParams p;
-        p.ranks = ranks;
-        p.iterations = 1;
-        p.transposes = 1;
-        p.allreduces = 0;
-        p.compute_s_per_iter = 100.0;
-        p.transpose_bytes = 64ull << 20;
-        p.seed = seed;
-        return mb::apps::run_bigdft(cluster(ranks, 0), p);
-      });
+    for (const mb::apps::Scenario& s : mb::apps::scaling_suite(ranks, seed)) {
+      const std::string base =
+          std::string(s.name) + "/ranks=" + std::to_string(ranks);
+      const auto t0 = std::chrono::steady_clock::now();
+      mb::apps::AppRunResult result;
+      {
+        mb::obs::ScopedSpan span(mb::obs::profiler(), base);
+        mb::apps::ClusterConfig cluster = mb::apps::cluster_for(s);
+        // Generator-produced programs; statically verified once by
+        // tests/apps — skip re-verification in the timed loop.
+        cluster.mpi.verify = false;
+        cluster.sim_jobs = sim_jobs;
+        result = mb::apps::run_on_cluster(cluster,
+                                          mb::apps::build_program(s.params));
+      }
+      const double wall = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+      total_wall += wall;
+      add_record(report, base + "/makespan", "tibidabo", "seconds", "s",
+                 D::kMinimize, {result.makespan_s});
+      add_record(report, base + "/drops", "tibidabo", "count", "frames",
+                 D::kMinimize, {static_cast<double>(result.network_drops)});
+      table.add_row({base, mb::support::fmt_eng(result.makespan_s),
+                     std::to_string(result.network_drops)});
+      std::cerr << base << ": wall " << fmt_fixed(wall, 2) << " s\n";
     }
   }
 
@@ -1319,7 +1261,7 @@ mb::apps::AppRunResult run_fig4_scenario(const Options& opts,
                                          const std::string& spill_path = {}) {
   const std::uint64_t seed = effective_seed(opts, 1);
   const mb::mpi::Program program =
-      app_program(read_app(kFig4Apps, "bigdft", opts, seed));
+      mb::apps::build_program(read_app(kFig4Apps, "bigdft", opts, seed));
   mb::apps::ClusterConfig cluster =
       mb::apps::tibidabo_cluster(program.ranks() / 2);
   cluster.sim_jobs = opts.get_u32("sim-jobs", 0);
@@ -1754,7 +1696,7 @@ int cmd_verify_mpi(const Args& args, const Options& opts) {
   const mb::mpi::Program program =
       app == "demo-deadlock"
           ? demo_deadlock_program()
-          : app_program(read_app(kStaticApps, app, opts, seed));
+          : mb::apps::build_program(read_app(kStaticApps, app, opts, seed));
 
   auto report = mb::verify::verify_program(program);
   std::cout << "verify-mpi " << app << " (" << program.ranks()
@@ -1790,7 +1732,7 @@ int cmd_analyze_static(const Args& args, const Options& opts) {
   const std::string& app = args[0];
   const std::uint64_t seed = effective_seed(opts, 1);
   const mb::mpi::Program program =
-      app_program(read_app(kStaticApps, app, opts, seed));
+      mb::apps::build_program(read_app(kStaticApps, app, opts, seed));
 
   // Bounds are only defined for programs that verify clean: a deadlocked
   // or unmatched schedule never finishes, so there is nothing to bound.
@@ -1852,7 +1794,7 @@ int cmd_chaos(const Args& args, const Options& opts) {
   }
 
   const mb::mpi::Program program =
-      app_program(read_app(kChaosApps, app, opts, plan.seed));
+      mb::apps::build_program(read_app(kChaosApps, app, opts, plan.seed));
   const std::uint32_t ranks = program.ranks();
   mb::fault::ChaosScenario scenario =
       chaos_scenario(ranks / 2, read_recovery(opts));
@@ -2205,9 +2147,11 @@ int cmd_advise(const Args& args, const Options& opts) {
 // --------------------------------------------------------------------------
 // fuzz / replay: differential fuzzing and mb-repro record/replay.
 
+/// `count` seeds from `first` on. A count, not an end, so that the range
+/// of the top seed, whose end would be 2^64, still fits.
 struct SeedRange {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
+  std::uint64_t first = 0;
+  std::uint64_t count = 0;
 };
 
 /// "--seeds A..B" (half-open) or "--seeds N" (the single seed N).
@@ -2218,11 +2162,10 @@ SeedRange parse_seed_range(const std::string& spec) {
       dots == std::string::npos ? lo : parse_u64(spec.substr(dots + 2));
   if (!lo || !hi)
     usage("--seeds expects N or A..B (half-open), got '" + spec + "'");
-  const SeedRange range{*lo, dots == std::string::npos ? *lo + 1 : *hi};
-  if (range.lo >= range.hi) usage("--seeds range is empty: '" + spec + "'");
-  if (range.hi - range.lo > 1000000)
-    usage("--seeds range covers more than 1e6 seeds");
-  return range;
+  if (dots == std::string::npos) return {*lo, 1};
+  if (*lo >= *hi) usage("--seeds range is empty: '" + spec + "'");
+  if (*hi - *lo > 1000000) usage("--seeds range covers more than 1e6 seeds");
+  return {*lo, *hi - *lo};
 }
 
 void write_bundle_file(const mb::gen::ReproBundle& bundle,
@@ -2273,7 +2216,7 @@ int cmd_fuzz(const Args& /*args*/, const Options& opts) {
   const std::uint32_t jobs = opts.get_u32("jobs", 1);
   if (jobs == 0) usage("--jobs must be at least 1");
 
-  const std::size_t n = range.hi - range.lo;
+  const std::size_t n = range.count;
   if (opts.has("bundle-out") && n != 1)
     usage("--bundle-out records a single seed; use --seeds N");
 
@@ -2285,7 +2228,7 @@ int cmd_fuzz(const Args& /*args*/, const Options& opts) {
   std::vector<std::uint64_t> gen_seeds(n);
   std::vector<mb::gen::GenParams> params(n);
   for (std::size_t i = 0; i < n; ++i) {
-    gen_seeds[i] = mb::support::derive_seed(base_seed, range.lo + i);
+    gen_seeds[i] = mb::support::derive_seed(base_seed, range.first + i);
     params[i] = mb::gen::sweep_params(gen_seeds[i], spec);
   }
   std::vector<mb::gen::GeneratedProgram> programs(n);
@@ -2302,11 +2245,14 @@ int cmd_fuzz(const Args& /*args*/, const Options& opts) {
   std::size_t defective = 0;
   std::size_t chaos_arms = 0;
   std::size_t discrepancies = 0;
-  std::cout << "=== fuzz: seeds [" << range.lo << ", " << range.hi
+  // The end wraps to 0 only for the top seed's range; it is 2^64 there.
+  const std::uint64_t end = range.first + range.count;
+  std::cout << "=== fuzz: seeds [" << range.first << ", "
+            << (end != 0 ? std::to_string(end) : "18446744073709551616")
             << ") base seed " << base_seed << " on " << config.tree
             << " ===\n";
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t seed_index = range.lo + i;
+    const std::uint64_t seed_index = range.first + i;
     mb::gen::DiffConfig seed_config = config;
     seed_config.with_chaos =
         chaos_every > 0 && seed_index % chaos_every == 0;
