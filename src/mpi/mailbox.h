@@ -1,25 +1,35 @@
 // The one matcher of lowered schedules: arrived-but-unreceived messages
 // per (source, tag) key, FIFO per key. The runtime queues payload sizes,
 // the verifier the sender's op index and the static cost walk arrival
-// times.
+// times: 8 bytes each.
 //
-// Open addressing replaced the std::map mailboxes that dominated the
-// matching path at scale. Each probe entry is a 16-byte {key, head, tail}:
-// the key and the ends of that key's FIFO, a singly linked list threaded
-// through one node array {value, next} that every key shares. Freed nodes
-// go on a free list, so a mailbox allocates nothing per key and, in steady
-// state, nothing per message. A drained key keeps its entry until the
-// table fills: matching is then a probe plus an unlink. grow() re-inserts
-// only the keys that still hold messages (their lists move with them; the
-// nodes stay put) and doubles the table only when those fill more than a
-// quarter of it. Collective tags are unique per instance, so the table is
-// bounded by live keys, not by every (source, tag) ever seen.
+// The table holds one 16-byte entry {key, payload} per key that has
+// queued messages, and nothing else. A key's only message is stored in
+// its entry. A key holding two or more messages stores the {head, tail}
+// of a singly linked list instead, threaded through one node array
+// {value, next} that every key shares; bit 63 of the key says which, so
+// sources must be below 2^31 - 1 (all ones is the free entry). When a
+// list drops back to one message, that message moves back into the
+// entry, and popping a key's last message removes the key. Freed nodes go
+// on a free list, so in steady state a mailbox allocates nothing per
+// message. The FIFOs are lists, not runs of probe slots, because the
+// verifier's fixpoint and the static walk push a sender's whole stream
+// before its receiver pops: popping the oldest of a run of n same-key
+// slots would shift the run, and draining it would cost O(n^2).
+//
+// Probing is linear with backward-shift deletion, so a removed key
+// leaves no tombstone and the table doubles only when live keys pass
+// half of it. In an incast of P - 1 senders every key holds one message:
+// 1,023 keys fit a 2,048-entry table and use no list node.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -30,34 +40,62 @@ namespace mb::mpi {
 
 template <class T>
 class Mailbox {
+  static_assert(sizeof(T) <= 8 && std::is_trivially_copyable_v<T>,
+                "a queued message is stored in an 8-byte entry payload");
+
  public:
   void push(std::uint32_t src, std::int32_t tag, T value) {
-    if ((used_ + 1) * 2 > table_.size()) grow();
+    if (src >= kSourceLimit)
+      support::fail("Mailbox::push", "source rank " + std::to_string(src) +
+                                         " is not below 2^31 - 1");
+    if (table_.empty()) table_.assign(8, Entry{});
     const std::uint64_t k = key(src, tag);
-    Entry& e = table_[locate(k)];
-    if (e.key == kEmpty) {
-      e.key = k;
-      ++used_;
+    std::size_t i = locate(k);
+    if (table_[i].key == kEmpty) {
+      if ((live_ + 1) * 2 > table_.size()) {
+        grow();
+        i = locate(k);
+      }
+      table_[i] = Entry{k, store(value)};
+      ++live_;
+      return;
     }
-    const std::uint32_t n = take_node(std::move(value));
-    if (e.head == kNil) {
-      e.head = n;
-    } else {
-      nodes_[e.tail].next = n;
+    Entry& e = table_[i];
+    if (!(e.key & kList)) {  // a second message: both go to a list
+      const std::uint32_t head = take_node(load(e.payload));
+      const std::uint32_t tail = take_node(value);
+      nodes_[head].next = tail;
+      e.key |= kList;
+      e.payload = pack(head, tail);
+      return;
     }
-    e.tail = n;
+    const std::uint32_t tail = take_node(value);
+    nodes_[tail_of(e.payload)].next = tail;
+    e.payload = pack(head_of(e.payload), tail);
   }
 
   /// False when no message matches; otherwise pops the oldest.
   bool pop(std::uint32_t src, std::int32_t tag, T& value) {
-    if (table_.empty()) return false;
-    Entry& e = table_[locate(key(src, tag))];
-    if (e.head == kNil) return false;  // free entries have no list either
-    const std::uint32_t n = e.head;
-    value = std::move(nodes_[n].value);
-    e.head = nodes_[n].next;
-    nodes_[n].next = free_;
-    free_ = n;
+    if (table_.empty()) return false;  // a source push() refuses matches no key
+    const std::size_t i = locate(key(src, tag));
+    Entry& e = table_[i];
+    if (e.key == kEmpty) return false;
+    if (!(e.key & kList)) {
+      value = load(e.payload);
+      erase(i);
+      return true;
+    }
+    const std::uint32_t head = head_of(e.payload);
+    const std::uint32_t next = nodes_[head].next;
+    value = nodes_[head].value;
+    free_node(head);
+    if (next == tail_of(e.payload)) {  // one message left: back inline
+      e.key &= ~kList;
+      e.payload = store(nodes_[next].value);
+      free_node(next);
+    } else {
+      e.payload = pack(next, tail_of(e.payload));
+    }
     return true;
   }
 
@@ -66,9 +104,15 @@ class Mailbox {
   std::vector<std::tuple<std::uint32_t, std::int32_t, T>> leftovers() const {
     std::vector<std::tuple<std::uint32_t, std::int32_t, T>> out;
     for (const Entry& e : table_) {
-      for (std::uint32_t n = e.head; n != kNil; n = nodes_[n].next)
-        out.emplace_back(static_cast<std::uint32_t>(e.key >> 32),
-                         static_cast<std::int32_t>(e.key), nodes_[n].value);
+      if (e.key == kEmpty) continue;
+      const auto src = static_cast<std::uint32_t>((e.key & ~kList) >> 32);
+      const auto tag = static_cast<std::int32_t>(e.key);
+      if (!(e.key & kList)) {
+        out.emplace_back(src, tag, load(e.payload));
+        continue;
+      }
+      for (std::uint32_t n = head_of(e.payload); n != kNil; n = nodes_[n].next)
+        out.emplace_back(src, tag, nodes_[n].value);
     }
     std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
       return std::tie(std::get<0>(a), std::get<1>(a)) <
@@ -79,16 +123,26 @@ class Mailbox {
 
   /// Entries in the probe table.
   std::size_t capacity() const { return table_.size(); }
+  /// List nodes allocated so far, free ones included.
+  std::size_t nodes() const { return nodes_.size(); }
+  /// The entry where the probe for (src, tag) starts in a table of
+  /// `capacity` entries, a power of two.
+  static std::size_t home(std::uint32_t src, std::int32_t tag,
+                          std::size_t capacity) {
+    return slot(key(src, tag), capacity);
+  }
 
  private:
-  /// (src=~0, tag=-1) is not a reachable key: ranks are dense indices.
+  /// Sources are below this: bit 63 of a key is the list bit.
+  static constexpr std::uint32_t kSourceLimit = (1u << 31) - 1;
+  static constexpr std::uint64_t kList = 1ull << 63;
+  /// A list key of source 2^31 - 1, which push() refuses.
   static constexpr std::uint64_t kEmpty = ~0ull;
   static constexpr std::uint32_t kNil = ~0u;  ///< end of a node list
-  /// A probe-table entry; `tail` is meaningful only while `head` is not kNil.
+  /// `payload` is the value, or head | tail << 32 when `key` has kList.
   struct Entry {
     std::uint64_t key = kEmpty;
-    std::uint32_t head = kNil;
-    std::uint32_t tail = kNil;
+    std::uint64_t payload = 0;
   };
   struct Node {
     T value;
@@ -99,13 +153,55 @@ class Mailbox {
     return (static_cast<std::uint64_t>(src) << 32) |
            static_cast<std::uint32_t>(tag);
   }
+  static std::uint64_t store(T value) {
+    std::uint64_t payload = 0;
+    std::memcpy(&payload, &value, sizeof(T));
+    return payload;
+  }
+  static T load(std::uint64_t payload) {
+    T value{};
+    std::memcpy(&value, &payload, sizeof(T));
+    return value;
+  }
+  static std::uint64_t pack(std::uint32_t head, std::uint32_t tail) {
+    return head | static_cast<std::uint64_t>(tail) << 32;
+  }
+  static std::uint32_t head_of(std::uint64_t payload) {
+    return static_cast<std::uint32_t>(payload);
+  }
+  static std::uint32_t tail_of(std::uint64_t payload) {
+    return static_cast<std::uint32_t>(payload >> 32);
+  }
 
+  static std::size_t slot(std::uint64_t k, std::size_t capacity) {
+    std::uint64_t h = k;  // splitmix64 steps its argument; keep k intact
+    return support::splitmix64(h) & (capacity - 1);
+  }
+
+  /// The entry holding `k` (list bit clear), or the free entry that ends
+  /// its probe run.
   std::size_t locate(std::uint64_t k) const {
     const std::size_t mask = table_.size() - 1;
-    std::uint64_t h = k;  // splitmix64 steps its argument; keep k intact
-    std::size_t i = support::splitmix64(h) & mask;
-    while (table_[i].key != kEmpty && table_[i].key != k) i = (i + 1) & mask;
+    std::size_t i = slot(k, table_.size());
+    while (table_[i].key != kEmpty && (table_[i].key & ~kList) != k)
+      i = (i + 1) & mask;
     return i;
+  }
+
+  /// Frees entry `i` and shifts back every later entry of its probe run
+  /// that may sit there, so each key stays reachable from its home.
+  void erase(std::size_t i) {
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t j = (i + 1) & mask; table_[j].key != kEmpty;
+         j = (j + 1) & mask) {
+      const std::size_t h = slot(table_[j].key & ~kList, table_.size());
+      if (((j - h) & mask) >= ((j - i) & mask)) {
+        table_[i] = table_[j];
+        i = j;
+      }
+    }
+    table_[i] = Entry{};
+    --live_;
   }
 
   /// Stores `value` in a free node (or a new one) as a list tail.
@@ -113,30 +209,31 @@ class Mailbox {
     if (free_ != kNil) {
       const std::uint32_t n = free_;
       free_ = nodes_[n].next;
-      nodes_[n] = Node{std::move(value), kNil};
+      nodes_[n] = Node{value, kNil};
       return n;
     }
     support::check(nodes_.size() < kNil, "Mailbox::push",
                    "more than 2^32 - 1 queued messages");
-    nodes_.push_back(Node{std::move(value), kNil});
+    nodes_.push_back(Node{value, kNil});
     return static_cast<std::uint32_t>(nodes_.size() - 1);
+  }
+
+  void free_node(std::uint32_t n) {
+    nodes_[n].next = free_;
+    free_ = n;
   }
 
   void grow() {
     std::vector<Entry> old = std::move(table_);
-    std::size_t live = 0;
-    for (const Entry& e : old) live += e.head != kNil;
-    const std::size_t n = live * 4 > old.size() ? old.size() * 2 : old.size();
-    table_.assign(std::max<std::size_t>(n, 8), Entry{});
-    used_ = live;
+    table_.assign(old.size() * 2, Entry{});
     for (const Entry& e : old)
-      if (e.head != kNil) table_[locate(e.key)] = e;
+      if (e.key != kEmpty) table_[locate(e.key & ~kList)] = e;
   }
 
-  std::vector<Entry> table_;  ///< probe array, key kEmpty = free
-  std::vector<Node> nodes_;   ///< every key's list nodes, free ones too
+  std::vector<Entry> table_;   ///< probe array, key kEmpty = free
+  std::vector<Node> nodes_;    ///< lists of 2+ messages, free nodes too
   std::uint32_t free_ = kNil;  ///< head of the free-node list
-  std::size_t used_ = 0;       ///< keys in table_, drained ones too
+  std::size_t live_ = 0;       ///< keys in table_
 };
 
 }  // namespace mb::mpi

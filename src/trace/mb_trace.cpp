@@ -1,5 +1,6 @@
 #include "trace/mb_trace.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <istream>
@@ -66,6 +67,20 @@ std::string read_string(std::istream& is, std::uint32_t max_len) {
   std::string s(len, '\0');
   if (len > 0) read_exact(is, s.data(), len);
   return s;
+}
+
+/// Bytes from the read position to the end of a seekable stream, or 0
+/// when the stream cannot seek. The position is restored.
+std::uint64_t bytes_left(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1)) return 0;
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.clear();
+  is.seekg(here);
+  return end == std::istream::pos_type(-1)
+             ? 0
+             : static_cast<std::uint64_t>(end - here);
 }
 
 }  // namespace
@@ -208,6 +223,10 @@ MbTraceFile read_mb_trace(std::istream& is) {
   const std::uint32_t rank_limit =
       file.meta.total_ranks > 0 ? file.meta.total_ranks : kMaxTraceRanks;
   const auto count = read_le<std::uint64_t>(is);
+  // The count is a claim: reserve no more records than the rest of a
+  // seekable input holds, and let a non-seekable one grow as it reads.
+  file.trace.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(count, bytes_left(is) / kMbTraceRecordBytes)));
   for (std::uint64_t i = 0; i < count; ++i) {
     const MbTraceRecord rec = read_record(is);
     const auto fail_at = [i](const std::string& why) {

@@ -118,7 +118,8 @@ struct MbTraceFile {
 /// Parses a file produced by write_mb_trace()/MbTraceWriter. Throws
 /// support::Error on bad magic, unsupported version, a rank out of
 /// bounds, a bad interval, a label beyond the FileLabels bounds or a
-/// truncated or corrupt body.
+/// truncated or corrupt body. On a seekable stream the trace is sized
+/// once, for no more records than the rest of the input can hold.
 MbTraceFile read_mb_trace(std::istream& is);
 
 /// True when the stream starts with the mb-trace magic. The stream

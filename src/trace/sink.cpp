@@ -180,6 +180,11 @@ void StreamingSink::finalize_spill() {
 }
 
 void StreamingSink::drain(Trace& out) {
+  // Sized once: a trace grown by doubling holds its old and new blocks at
+  // once, and at scale that copy can set the run's peak.
+  std::size_t kept = out.size();
+  for (const RankRing& ring : rings_) kept += ring.slots.size();
+  out.reserve(kept);
   for (RankRing& ring : rings_) {
     const std::size_t n = ring.slots.size();
     // Oldest-first: a wrapped ring's oldest record sits at head.

@@ -100,8 +100,9 @@ class StreamingSink {
 
   /// Moves every retained record to `out`, ranks ascending and
   /// oldest-first within a rank, freeing each rank's ring as it goes, and
-  /// stamps provenance. Only meaningful without a spill path (spilled
-  /// records live in the file); the rings are empty afterwards.
+  /// stamps provenance; `out` is sized once for all of them. Only
+  /// meaningful without a spill path (spilled records live in the file);
+  /// the rings are empty afterwards.
   void drain(Trace& out);
 
   const std::vector<std::uint32_t>& sampled_ranks() const {

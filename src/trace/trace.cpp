@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -158,10 +159,35 @@ std::uint64_t parse_u64_field(std::string_view field, std::size_t line_no) {
   return value;
 }
 
+/// Lines of a seekable stream from the read position on that are neither
+/// empty nor comments: the records a parse can add. 0 when the stream
+/// cannot seek; the position is restored.
+std::size_t record_lines(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1)) return 0;
+  std::size_t lines = 0;
+  char prev = '\n';
+  char buf[1 << 16];
+  while (is.read(buf, sizeof buf) || is.gcount() > 0) {
+    const char* const end = buf + is.gcount();
+    const char* at = buf;
+    if (prev == '\n' && *at != '\n' && *at != '#') ++lines;
+    prev = end[-1];
+    while ((at = static_cast<const char*>(std::memchr(
+                at, '\n', static_cast<std::size_t>(end - at)))) &&
+           ++at < end)
+      lines += *at != '\n' && *at != '#';
+  }
+  is.clear();
+  is.seekg(here);
+  return lines;
+}
+
 }  // namespace
 
 Trace parse_paraver(std::istream& is) {
   Trace trace;
+  trace.reserve(record_lines(is));
   FileLabels labels("parse_paraver", "line");
   std::string line;
   std::size_t line_no = 0;

@@ -72,6 +72,9 @@ class Trace {
   /// Appends a record; throws support::Error when interval_error()
   /// rejects its times.
   void add(Record r);
+  /// Sizes the record vector for `records` in all, so adds up to that
+  /// count never reallocate.
+  void reserve(std::size_t records) { records_.reserve(records); }
 
   const std::vector<Record>& records() const { return records_; }
   std::size_t size() const { return records_.size(); }
@@ -156,7 +159,8 @@ class FileLabels {
 /// split). Throws support::Error naming the line on a malformed record,
 /// a numeric field that overflows 64 bits, a rank of kMaxTraceRanks or
 /// more, a time interval_error() rejects, or a label beyond the
-/// FileLabels bounds.
+/// FileLabels bounds. A seekable stream is read twice: a first pass
+/// counts its record lines, so the trace is sized once.
 Trace parse_paraver(std::istream& is);
 Trace parse_paraver(std::string_view text);
 

@@ -393,5 +393,161 @@ TEST(Mailbox, MatchesAMapOfQueuesUnderRandomPushAndPop) {
   EXPECT_TRUE(box.leftovers().empty());
 }
 
+// Keys whose probes start in the last two entries of an 8-entry table,
+// plus two that start at entry 0: their runs wrap around the table's end,
+// and a removal must shift entries back across it.
+TEST(Mailbox, KeysMoveBetweenEntryAndListInRunsThatWrap) {
+  using Key = std::pair<std::uint32_t, std::int32_t>;
+  std::vector<Key> keys;
+  std::size_t at_end = 0;
+  std::size_t at_start = 0;
+  for (std::uint32_t src = 0; at_end < 6 || at_start < 2; ++src) {
+    for (const std::int32_t tag : {-3, 0, 65536}) {
+      const std::size_t home = Mailbox<std::uint64_t>::home(src, tag, 8);
+      if (home >= 6 && at_end < 6) {
+        keys.emplace_back(src, tag);
+        ++at_end;
+      } else if (home == 0 && at_start < 2) {
+        keys.emplace_back(src, tag);
+        ++at_start;
+      }
+    }
+  }
+  Mailbox<std::uint64_t> box;
+  std::map<Key, std::deque<std::uint64_t>> ref;
+  const auto flatten = [&ref] {
+    std::vector<std::tuple<std::uint32_t, std::int32_t, std::uint64_t>> out;
+    for (const auto& [k, fifo] : ref)
+      for (const std::uint64_t v : fifo) out.emplace_back(k.first, k.second, v);
+    return out;
+  };
+  const auto live = [&ref] {
+    std::size_t n = 0;
+    for (const auto& [k, fifo] : ref) n += !fifo.empty();
+    return n;
+  };
+  support::Rng rng(0x77726170ull);
+  std::size_t one_to_two = 0;
+  std::size_t two_to_one = 0;
+  std::size_t one_to_zero = 0;
+  std::size_t most_at_end = 0;  // live keys whose probe starts at 6 or 7
+  for (std::uint64_t op = 0; op < 20000; ++op) {
+    const Key k = keys[rng.index(keys.size())];
+    std::deque<std::uint64_t>& fifo = ref[k];
+    // At most four live keys, so the table stays at 8 entries, and at
+    // most three messages per key, so keys keep crossing 1 <-> 2.
+    const bool may_push = fifo.size() < 3 && (!fifo.empty() || live() < 4);
+    if (may_push && (fifo.empty() || rng.bernoulli(0.5))) {
+      const std::uint64_t value = rng();
+      box.push(k.first, k.second, value);
+      fifo.push_back(value);
+      one_to_two += fifo.size() == 2;
+    } else {
+      std::uint64_t value = 0;
+      ASSERT_EQ(box.pop(k.first, k.second, value), !fifo.empty())
+          << "src " << k.first << " tag " << k.second;
+      if (!fifo.empty()) {
+        EXPECT_EQ(value, fifo.front());
+        fifo.pop_front();
+        two_to_one += fifo.size() == 1;
+        one_to_zero += fifo.empty();
+      }
+    }
+    std::size_t live_at_end = 0;
+    for (const auto& [key, queue] : ref)
+      live_at_end += !queue.empty() && Mailbox<std::uint64_t>::home(
+                                           key.first, key.second, 8) >= 6;
+    most_at_end = std::max(most_at_end, live_at_end);
+    ASSERT_EQ(box.leftovers(), flatten()) << "after op " << op;
+  }
+  EXPECT_EQ(box.capacity(), 8u);
+  EXPECT_GE(most_at_end, 3u);  // three keys in entries 6 and 7: one wrapped
+  EXPECT_GT(one_to_two, 1000u);
+  EXPECT_GT(two_to_one, 1000u);
+  EXPECT_GT(one_to_zero, 1000u);
+  // Freed nodes are reused: never more than four keys of three messages.
+  EXPECT_LE(box.nodes(), 12u);
+}
+
+TEST(Mailbox, LeftoversKeepArrivalOrderInsideLists) {
+  Mailbox<int> box;
+  box.push(4, 9, 0);   // stays alone in its entry
+  box.push(2, 9, 1);   // a list of three
+  box.push(2, 9, 2);
+  box.push(2, -9, 3);  // a list that drops back to one message
+  box.push(2, -9, 4);
+  box.push(2, 9, 5);
+  box.push(2, -9, 6);
+  box.push(0, 9, 7);   // a list of two
+  box.push(0, 9, 8);
+  int value = -1;
+  ASSERT_TRUE(box.pop(2, -9, value));
+  EXPECT_EQ(value, 3);
+  ASSERT_TRUE(box.pop(2, -9, value));
+  EXPECT_EQ(value, 4);
+  const std::vector<std::tuple<std::uint32_t, std::int32_t, int>> want = {
+      {0, 9, 7}, {0, 9, 8}, {2, -9, 6}, {2, 9, 1},
+      {2, 9, 2}, {2, 9, 5}, {4, 9, 0}};
+  EXPECT_EQ(box.leftovers(), want);
+}
+
+TEST(Mailbox, AMillionMessagesOnOneKeyDrainInLinearTime) {
+  // The verifier's fixpoint pushes a sender's whole stream before its
+  // receiver pops; a quadratic pop would take hours here.
+  constexpr std::uint64_t kMessages = 1000000;
+  Mailbox<std::uint64_t> box;
+  for (std::uint64_t i = 0; i < kMessages; ++i) box.push(3, 7, i);
+  EXPECT_EQ(box.capacity(), 8u);
+  EXPECT_EQ(box.nodes(), kMessages);
+  std::uint64_t value = 0;
+  for (std::uint64_t i = 0; i < kMessages; ++i) {
+    ASSERT_TRUE(box.pop(3, 7, value));
+    ASSERT_EQ(value, i);
+  }
+  EXPECT_FALSE(box.pop(3, 7, value));
+  EXPECT_TRUE(box.leftovers().empty());
+}
+
+TEST(Mailbox, AnIncastOfSingleMessagesUsesNoListNode) {
+  // Fig. 4's alltoallv at 1,024 ranks: one message from each other rank.
+  Mailbox<double> box;
+  for (std::uint32_t src = 1; src < 1024; ++src)
+    box.push(src, 65536, 0.5 * src);
+  EXPECT_EQ(box.capacity(), 2048u);
+  EXPECT_EQ(box.nodes(), 0u);
+  double value = 0;
+  for (std::uint32_t src = 1023; src >= 1; --src) {
+    ASSERT_TRUE(box.pop(src, 65536, value));
+    EXPECT_EQ(value, 0.5 * src);
+  }
+  EXPECT_TRUE(box.leftovers().empty());
+  EXPECT_EQ(box.capacity(), 2048u);
+  EXPECT_EQ(box.nodes(), 0u);
+}
+
+TEST(Mailbox, SourcesStopBelowTheListBit) {
+  Mailbox<std::uint64_t> box;
+  constexpr std::uint32_t kLast = (1u << 31) - 2;
+  box.push(kLast, -1, 11);
+  box.push(5, -1, 12);
+  std::uint64_t value = 0;
+  EXPECT_FALSE(box.pop(5u | (1u << 31), -1, value));
+  for (const std::uint32_t src : {kLast + 1, 1u << 31, ~0u}) {
+    try {
+      box.push(src, -1, 13);
+      ADD_FAILURE() << "source " << src << " was queued";
+    } catch (const support::Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "Mailbox::push: source rank " + std::to_string(src) +
+                    " is not below 2^31 - 1");
+    }
+    EXPECT_FALSE(box.pop(src, -1, value));
+  }
+  ASSERT_TRUE(box.pop(kLast, -1, value));
+  EXPECT_EQ(value, 11u);
+  ASSERT_TRUE(box.pop(5, -1, value));
+  EXPECT_EQ(value, 12u);
+}
+
 }  // namespace
 }  // namespace mb::mpi

@@ -5,12 +5,14 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <istream>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "pipe_buf.h"
 #include "support/check.h"
 
 namespace mb::trace {
@@ -285,6 +287,41 @@ TEST(MbTrace, HeaderCountsBeyondTheFileAreATruncatedFile) {
   std::istringstream is(sampled, std::ios::binary);
   EXPECT_NE(read_error(is).find("read_mb_trace: truncated file"),
             std::string::npos);
+}
+
+TEST(MbTrace, RecordCountReservesNoMoreThanTheFileHolds) {
+  const MbTraceRecord fine{0, EventKind::kCompute, 0, 0, 0.0, 1.0};
+  const std::string exact = raw_file({"x"}, {fine, fine, fine});
+  {  // sized once, to the count
+    std::istringstream is(exact, std::ios::binary);
+    const MbTraceFile file = read_mb_trace(is);
+    EXPECT_EQ(file.trace.size(), 3u);
+    EXPECT_EQ(file.trace.records().capacity(), 3u);
+  }
+  {  // bytes after the records do not raise the reservation
+    std::istringstream is(exact + std::string(1000, '\0'), std::ios::binary);
+    const MbTraceFile file = read_mb_trace(is);
+    EXPECT_EQ(file.trace.records().capacity(), 3u);
+  }
+  // A count of 2^62 + 3 over the same three records: reserving it would
+  // throw std::length_error, so the reader must reserve what the bytes
+  // hold and then fail as truncated.
+  std::string claims = exact;
+  claims[claims.size() - 3 * kMbTraceRecordBytes - 1] = '\x40';
+  {
+    std::istringstream is(claims, std::ios::binary);
+    EXPECT_NE(read_error(is).find("read_mb_trace: truncated file"),
+              std::string::npos);
+  }
+  {  // a stream that cannot seek grows as records arrive
+    PipeBuf pipe(claims);
+    std::istream is(&pipe);
+    EXPECT_NE(read_error(is).find("read_mb_trace: truncated file"),
+              std::string::npos);
+    PipeBuf whole(exact);
+    std::istream in(&whole);
+    EXPECT_EQ(read_mb_trace(in).trace.size(), 3u);
+  }
 }
 
 TEST(MbTrace, BoundsItsLabelsNamingTheEntry) {

@@ -4,11 +4,13 @@
 
 #include <cmath>
 #include <fstream>
+#include <istream>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
 
+#include "pipe_buf.h"
 #include "support/check.h"
 
 namespace mb::trace {
@@ -154,6 +156,49 @@ TEST(Trace, ParseParaverReadsFieldsBack) {
   EXPECT_DOUBLE_EQ(r.t0, 10e-6);
   EXPECT_DOUBLE_EQ(r.t1, 25e-6);
   EXPECT_EQ(r.bytes, 4096u);
+}
+
+TEST(Trace, ParseParaverSizesItsTraceOnceWhenTheStreamSeeks) {
+  // Past the 64 KiB the line count reads at a time: a record line starts
+  // exactly at 64 KiB and another spans 128 KiB, between comments, empty
+  // lines and a last line without its newline.
+  std::string dump = "#Paraver-like state records\n\n";
+  std::size_t records = 0;
+  const auto add_until = [&](std::size_t size) {
+    while (dump.size() < size) {
+      const std::size_t i = records++;
+      dump += std::to_string(i % 7) + ":compute:phase" +
+              std::to_string(i % 5) + ":" + std::to_string(i) + ":" +
+              std::to_string(i + 3) + ":0\n";
+      if (records % 1000 == 0) dump += "\n# a comment\n";
+    }
+  };
+  const auto comment_until = [&](std::size_t size) {
+    dump += "#" + std::string(size - dump.size() - 2, 'p') + "\n";
+  };
+  add_until(65536 - 64);
+  comment_until(65536);
+  add_until(131072 - 64);
+  comment_until(131072 - 5);
+  add_until(150000);
+  dump += "1:send:last:5:9:64";
+  ++records;
+
+  std::istringstream seekable(dump);
+  const Trace sized = parse_paraver(seekable);
+  ASSERT_EQ(sized.size(), records);
+  EXPECT_EQ(sized.records().capacity(), records);
+
+  PipeBuf pipe(dump);
+  std::istream unseekable(&pipe);
+  const Trace grown = parse_paraver(unseekable);
+  ASSERT_EQ(grown.size(), records);
+  std::ostringstream a;
+  std::ostringstream b;
+  sized.write_paraver(a);
+  grown.write_paraver(b);
+  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(grown.records().back().label, "last");
 }
 
 TEST(Trace, ParseParaverAllowsColonInLabel) {
