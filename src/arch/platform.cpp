@@ -123,64 +123,80 @@ std::size_t Platform::llc_index() const {
   return caches.size() - 1;
 }
 
-void Platform::validate() const {
-  namespace sp = mb::support;
-  sp::check(!name.empty(), "Platform::validate", "platform needs a name");
-  sp::check(core.freq_hz > 0.0, "Platform::validate",
-            "core frequency must be positive");
-  sp::check(cores >= 1, "Platform::validate", "at least one core");
-  sp::check(core.issue_width >= 1, "Platform::validate",
-            "issue width must be >= 1");
-  // Written so that NaN fails every range too.
-  sp::check(core.miss_overlap >= 0.0 && core.miss_overlap <= 1.0,
-            "Platform::validate", "miss_overlap must lie in [0, 1]");
-  sp::check(core.mshr >= 1.0, "Platform::validate", "mshr must be >= 1");
-  sp::check(core.branch_mispredict_rate >= 0.0 &&
-                core.branch_mispredict_rate <= 1.0,
-            "Platform::validate",
-            "branch_mispredict_rate must lie in [0, 1]");
-  sp::check(core.branch_mispredict_penalty >= 0.0, "Platform::validate",
-            "branch_mispredict_penalty must be >= 0");
-  sp::check(core.fp_dep_latency_cycles >= 0.0, "Platform::validate",
-            "fp_dep_latency_cycles must be >= 0");
-  for (std::size_t i = 0; i < kOpClassCount; ++i)
-    sp::check(core.recip_throughput[i] >= 0.0, "Platform::validate",
-              "recip." +
-                  std::string(op_class_name(static_cast<OpClass>(i))) +
-                  " must be >= 0");
-  sp::check(!caches.empty(), "Platform::validate",
-            "at least one cache level required");
-  for (const auto& c : caches) {
-    sp::check(c.size_bytes > 0 && c.line_bytes > 0 && c.associativity > 0,
-              "Platform::validate", "cache parameters must be positive");
-    sp::check((c.line_bytes & (c.line_bytes - 1)) == 0, "Platform::validate",
-              "cache line size must be a power of two");
-    sp::check(c.line_bytes >= 4, "Platform::validate",
-              "cache line size must be at least 4 bytes");
+std::optional<PlatformViolation> Platform::violation() const {
+  using V = PlatformViolation;
+  // Written as !(ok) so that NaN fails every range too.
+  if (name.empty()) return V{"name", "platform needs a name"};
+  if (!(core.freq_hz > 0.0))
+    return V{"core.freq_hz", "core frequency must be positive"};
+  if (cores < 1) return V{"cores", "at least one core"};
+  if (core.issue_width < 1)
+    return V{"core.issue_width", "issue width must be >= 1"};
+  if (!(core.miss_overlap >= 0.0 && core.miss_overlap <= 1.0))
+    return V{"core.miss_overlap", "miss_overlap must lie in [0, 1]"};
+  if (!(core.mshr >= 1.0)) return V{"core.mshr", "mshr must be >= 1"};
+  if (!(core.branch_mispredict_rate >= 0.0 &&
+        core.branch_mispredict_rate <= 1.0))
+    return V{"core.branch_mispredict_rate",
+             "branch_mispredict_rate must lie in [0, 1]"};
+  if (!(core.branch_mispredict_penalty >= 0.0))
+    return V{"core.branch_mispredict_penalty",
+             "branch_mispredict_penalty must be >= 0"};
+  if (!(core.fp_dep_latency_cycles >= 0.0))
+    return V{"core.fp_dep_latency_cycles",
+             "fp_dep_latency_cycles must be >= 0"};
+  for (std::size_t i = 0; i < kOpClassCount; ++i) {
+    if (core.recip_throughput[i] >= 0.0) continue;
+    const std::string recip =
+        "recip." + std::string(op_class_name(static_cast<OpClass>(i)));
+    return V{"core." + recip, recip + " must be >= 0"};
+  }
+  if (caches.empty()) return V{"caches", "at least one cache level required"};
+  for (std::size_t i = 0; i < caches.size(); ++i) {
+    const CacheConfig& c = caches[i];
+    const std::string key = "caches[" + std::to_string(i) + "].";
+    if (c.size_bytes == 0)
+      return V{key + "size_bytes", "cache size must be positive"};
+    if (c.line_bytes == 0)
+      return V{key + "line_bytes", "cache line size must be positive"};
+    if (c.associativity == 0)
+      return V{key + "associativity", "cache associativity must be positive"};
+    if ((c.line_bytes & (c.line_bytes - 1)) != 0)
+      return V{key + "line_bytes", "cache line size must be a power of two"};
+    if (c.line_bytes < 4)
+      return V{key + "line_bytes",
+               "cache line size must be at least 4 bytes"};
     const std::uint64_t way_bytes =
         static_cast<std::uint64_t>(c.line_bytes) * c.associativity;
-    sp::check(c.size_bytes % way_bytes == 0, "Platform::validate",
-              "cache size must divide into sets exactly");
+    if (c.size_bytes % way_bytes != 0)
+      return V{key + "size_bytes", "cache size must divide into sets exactly"};
     const std::uint64_t sets = c.sets();
-    sp::check((sets & (sets - 1)) == 0, "Platform::validate",
-              "cache set count must be a power of two");
+    if ((sets & (sets - 1)) != 0)
+      return V{key + "size_bytes", "cache set count must be a power of two"};
   }
-  sp::check(mem.bandwidth_bytes_per_s > 0.0, "Platform::validate",
-            "memory bandwidth must be positive");
-  sp::check(mem.latency_ns > 0.0, "Platform::validate",
-            "memory latency must be positive");
-  sp::check(mem.page_bytes > 0 && (mem.page_bytes & (mem.page_bytes - 1)) == 0,
-            "Platform::validate", "page size must be a positive power of two");
-  sp::check(core.tlb_entries > 0 && core.tlb_associativity > 0,
-            "Platform::validate",
-            "TLB entries and associativity must be positive");
-  sp::check(core.tlb_entries % core.tlb_associativity == 0,
-            "Platform::validate",
-            "TLB entries must be a multiple of the associativity");
+  if (!(mem.bandwidth_bytes_per_s > 0.0))
+    return V{"mem.bandwidth_bytes_per_s", "memory bandwidth must be positive"};
+  if (!(mem.latency_ns > 0.0))
+    return V{"mem.latency_ns", "memory latency must be positive"};
+  if (mem.page_bytes == 0 || (mem.page_bytes & (mem.page_bytes - 1)) != 0)
+    return V{"mem.page_bytes", "page size must be a positive power of two"};
+  if (core.tlb_entries == 0)
+    return V{"core.tlb_entries", "TLB entries must be positive"};
+  if (core.tlb_associativity == 0)
+    return V{"core.tlb_associativity", "TLB associativity must be positive"};
+  if (core.tlb_entries % core.tlb_associativity != 0)
+    return V{"core.tlb_entries",
+             "TLB entries must be a multiple of the associativity"};
   const std::uint32_t tlb_sets = core.tlb_entries / core.tlb_associativity;
-  sp::check((tlb_sets & (tlb_sets - 1)) == 0, "Platform::validate",
-            "TLB set count must be a power of two");
-  sp::check(power_w > 0.0, "Platform::validate", "power must be positive");
+  if ((tlb_sets & (tlb_sets - 1)) != 0)
+    return V{"core.tlb_entries", "TLB set count must be a power of two"};
+  if (!(power_w > 0.0)) return V{"power_w", "power must be positive"};
+  return std::nullopt;
+}
+
+void Platform::validate() const {
+  if (const auto v = violation())
+    support::fail("Platform::validate", v->field + ": " + v->message);
 }
 
 }  // namespace mb::arch

@@ -145,6 +145,14 @@ struct GpuConfig {
   bool general_purpose = false;  ///< usable for GPGPU (Mali-400 is not)
 };
 
+/// A platform field that fails validation, named as lint locations name
+/// it ("core.tlb_entries", "caches[1].line_bytes", "mem.page_bytes",
+/// "power_w"), and what is wrong with it.
+struct PlatformViolation {
+  std::string field;
+  std::string message;
+};
+
 /// A complete machine description.
 struct Platform {
   std::string name;
@@ -169,9 +177,11 @@ struct Platform {
   /// Returns the cache level index acting as last-level cache.
   std::size_t llc_index() const;
 
-  /// Validates internal consistency (sizes power-of-two-divisible into
-  /// sets, nonzero frequency, a positive page size, a TLB geometry
-  /// cache::Tlb can build, ...). Throws support::Error on violation.
+  /// The first field that breaks internal consistency (sizes
+  /// power-of-two-divisible into sets, nonzero frequency, a positive page
+  /// size, a TLB geometry cache::Tlb can build, ...), or none.
+  std::optional<PlatformViolation> violation() const;
+  /// Throws support::Error naming violation()'s field, if there is one.
   void validate() const;
 };
 

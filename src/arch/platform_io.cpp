@@ -235,31 +235,47 @@ Platform parse_platform(const std::string& text) {
   const auto sections = split_sections(text);
   Platform p;
   bool have_core = false, have_mem = false;
+  // Each key's place in the file, under the field name violation() uses.
+  std::map<std::string, std::string> where;
+  const auto note = [&](const Section& s, const std::string& field_prefix) {
+    for (const auto& [key, value] : s.kv)
+      where[field_prefix + key] =
+          "'" + key + "' at line " + std::to_string(value.line);
+  };
   for (const auto& s : sections) {
     if (s.name.empty()) {
       if (s.kv.empty()) continue;
       p.name = to_string_value(s, "name");
       p.cores = to_uint<std::uint32_t>(s, "cores");
       p.power_w = to_double(s, "power_w");
+      note(s, "");
     } else if (s.name == "core") {
       support::check(!have_core, "parse_platform",
                      "duplicate [core] section");
       p.core = parse_core(s);
       have_core = true;
+      note(s, "core.");
     } else if (s.name == "cache") {
+      note(s, "caches[" + std::to_string(p.caches.size()) + "].");
       p.caches.push_back(parse_cache(s));
     } else if (s.name == "mem") {
       support::check(!have_mem, "parse_platform",
                      "duplicate [mem] section");
       p.mem = parse_mem(s);
       have_mem = true;
+      note(s, "mem.");
     } else {
       support::fail("parse_platform", "unknown section [" + s.name + "]");
     }
   }
   support::check(have_core, "parse_platform", "missing [core] section");
   support::check(have_mem, "parse_platform", "missing [mem] section");
-  p.validate();
+  if (const auto v = p.violation()) {
+    const auto it = where.find(v->field);
+    support::fail("parse_platform",
+                  (it == where.end() ? v->field : it->second) + ": " +
+                      v->message);
+  }
   return p;
 }
 

@@ -179,7 +179,7 @@ std::vector<Op> lower_collective(const Op& op, std::uint32_t rank,
 /// instance's collective_tag_base(). Collective instances are counted per
 /// rank, so every rank must issue its collectives in the same order (the
 /// usual MPI requirement). The runtime, the verifier and the static cost
-/// walk all replay programs through it. `program` must outlive it.
+/// walks all replay programs through it. `program` must outlive it.
 class Cursor {
  public:
   Cursor(const Program& program, std::uint32_t rank);
@@ -207,5 +207,27 @@ class Cursor {
   std::int32_t tag_base_ = 0;
   std::size_t index_ = 0;
 };
+
+/// The abstract execution the verifier and the static lower bound share:
+/// one Cursor per rank, ranks swept round-robin, each run until
+/// `step(rank, cursor)` returns false or its program ends, and sweeps
+/// repeated until one moves no rank. `step` handles cursor.op() and keeps
+/// its own mailboxes; it returns false only for a receive whose message
+/// has not arrived, so sends are eager. Returns the cursors: a rank whose
+/// cursor is not done() is blocked at its op().
+template <class Step>
+std::vector<Cursor> run_to_fixpoint(const Program& program, Step step) {
+  std::vector<Cursor> cursor;
+  cursor.reserve(program.ranks());
+  for (std::uint32_t r = 0; r < program.ranks(); ++r)
+    cursor.emplace_back(program, r);
+  for (bool progress = true; progress;) {
+    progress = false;
+    for (std::uint32_t r = 0; r < program.ranks(); ++r)
+      for (Cursor& c = cursor[r]; !c.done() && step(r, c); c.next())
+        progress = true;
+  }
+  return cursor;
+}
 
 }  // namespace mb::mpi

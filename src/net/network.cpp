@@ -12,8 +12,6 @@ namespace mb::net {
 namespace {
 
 constexpr std::uint32_t kMaxRetransmits = 1u << 31;
-// Frames per message: Message's 32-bit counters hold one per frame.
-constexpr std::uint64_t kMaxFrames = ~std::uint32_t{0};
 
 double backoff_delay(const LinkSpec& spec, std::uint32_t attempt) {
   const double raw = spec.retransmit_timeout_s *
@@ -201,9 +199,7 @@ void Network::send(NodeId src, NodeId dst, std::uint64_t bytes,
 
   const std::uint32_t first = route_first_link(src, dst, "Network::send");
 
-  // Rounded up without the overflow of bytes + mtu_ - 1.
-  const std::uint64_t frames =
-      bytes == 0 ? 1 : bytes / mtu_ + (bytes % mtu_ != 0 ? 1 : 0);
+  const std::uint64_t frames = frames_of(bytes, mtu_);
   support::check(frames <= kMaxFrames, "Network::send",
                  "message of 2^32 or more frames");
   // With more shards an abandoned message throws in retransmit(), so the

@@ -74,6 +74,15 @@ struct LinkStats {
 class Network {
  public:
   static constexpr std::uint32_t kMtuBytes = 1500;
+  /// Frames per message: a message's 32-bit counters hold one per frame.
+  static constexpr std::uint64_t kMaxFrames = ~std::uint32_t{0};
+
+  /// Frames of a `bytes`-byte message at `mtu`, rounded up without the
+  /// overflow of bytes + mtu - 1; an empty message is one header frame.
+  static constexpr std::uint64_t frames_of(std::uint64_t bytes,
+                                           std::uint32_t mtu) {
+    return bytes == 0 ? 1 : bytes / mtu + (bytes % mtu != 0 ? 1 : 0);
+  }
 
   /// `mtu_bytes` sets frame granularity. 1500 (Ethernet) gives full
   /// congestion fidelity; large values coarsen messages into few frames —

@@ -175,33 +175,21 @@ bool structural_scan(const Program& program, Report& report) {
 /// Abstract execution + wait-for analysis (stage 2).
 void match_pass(const Program& program, Report& report) {
   const std::uint32_t ranks = program.ranks();
-  std::vector<mpi::Cursor> cursor;
-  cursor.reserve(ranks);
-  for (std::uint32_t r = 0; r < ranks; ++r) cursor.emplace_back(program, r);
-  // Queued messages carry the sender's user-visible op index.
-  std::vector<mpi::Mailbox<std::size_t>> mailbox(ranks);
-
-  // Round-robin to a fixpoint: buffered sends always progress, receives
-  // progress when their (source, tag) FIFO is non-empty. Ops naming a
-  // nonexistent peer (MPI006, already reported) are skipped: they can
+  // Queued messages carry the sender's user-visible op index. Ops naming
+  // a nonexistent peer (MPI006, already reported) are skipped: they can
   // never match, and keeping them would wedge this rank and hide every
   // later finding.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (std::uint32_t r = 0; r < ranks; ++r) {
-      for (mpi::Cursor& c = cursor[r]; !c.done(); c.next(), progress = true) {
+  std::vector<mpi::Mailbox<std::size_t>> mailbox(ranks);
+  const std::vector<mpi::Cursor> cursor = mpi::run_to_fixpoint(
+      program, [&](std::uint32_t r, const mpi::Cursor& c) {
         const mpi::LoweredOp op = c.op();
-        if (op.peer >= ranks) continue;
-        std::size_t origin = 0;
+        if (op.peer >= ranks) return true;
         if (op.kind == Op::Kind::kSend)
           mailbox[op.peer].push(r, op.tag, c.user_index());
-        else if (op.kind == Op::Kind::kRecv &&
-                 !mailbox[r].pop(op.peer, op.tag, origin))
-          break;
-      }
-    }
-  }
+        std::size_t origin = 0;
+        return op.kind != Op::Kind::kRecv ||
+               mailbox[r].pop(op.peer, op.tag, origin);
+      });
 
   std::vector<bool> done(ranks, false);
   for (std::uint32_t r = 0; r < ranks; ++r) done[r] = cursor[r].done();

@@ -19,8 +19,9 @@
 //     and messages match in the runtime's mailbox (mpi::Mailbox). Sends
 //     are buffered/eager — they complete immediately and enqueue into the
 //     destination's (source, tag) FIFO; receives block until their FIFO
-//     is non-empty. The abstract machine advances ranks round-robin to a
-//     fixpoint. Afterwards:
+//     is non-empty. mpi::run_to_fixpoint advances ranks round-robin to a
+//     fixpoint; the static lower bound (static_cost.h) runs the same loop
+//     with arrival times in its mailboxes. Afterwards:
 //       * blocked rank waiting on a finished rank  -> orphaned receive,
 //       * cycle in the wait-for graph              -> deadlock, with the
 //         rank -> blocked-on-rank chain printed,

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "mpi/mailbox.h"
+#include "net/network.h"
 #include "support/check.h"
 #include "support/json.h"
 #include "support/schema.h"
@@ -33,19 +34,19 @@ enum LinkClass : int { kHostUp = 0, kHostDown = 1, kUpUp = 2, kUpDown = 3 };
 constexpr std::array<std::string_view, 4> kClassNames = {
     "host-up", "host-down", "uplink-up", "uplink-down"};
 
-/// Per-directed-link accumulators, kept per class in node/leaf order.
+/// Per-directed-link accumulators.
 struct LinkAcc {
   std::uint64_t wire_bytes = 0;
   std::uint64_t frames = 0;
   std::uint64_t messages = 0;
-  std::uint64_t occ_cur = 0;       ///< burst of the occurrence being summed
   std::uint64_t occ_max = 0;       ///< worst single-occurrence burst
   std::uint64_t p2p_burst = 0;     ///< sum of per-rank consecutive-send runs
 };
 
+/// One hop: its link's class and its index in the interpreter's links_.
 struct Hop {
   int cls;
-  std::uint32_t idx;
+  std::uint32_t link;
 };
 
 /// The route of a cross-node message: 2 hops inside one leaf subtree,
@@ -54,6 +55,22 @@ struct Route {
   int hops = 0;
   std::array<Hop, 4> hop{};
 };
+
+constexpr std::string_view kSequenceDiffers =
+    "collective sequence differs across ranks; run verify_program first";
+
+[[noreturn]] void fail_at(std::uint32_t rank, std::size_t op,
+                          const std::string& message) {
+  support::fail("analyze_cost", "rank " + std::to_string(rank) + " op " +
+                                    std::to_string(op) + ": " + message);
+}
+
+/// acc += v, failing at rank `rank` op `op` if the sum passes 2^64 - 1.
+void add(std::uint64_t& acc, std::uint64_t v, std::string_view what,
+         std::uint32_t rank, std::size_t op) {
+  if (__builtin_add_overflow(acc, v, &acc))
+    fail_at(rank, op, std::string(what) + " pass 2^64 - 1");
+}
 
 class Interpreter {
  public:
@@ -71,17 +88,16 @@ class Interpreter {
                    "mtu_bytes must be >= 1");
     nodes_ = d_.tree.nodes;
     leaves_ = (nodes_ + d_.tree.switch_ports - 1) / d_.tree.switch_ports;
-    acc_[kHostUp].resize(nodes_);
-    acc_[kHostDown].resize(nodes_);
-    if (leaves_ > 1) {
-      acc_[kUpUp].resize(leaves_);
-      acc_[kUpDown].resize(leaves_);
-    }
+    const std::uint32_t uplinks = leaves_ > 1 ? leaves_ : 0;
+    const std::array<std::uint32_t, 4> links = {nodes_, nodes_, uplinks,
+                                                uplinks};
+    for (int cls = 0; cls < 4; ++cls)
+      first_[cls + 1] = first_[cls] + links[cls];
+    links_.resize(first_[4]);
   }
 
   CostReport run() {
     accumulate_traffic();
-    accumulate_occurrence_bursts();
     timed_lower_bound();
     return finish();
   }
@@ -102,36 +118,59 @@ class Interpreter {
   }
 
   std::uint64_t frames_of(std::uint64_t bytes) const {
-    return std::max<std::uint64_t>(
-        1, (bytes + d_.mtu_bytes - 1) / d_.mtu_bytes);
+    return net::Network::frames_of(bytes, d_.mtu_bytes);
   }
+  /// Fits in 64 bits for every message the traffic walk accepted.
   std::uint64_t wire_of(std::uint64_t bytes) const {
     return bytes + kFrameOverheadU64 * frames_of(bytes);
   }
 
   Route route(std::uint32_t src, std::uint32_t dst) const {
     const std::uint32_t ns = node_of(src), nd = node_of(dst);
+    const auto hop = [&](int cls, std::uint32_t idx) {
+      return Hop{cls, first_[cls] + idx};
+    };
     Route r;
-    r.hop[r.hops++] = Hop{kHostUp, ns};
+    r.hop[r.hops++] = hop(kHostUp, ns);
     if (leaf_of(ns) != leaf_of(nd)) {
-      r.hop[r.hops++] = Hop{kUpUp, leaf_of(ns)};
-      r.hop[r.hops++] = Hop{kUpDown, leaf_of(nd)};
+      r.hop[r.hops++] = hop(kUpUp, leaf_of(ns));
+      r.hop[r.hops++] = hop(kUpDown, leaf_of(nd));
     }
-    r.hop[r.hops++] = Hop{kHostDown, nd};
+    r.hop[r.hops++] = hop(kHostDown, nd);
     return r;
   }
 
-  /// Exact byte/message counts, per-link totals, the serialized upper
-  /// bound terms, and the per-rank p2p burst estimate.
+  /// The rank-major walk: exact byte/message counts, per-link totals, the
+  /// serialized upper bound terms, the per-rank p2p burst estimate, and
+  /// each collective occurrence's burst on every link. Three checked
+  /// totals bound every other u64 sum: per-rank and per-collective bytes
+  /// are parts of the payload total, each link's frames of the frame
+  /// total, and the wire bytes of each link, class, burst and send run of
+  /// the wire total (a route crosses each link class at most once).
   void accumulate_traffic() {
+    // Rank 0 names the occurrences; every rank must enter as many.
+    const auto& ops0 = program_.rank(0);
+    for (std::size_t i = 0; i < ops0.size(); ++i)
+      if (is_collective(ops0[i].kind))
+        collectives_.push_back(CollectiveCost{ops0[i].kind, i, ops0[i].label});
+    // Occurrence o's wire bytes on link l, at o * links + l.
+    const std::size_t links = links_.size();
+    std::vector<std::uint64_t> bursts(collectives_.size() * links, 0);
+    std::uint64_t wire_total = 0;
+
     per_rank_.assign(ranks_, RankCost{});
     for (std::uint32_t r = 0; r < ranks_; ++r) {
-      // (class, idx) -> {current run, max run} of consecutive p2p sends.
-      std::map<std::pair<int, std::uint32_t>,
-               std::pair<std::uint64_t, std::uint64_t>>
-          runs;
+      // link -> {current run, max run} of consecutive p2p sends.
+      std::map<std::uint32_t, std::pair<std::uint64_t, std::uint64_t>> runs;
+      std::size_t entered = 0;  // collective occurrences entered so far
       for (mpi::Cursor c(program_, r); !c.done(); c.next()) {
         const mpi::LoweredOp op = c.op();
+        if (op.kind == Op::Kind::kBeginGroup) {
+          support::check(entered < collectives_.size(), "analyze_cost",
+                         kSequenceDiffers);
+          ++entered;
+          continue;
+        }
         if (op.kind == Op::Kind::kCompute) {
           const double seconds = c.user_op().seconds;
           per_rank_[r].compute_s += seconds;
@@ -143,17 +182,32 @@ class Interpreter {
           per_rank_[r].messages_received += 1;
           serialized_ += d_.mpi.recv_overhead_s;
           // A blocking receive drains the rank's send burst.
-          for (auto& [key, run] : runs) run.first = 0;
+          for (auto& [link, run] : runs) run.first = 0;
           continue;
         }
-        if (op.kind != Op::Kind::kSend) continue;  // group markers
+        if (op.kind != Op::Kind::kSend) continue;  // kEndGroup
+        const std::size_t i = c.user_index();
+        const bool intra = node_of(r) == node_of(op.peer);
+        const std::uint64_t frames = intra ? 0 : frames_of(op.bytes);
+        if (frames > net::Network::kMaxFrames)
+          fail_at(r, i,
+                  "a message of " + std::to_string(op.bytes) +
+                      " bytes to rank " + std::to_string(op.peer) +
+                      " is 2^32 or more frames at mtu " +
+                      std::to_string(d_.mtu_bytes) +
+                      ", which the network refuses");
+        add(total_bytes_, op.bytes, "payload bytes", r, i);
         per_rank_[r].bytes_sent += op.bytes;
         per_rank_[op.peer].bytes_received += op.bytes;
         per_rank_[r].messages_sent += 1;
-        total_bytes_ += op.bytes;
         ++total_messages_;
         serialized_ += d_.mpi.send_overhead_s;
-        if (node_of(r) == node_of(op.peer)) {
+        std::uint64_t* burst = nullptr;  // the occurrence's row, if any
+        if (is_collective(c.user_op().kind)) {
+          collectives_[entered - 1].payload_bytes += op.bytes;
+          burst = &bursts[(entered - 1) * links];
+        }
+        if (intra) {
           ++intra_messages_;
           serialized_ += d_.mpi.intra_latency_s +
                          static_cast<double>(op.bytes) /
@@ -161,85 +215,44 @@ class Interpreter {
           continue;
         }
         ++net_messages_;
-        const std::uint64_t frames = frames_of(op.bytes);
-        const std::uint64_t wire = wire_of(op.bytes);
-        total_frames_ += frames;
+        std::uint64_t wire = op.bytes;
+        add(wire, kFrameOverheadU64 * frames, "wire bytes", r, i);
+        add(wire_total, wire, "wire bytes", r, i);
+        add(total_frames_, frames, "frames", r, i);
         const Route rt = route(r, op.peer);
         for (int h = 0; h < rt.hops; ++h) {
           const Hop hop = rt.hop[h];
-          LinkAcc& a = acc_[hop.cls][hop.idx];
+          LinkAcc& a = links_[hop.link];
           a.wire_bytes += wire;
           a.messages += 1;
           if (h > 0) a.frames += frames;  // first-hop frames never drop
           const net::LinkSpec& s = spec(hop.cls);
           serialized_ += s.latency_s +
                          static_cast<double>(wire) / s.bandwidth_bytes_per_s;
-          if (!is_collective(c.user_op().kind)) {
-            auto& run = runs[{hop.cls, hop.idx}];
-            run.first += wire;
-            run.second = std::max(run.second, run.first);
+          if (burst != nullptr) {
+            burst[hop.link] += wire;
+            continue;
           }
+          auto& run = runs[hop.link];
+          run.first += wire;
+          run.second = std::max(run.second, run.first);
         }
       }
-      for (const auto& [key, run] : runs)
-        acc_[key.first][key.second].p2p_burst += run.second;
+      support::check(entered == collectives_.size(), "analyze_cost",
+                     kSequenceDiffers);
+      for (const auto& [link, run] : runs) links_[link].p2p_burst += run.second;
     }
-  }
 
-  /// Worst single-collective-occurrence burst per link: occurrence-major,
-  /// stepping through each collective on every rank (tags don't matter
-  /// for routes) so one occurrence's sends are summed together across
-  /// all ranks.
-  void accumulate_occurrence_bursts() {
-    // Per-rank indices of user-visible collective ops; MPI004-clean
-    // programs have the same count everywhere. Rank 0's name them.
-    std::vector<std::vector<std::size_t>> coll_ops(ranks_);
-    for (std::uint32_t r = 0; r < ranks_; ++r) {
-      const auto& ops = program_.rank(r);
-      for (std::size_t i = 0; i < ops.size(); ++i)
-        if (is_collective(ops[i].kind)) coll_ops[r].push_back(i);
-    }
-    for (const std::size_t i : coll_ops[0]) {
-      const Op& op = program_.rank(0)[i];
-      collectives_.push_back(CollectiveCost{op.kind, i, op.label});
-    }
-    for (std::uint32_t r = 0; r < ranks_ && !collectives_.empty(); ++r) {
-      support::check(coll_ops[r].size() == collectives_.size(),
-                     "analyze_cost",
-                     "collective sequence differs across ranks; run "
-                     "verify_program first");
-    }
-    std::vector<Hop> touched;
-    for (std::size_t c = 0; c < collectives_.size(); ++c) {
-      touched.clear();
-      std::uint64_t payload = 0;
-      for (std::uint32_t r = 0; r < ranks_; ++r) {
-        const Op& op = program_.rank(r)[coll_ops[r][c]];
-        const std::size_t steps = mpi::collective_steps(op, r, ranks_);
-        for (std::size_t k = 0; k < steps; ++k) {
-          const mpi::LoweredOp low = mpi::collective_step(op, r, ranks_, 0, k);
-          if (low.kind != Op::Kind::kSend) continue;
-          payload += low.bytes;
-          if (node_of(r) == node_of(low.peer)) continue;
-          const std::uint64_t wire = wire_of(low.bytes);
-          const Route rt = route(r, low.peer);
-          for (int h = 0; h < rt.hops; ++h) {
-            LinkAcc& a = acc_[rt.hop[h].cls][rt.hop[h].idx];
-            if (a.occ_cur == 0) touched.push_back(rt.hop[h]);
-            a.occ_cur += wire;
-          }
-        }
-      }
-      CollectiveCost& cc = collectives_[c];
-      cc.payload_bytes = payload;
-      for (const Hop& hop : touched) {
-        LinkAcc& a = acc_[hop.cls][hop.idx];
-        a.occ_max = std::max(a.occ_max, a.occ_cur);
-        if (hop.cls == kHostDown)
-          cc.worst_host_down = std::max(cc.worst_host_down, a.occ_cur);
-        if (hop.cls == kUpUp || hop.cls == kUpDown)
-          cc.worst_uplink = std::max(cc.worst_uplink, a.occ_cur);
-        a.occ_cur = 0;
+    // Each link's worst occurrence burst, and each occurrence's worst on a
+    // host-down link and on an uplink (links_ holds the classes in order).
+    for (std::size_t o = 0; o < collectives_.size(); ++o) {
+      CollectiveCost& cc = collectives_[o];
+      for (std::size_t l = 0; l < links; ++l) {
+        const std::uint64_t b = bursts[o * links + l];
+        links_[l].occ_max = std::max(links_[l].occ_max, b);
+        std::uint64_t& worst =
+            l < first_[kUpUp] ? cc.worst_host_down : cc.worst_uplink;
+        if (l >= first_[kHostDown]) worst = std::max(worst, b);
       }
     }
   }
@@ -258,20 +271,13 @@ class Interpreter {
     return lat + static_cast<double>(wire_of(bytes)) / min_bw;
   }
 
-  /// The timed abstract execution (lower bound). Mirrors the verifier's
-  /// FIFO fixpoint, with per-rank clocks and per-message arrival times.
+  /// The timed abstract execution (lower bound): the verifier's fixpoint
+  /// (mpi::run_to_fixpoint) with per-rank clocks and arrival times.
   void timed_lower_bound() {
-    std::vector<mpi::Cursor> cursor;
-    cursor.reserve(ranks_);
-    for (std::uint32_t r = 0; r < ranks_; ++r) cursor.emplace_back(program_, r);
     std::vector<mpi::Mailbox<double>> mailbox(ranks_);  // arrival times
     std::vector<double> clock(ranks_, 0.0);
-
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (std::uint32_t r = 0; r < ranks_; ++r) {
-        for (mpi::Cursor& c = cursor[r]; !c.done(); c.next(), progress = true) {
+    const std::vector<mpi::Cursor> cursor = mpi::run_to_fixpoint(
+        program_, [&](std::uint32_t r, const mpi::Cursor& c) {
           const mpi::LoweredOp op = c.op();
           if (op.kind == Op::Kind::kCompute) {
             clock[r] += c.user_op().seconds;
@@ -287,7 +293,7 @@ class Interpreter {
             clock[r] += d_.mpi.send_overhead_s;
           } else if (op.kind == Op::Kind::kRecv) {
             double arrival = 0.0;
-            if (!mailbox[r].pop(op.peer, op.tag, arrival)) break;
+            if (!mailbox[r].pop(op.peer, op.tag, arrival)) return false;
             const double wait = std::max(0.0, arrival - clock[r]);
             if (!is_collective(c.user_op().kind)) {
               per_rank_[r].wait_p2p_lower_s += wait;
@@ -296,12 +302,10 @@ class Interpreter {
                 per_rank_[r].worst_wait_op = c.user_index();
               }
             }
-            clock[r] = std::max(clock[r], arrival) +
-                       d_.mpi.recv_overhead_s;
+            clock[r] = std::max(clock[r], arrival) + d_.mpi.recv_overhead_s;
           }
-        }
-      }
-    }
+          return true;
+        });
     for (std::uint32_t r = 0; r < ranks_; ++r) {
       if (!cursor[r].done())
         support::fail("analyze_cost",
@@ -349,13 +353,14 @@ class Interpreter {
     double allowance = 0.0;
     bool all_certified = true;
     for (int cls = 0; cls < 4; ++cls) {
-      if (acc_[cls].empty()) continue;
+      if (first_[cls] == first_[cls + 1]) continue;
       LinkClassCost lc;
       lc.name = std::string(kClassNames[cls]);
-      lc.links = static_cast<std::uint32_t>(acc_[cls].size());
+      lc.links = first_[cls + 1] - first_[cls];
       lc.buffer_bytes = buffer_limit(cls);
       const double per_frame = frame_retransmit_allowance(spec(cls));
-      for (const LinkAcc& a : acc_[cls]) {
+      for (std::uint32_t l = first_[cls]; l < first_[cls + 1]; ++l) {
+        const LinkAcc& a = links_[l];
         lc.messages += a.messages;
         lc.wire_bytes += a.wire_bytes;
         lc.max_link_wire_bytes =
@@ -393,7 +398,9 @@ class Interpreter {
   std::uint32_t nodes_ = 0;
   std::uint32_t leaves_ = 0;
 
-  std::array<std::vector<LinkAcc>, 4> acc_;
+  std::vector<LinkAcc> links_;  ///< every directed link, class by class
+  /// Class c's links are links_[first_[c]] up to links_[first_[c + 1]].
+  std::array<std::uint32_t, 5> first_{};
   std::vector<RankCost> per_rank_;
   std::vector<CollectiveCost> collectives_;
 

@@ -32,9 +32,30 @@
 //    (peak concurrent bytes assuming each collective occurrence bursts at
 //    once) — the congestion facts the PERF rule pack keys on.
 //
+// Two walks, each lowering through mpi::Cursor as the runtime does:
+//
+//  1. rank-major, one rank's whole program after another: the exact
+//     counts, the per-link totals, the serialized sum, the per-rank p2p
+//     send runs and each collective occurrence's burst per link (a rank
+//     enters occurrence k at its k-th kBeginGroup marker; rank 0's ops
+//     name the occurrences);
+//  2. the verifier's fixpoint (mpi::run_to_fixpoint), with per-rank
+//     clocks and arrival times in the mailboxes: the lower bound.
+//
+// They stay two walks on purpose. makespan_serialized_s and
+// total_compute_s are doubles summed in rank-major op order; the fixpoint
+// visits ops in another order, which changes their last bits, and those
+// bits are pinned (the fuzz digest hashes both bounds and the serialized
+// sum, and perfbench checks static/upper bit for bit). The integer sums,
+// bursts included, could live in either walk; the doubles cannot move.
+//
 // The interpreter requires a program that passes verify_program (the
 // bounds of a deadlocked schedule are meaningless); analyze_cost throws
-// when the abstract execution stalls. Bounds assume fault-free execution.
+// when the abstract execution stalls or the collective sequences differ.
+// It also throws, naming the rank and op, where the DES would refuse a
+// network message (2^32 or more frames) and where a byte or frame total
+// would pass 2^64 - 1, so every count it reports is exact. Bounds assume
+// fault-free execution.
 #pragma once
 
 #include <cstdint>

@@ -97,11 +97,12 @@ TEST(PlatformIo, ValidationRunsOnParse) {
   EXPECT_THROW(parse_platform(text), support::Error);
 }
 
-/// Replaces the value of the first `key = ...` line; returns that line's
-/// 1-based number.
+/// Replaces the value of the first `key = ...` line after `skip` others;
+/// returns that line's 1-based number.
 int set_value(std::string& text, const std::string& key,
-              const std::string& value) {
-  const auto pos = text.find("\n" + key + " = ") + 1;
+              const std::string& value, int skip = 0) {
+  auto pos = text.find("\n" + key + " = ") + 1;
+  for (; skip > 0; --skip) pos = text.find("\n" + key + " = ", pos) + 1;
   text.replace(pos, text.find('\n', pos) - pos, key + " = " + value);
   const auto end = text.begin() + static_cast<std::ptrdiff_t>(pos);
   return 1 + static_cast<int>(std::count(text.begin(), end, '\n'));
@@ -164,27 +165,69 @@ TEST(PlatformIo, RejectsGeometryTheSimulatorCannotBuild) {
   }
 }
 
+// A value that parses but fails Platform::validate is reported at its key
+// and line, as parse errors are; the line tells the L2's key from the L1's.
+TEST(PlatformIo, ValidationErrorsNameTheKeyAndLine) {
+  struct Case {
+    const char* key;
+    const char* value;
+    int skip;  ///< earlier lines with the same key (one per cache)
+    const char* message;
+  };
+  const Case cases[] = {
+      {"line_bytes", "48", 1, "cache line size must be a power of two"},
+      {"page_bytes", "3000", 0, "page size must be a positive power of two"},
+      {"tlb_entries", "0", 0, "TLB entries must be positive"},
+  };
+  for (const Case& c : cases) {
+    std::string text = serialize_platform(snowball());
+    const int line = set_value(text, c.key, c.value, c.skip);
+    try {
+      parse_platform(text);
+      ADD_FAILURE() << c.key << " = '" << c.value << "' was accepted";
+    } catch (const support::Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "parse_platform: '" + std::string(c.key) + "' at line " +
+                    std::to_string(line) + ": " + c.message);
+    }
+  }
+}
+
+// Built-in platforms are validated in code, with no file: the error names
+// the field instead.
+TEST(PlatformIo, ValidateNamesTheField) {
+  Platform p = snowball();
+  p.caches[1].line_bytes = 48;
+  try {
+    p.validate();
+    ADD_FAILURE() << "a 48-byte L2 line was accepted";
+  } catch (const support::Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "Platform::validate: caches[1].line_bytes: cache line size "
+              "must be a power of two");
+  }
+}
+
 TEST(PlatformIo, RealFieldsRejectNonFiniteAndOutOfRangeValues) {
   struct Case {
     const char* key;
     const char* value;
-    bool located;  ///< a parse error names the line; a range error cannot
   };
   const Case cases[] = {
-      {"freq_hz", "inf", true},
-      {"miss_overlap", "nan", true},
-      {"latency_ns", "-inf", true},
-      {"bandwidth_bytes_per_s", "1e999", true},  // overflows to inf
-      {"recip.fp_add_dp", "NaN", true},
-      {"power_w", "infinity", true},
-      {"miss_overlap", "1.5", false},
-      {"miss_overlap", "-0.1", false},
-      {"mshr", "0.5", false},
-      {"branch_mispredict_rate", "-3", false},
-      {"branch_mispredict_rate", "1.01", false},
-      {"branch_mispredict_penalty", "-1", false},
-      {"fp_dep_latency_cycles", "-4", false},
-      {"recip.int_alu", "-0.5", false},
+      {"freq_hz", "inf"},
+      {"miss_overlap", "nan"},
+      {"latency_ns", "-inf"},
+      {"bandwidth_bytes_per_s", "1e999"},  // overflows to inf
+      {"recip.fp_add_dp", "NaN"},
+      {"power_w", "infinity"},
+      {"miss_overlap", "1.5"},
+      {"miss_overlap", "-0.1"},
+      {"mshr", "0.5"},
+      {"branch_mispredict_rate", "-3"},
+      {"branch_mispredict_rate", "1.01"},
+      {"branch_mispredict_penalty", "-1"},
+      {"fp_dep_latency_cycles", "-4"},
+      {"recip.int_alu", "-0.5"},
   };
   for (const Case& c : cases) {
     std::string text = serialize_platform(snowball());
@@ -195,11 +238,8 @@ TEST(PlatformIo, RealFieldsRejectNonFiniteAndOutOfRangeValues) {
     } catch (const support::Error& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find(c.key), std::string::npos) << what;
-      if (c.located) {
-        EXPECT_NE(what.find("line " + std::to_string(line)),
-                  std::string::npos)
-            << what;
-      }
+      EXPECT_NE(what.find("line " + std::to_string(line)), std::string::npos)
+          << what;
     }
   }
   // The ends of each range are models a platform may use.

@@ -5,13 +5,17 @@
 #include "verify/static_cost.h"
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "apps/scenario.h"
 #include "fault/plan.h"
+#include "gen/generator.h"
 #include "net/topology.h"
 #include "support/check.h"
+#include "support/hash.h"
 #include "support/json.h"
 #include "verify/mpi_verify.h"
 #include "verify/perf_rules.h"
@@ -114,6 +118,219 @@ TEST(StaticCost, ThrowsOnShortAlltoallvCounts) {
   for (std::uint32_t r = 0; r < 4; ++r)
     p.rank(r).push_back(Op::alltoallv({1, 2}));
   EXPECT_THROW(analyze_cost(p, tibidabo_descriptor(4)), support::Error);
+}
+
+// A program analyze_cost cannot bound fails loudly, naming why. Neither
+// is verified first; verify_program would reject both.
+TEST(StaticCost, ThrowsWhenTheAbstractExecutionStalls) {
+  Program p(2);  // both ranks receive first: a two-rank wait-for cycle
+  p.rank(0).push_back(Op::recv(1, 2));
+  p.rank(0).push_back(Op::send(1, 1024, 1));
+  p.rank(1).push_back(Op::recv(0, 1));
+  p.rank(1).push_back(Op::send(0, 1024, 3));
+  try {
+    analyze_cost(p, tibidabo_descriptor(2));
+    ADD_FAILURE() << "a deadlocked program was bounded";
+  } catch (const support::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "abstract execution stalled (rank 0 blocked)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(StaticCost, ThrowsWhenARankIssuesMoreOrFewerCollectives) {
+  for (const bool more : {true, false}) {
+    Program p(4);
+    p.append_all(Op::allreduce(4000));
+    p.append_all(Op::bcast(0, 1000));
+    if (more)
+      p.rank(1).push_back(Op::barrier());
+    else
+      p.rank(1).pop_back();
+    try {
+      analyze_cost(p, tibidabo_descriptor(4));
+      ADD_FAILURE() << "rank 1 with one collective "
+                    << (more ? "more" : "fewer") << " was bounded";
+    } catch (const support::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "collective sequence differs across ranks"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Totals are exact or refused: a sum past 2^64 - 1 throws, naming where,
+// instead of wrapping. Same-node messages have no frame limit, so only
+// the sums stop these two.
+TEST(StaticCost, ThrowsWhenABytesTotalPasses64Bits) {
+  Program p(2);
+  for (const std::int32_t tag : {1, 2}) {
+    p.rank(0).push_back(Op::send(1, std::uint64_t{1} << 63, tag));
+    p.rank(1).push_back(Op::recv(0, tag));
+  }
+  try {
+    const CostReport r = analyze_cost(p, tibidabo_descriptor(2));
+    ADD_FAILURE() << "2^64 bytes reported as " << r.total_bytes;
+  } catch (const support::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 0 op 1: payload bytes pass "
+                                         "2^64 - 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The network sends a message of at most 2^32 - 1 frames; the static pass
+// refuses the first one past that, as the DES would, before counting it.
+TEST(StaticCost, RefusesANetworkMessageOf2To32Frames) {
+  const std::uint64_t limit = (std::uint64_t{1} << 32) - 1;
+  for (const std::uint64_t bytes : {limit * 1500, limit * 1500 + 1}) {
+    Program p(4);
+    p.rank(0).push_back(Op::send(2, bytes, 1));  // node 0 -> node 1
+    p.rank(2).push_back(Op::recv(0, 1));
+    if (bytes == limit * 1500) {
+      EXPECT_EQ(analyze_cost(p, tibidabo_descriptor(4)).total_frames, limit);
+      continue;
+    }
+    try {
+      analyze_cost(p, tibidabo_descriptor(4));
+      ADD_FAILURE() << "a message of 2^32 frames was bounded";
+    } catch (const support::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "rank 0 op 0: a message of " + std::to_string(bytes) +
+                    " bytes to rank 2 is 2^32 or more frames at mtu 1500"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned reports: a digest of every CostReport field for real programs, so
+// a rewrite of the walks that moves any count, burst or bound bit fails.
+
+/// Every field of `r`; doubles by their IEEE bit patterns.
+std::uint64_t cost_digest(const CostReport& r) {
+  support::Hasher h;
+  h.u64(r.ranks).u64(r.nodes).u64(r.leaves).u64(r.mtu_bytes);
+  h.u64(r.per_rank.size());
+  for (const RankCost& rc : r.per_rank)
+    h.u64(rc.bytes_sent)
+        .u64(rc.bytes_received)
+        .u64(rc.messages_sent)
+        .u64(rc.messages_received)
+        .f64(rc.compute_s)
+        .f64(rc.finish_lower_s)
+        .f64(rc.wait_p2p_lower_s)
+        .u64(rc.worst_wait_op)
+        .f64(rc.worst_wait_s);
+  h.u64(r.total_bytes)
+      .u64(r.total_messages)
+      .u64(r.intra_messages)
+      .u64(r.net_messages)
+      .u64(r.total_frames)
+      .f64(r.total_compute_s);
+  h.f64(r.makespan_lower_s)
+      .f64(r.makespan_upper_s)
+      .f64(r.makespan_serialized_s)
+      .f64(r.retransmit_allowance_s)
+      .u64(r.no_drop_certified);
+  h.u64(r.link_classes.size());
+  for (const LinkClassCost& lc : r.link_classes)
+    h.str(lc.name)
+        .u64(lc.links)
+        .u64(lc.messages)
+        .u64(lc.wire_bytes)
+        .u64(lc.max_link_wire_bytes)
+        .u64(lc.max_inflight_est)
+        .f64(lc.buffer_bytes)
+        .u64(lc.congested_links)
+        .u64(lc.no_drop_certified);
+  h.u64(r.collectives.size());
+  for (const CollectiveCost& cc : r.collectives)
+    h.u64(static_cast<std::uint64_t>(cc.kind))
+        .u64(cc.op_index)
+        .str(cc.label)
+        .u64(cc.payload_bytes)
+        .u64(cc.worst_host_down)
+        .u64(cc.worst_uplink);
+  h.u64(r.max_rank_bytes).f64(r.mean_rank_bytes);
+  return h.digest();
+}
+
+CostDescriptor tree_descriptor(std::uint32_t ranks, bool upgraded,
+                               std::uint32_t mtu_bytes) {
+  CostDescriptor d;
+  d.tree = upgraded ? net::upgraded_tree(ranks / 2)
+                    : net::tibidabo_tree(ranks / 2);
+  d.mtu_bytes = mtu_bytes;
+  return d;
+}
+
+TEST(StaticCost, AppReportsArePinned) {
+  struct Case {
+    const char* name;
+    apps::AppParams params;
+    bool upgraded;
+    std::uint32_t mtu_bytes;
+    const char* digest;
+  };
+  const Case cases[] = {
+      // mbctl analyze-static fig4 at its default seed: one leaf, then two.
+      {"fig4/36", apps::scenario("fig4", 36, 1).params, false, 1500,
+       "87d6138816fff45c"},
+      {"fig4/128", apps::scenario("fig4", 128, 1).params, false, 1500,
+       "6628ed853aa38516"},
+      // perfbench's static program.
+      {"bigdft/192", apps::BigDftParams{.ranks = 192, .seed = 2013}, false,
+       1500, "23f103e08333d247"},
+      {"hpl/64", apps::HplParams{.ranks = 64, .n = 2048, .block = 128}, true,
+       9000, "bd4c47eff8c09c81"},
+      {"specfem/256", apps::SpecfemParams{.ranks = 256}, false, 1500,
+       "5753054e95c66a7d"},
+  };
+  for (const Case& c : cases) {
+    const Program p = apps::build_program(c.params);
+    const CostReport r =
+        analyze_cost(p, tree_descriptor(p.ranks(), c.upgraded, c.mtu_bytes));
+    EXPECT_EQ(support::hex64(cost_digest(r)), c.digest) << c.name;
+  }
+}
+
+TEST(StaticCost, GeneratedReportsArePinned) {
+  // Five seeds per pattern and tree, from one leaf to two (128 ranks).
+  const std::uint32_t kRanks[] = {4, 8, 16, 64, 128};
+  const struct {
+    gen::Pattern pattern;
+    const char* tibidabo;
+    const char* upgraded;
+  } cases[] = {
+      {gen::Pattern::kHalo, "0095374d494837cc", "8b7f107186680dcf"},
+      {gen::Pattern::kAllToAll, "7c394bd92675c8e4", "33192c30ff342153"},
+      {gen::Pattern::kPipeline, "d3d87582f4edab13", "5744565b711a8b3f"},
+      {gen::Pattern::kMasterWorker, "965da7c9bde5e3ea", "a0f76672d2958f58"},
+      {gen::Pattern::kMixed, "a9dd69be369be486", "c570e3f3b0ce53f2"},
+  };
+  for (const auto& c : cases) {
+    for (const bool upgraded : {false, true}) {
+      support::Hasher h;
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        gen::GenParams params;
+        params.pattern = c.pattern;
+        params.ranks = kRanks[seed - 1];
+        params.collective_prob = 0.8;
+        const gen::GeneratedProgram g = gen::generate(seed, params);
+        ASSERT_FALSE(g.has_defect());
+        h.u64(cost_digest(analyze_cost(
+            g.program, tree_descriptor(params.ranks, upgraded, 1500))));
+      }
+      EXPECT_EQ(support::hex64(h.digest()),
+                upgraded ? c.upgraded : c.tibidabo)
+          << gen::pattern_name(c.pattern)
+          << (upgraded ? " on the upgraded tree" : " on the tibidabo tree");
+    }
+  }
 }
 
 TEST(StaticCost, JsonDocumentIsSchemaValid) {
