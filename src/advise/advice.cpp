@@ -127,7 +127,7 @@ AdviceReport advice_from_json(std::string_view text) {
   report.tool = doc.at("tool").as_string();
   report.tool_version = doc.at("tool_version").as_string();
   report.scenario = doc.at("scenario").as_string();
-  report.seed = static_cast<std::uint64_t>(doc.at("seed").as_number());
+  report.seed = support::u64_at(doc, "seed");
   report.applied = doc.at("applied").as_bool();
   for (const JsonValue& rv : doc.at("recommendations").as_array()) {
     Recommendation r;

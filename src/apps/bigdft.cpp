@@ -1,5 +1,6 @@
 #include "apps/bigdft.h"
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -11,8 +12,8 @@ namespace mb::apps {
 void BigDftParams::validate() const {
   support::check(ranks >= 1, "BigDftParams", "ranks must be >= 1");
   support::check(iterations >= 1, "BigDftParams", "iterations must be >= 1");
-  support::check(compute_s_per_iter > 0.0, "BigDftParams",
-                 "compute time must be positive");
+  support::check(compute_s_per_iter > 0.0 && std::isfinite(compute_s_per_iter),
+                 "BigDftParams", "compute time must be positive and finite");
   support::check(imbalance >= 0.0 && imbalance < 0.5, "BigDftParams",
                  "imbalance must be in [0, 0.5)");
 }

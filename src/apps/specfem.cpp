@@ -1,5 +1,6 @@
 #include "apps/specfem.h"
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -12,8 +13,8 @@ void SpecfemParams::validate() const {
   support::check(ranks >= 2, "SpecfemParams",
                  "the halo exchange needs at least 2 ranks");
   support::check(steps >= 1, "SpecfemParams", "steps must be >= 1");
-  support::check(compute_s_per_step > 0.0, "SpecfemParams",
-                 "compute time must be positive");
+  support::check(compute_s_per_step > 0.0 && std::isfinite(compute_s_per_step),
+                 "SpecfemParams", "compute time must be positive and finite");
 }
 
 std::uint32_t SpecfemParams::min_ranks(std::uint32_t cores_per_node) const {

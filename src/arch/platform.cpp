@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "support/check.h"
 
@@ -123,80 +124,99 @@ std::size_t Platform::llc_index() const {
   return caches.size() - 1;
 }
 
-std::optional<PlatformViolation> Platform::violation() const {
-  using V = PlatformViolation;
+namespace {
+
+bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
+
+/// The first failing check of one cache level, {field, message}, or
+/// {nullptr, nullptr}. Later checks divide by the earlier fields.
+std::pair<const char*, const char*> cache_violation(const CacheConfig& c) {
+  if (c.size_bytes == 0) return {"size_bytes", "cache size must be positive"};
+  if (c.line_bytes == 0)
+    return {"line_bytes", "cache line size must be positive"};
+  if (c.associativity == 0)
+    return {"associativity", "cache associativity must be positive"};
+  if (!is_pow2(c.line_bytes))
+    return {"line_bytes", "cache line size must be a power of two"};
+  if (c.line_bytes < 4)
+    return {"line_bytes", "cache line size must be at least 4 bytes"};
+  const std::uint64_t way_bytes =
+      static_cast<std::uint64_t>(c.line_bytes) * c.associativity;
+  if (c.size_bytes % way_bytes != 0)
+    return {"size_bytes", "cache size must divide into sets exactly"};
+  if (!is_pow2(c.sets()))
+    return {"size_bytes", "cache set count must be a power of two"};
+  return {nullptr, nullptr};
+}
+
+/// The first failing check of the TLB geometry, as cache_violation().
+std::pair<const char*, const char*> tlb_violation(const CoreConfig& core) {
+  if (core.tlb_entries == 0)
+    return {"core.tlb_entries", "TLB entries must be positive"};
+  if (core.tlb_associativity == 0)
+    return {"core.tlb_associativity", "TLB associativity must be positive"};
+  if (core.tlb_entries % core.tlb_associativity != 0)
+    return {"core.tlb_entries",
+            "TLB entries must be a multiple of the associativity"};
+  if (!is_pow2(core.tlb_entries / core.tlb_associativity))
+    return {"core.tlb_entries", "TLB set count must be a power of two"};
+  return {nullptr, nullptr};
+}
+
+}  // namespace
+
+std::vector<support::Violation> Platform::violations() const {
+  std::vector<support::Violation> out;
+  const auto add = [&out](std::string field, const char* message) {
+    out.push_back({std::move(field), message});
+  };
   // Written as !(ok) so that NaN fails every range too.
-  if (name.empty()) return V{"name", "platform needs a name"};
+  if (name.empty()) add("name", "platform needs a name");
   if (!(core.freq_hz > 0.0))
-    return V{"core.freq_hz", "core frequency must be positive"};
-  if (cores < 1) return V{"cores", "at least one core"};
+    add("core.freq_hz", "core frequency must be positive");
+  if (cores < 1) add("cores", "at least one core");
   if (core.issue_width < 1)
-    return V{"core.issue_width", "issue width must be >= 1"};
+    add("core.issue_width", "issue width must be >= 1");
   if (!(core.miss_overlap >= 0.0 && core.miss_overlap <= 1.0))
-    return V{"core.miss_overlap", "miss_overlap must lie in [0, 1]"};
-  if (!(core.mshr >= 1.0)) return V{"core.mshr", "mshr must be >= 1"};
+    add("core.miss_overlap", "miss_overlap must lie in [0, 1]");
+  if (!(core.mshr >= 1.0)) add("core.mshr", "mshr must be >= 1");
   if (!(core.branch_mispredict_rate >= 0.0 &&
         core.branch_mispredict_rate <= 1.0))
-    return V{"core.branch_mispredict_rate",
-             "branch_mispredict_rate must lie in [0, 1]"};
+    add("core.branch_mispredict_rate",
+        "branch_mispredict_rate must lie in [0, 1]");
   if (!(core.branch_mispredict_penalty >= 0.0))
-    return V{"core.branch_mispredict_penalty",
-             "branch_mispredict_penalty must be >= 0"};
+    add("core.branch_mispredict_penalty",
+        "branch_mispredict_penalty must be >= 0");
   if (!(core.fp_dep_latency_cycles >= 0.0))
-    return V{"core.fp_dep_latency_cycles",
-             "fp_dep_latency_cycles must be >= 0"};
+    add("core.fp_dep_latency_cycles", "fp_dep_latency_cycles must be >= 0");
   for (std::size_t i = 0; i < kOpClassCount; ++i) {
     if (core.recip_throughput[i] >= 0.0) continue;
     const std::string recip =
         "recip." + std::string(op_class_name(static_cast<OpClass>(i)));
-    return V{"core." + recip, recip + " must be >= 0"};
+    out.push_back({"core." + recip, recip + " must be >= 0"});
   }
-  if (caches.empty()) return V{"caches", "at least one cache level required"};
+  if (caches.empty()) add("caches", "at least one cache level required");
   for (std::size_t i = 0; i < caches.size(); ++i) {
-    const CacheConfig& c = caches[i];
-    const std::string key = "caches[" + std::to_string(i) + "].";
-    if (c.size_bytes == 0)
-      return V{key + "size_bytes", "cache size must be positive"};
-    if (c.line_bytes == 0)
-      return V{key + "line_bytes", "cache line size must be positive"};
-    if (c.associativity == 0)
-      return V{key + "associativity", "cache associativity must be positive"};
-    if ((c.line_bytes & (c.line_bytes - 1)) != 0)
-      return V{key + "line_bytes", "cache line size must be a power of two"};
-    if (c.line_bytes < 4)
-      return V{key + "line_bytes",
-               "cache line size must be at least 4 bytes"};
-    const std::uint64_t way_bytes =
-        static_cast<std::uint64_t>(c.line_bytes) * c.associativity;
-    if (c.size_bytes % way_bytes != 0)
-      return V{key + "size_bytes", "cache size must divide into sets exactly"};
-    const std::uint64_t sets = c.sets();
-    if ((sets & (sets - 1)) != 0)
-      return V{key + "size_bytes", "cache set count must be a power of two"};
+    const auto [field, message] = cache_violation(caches[i]);
+    if (field != nullptr)
+      add("caches[" + std::to_string(i) + "]." + field, message);
   }
   if (!(mem.bandwidth_bytes_per_s > 0.0))
-    return V{"mem.bandwidth_bytes_per_s", "memory bandwidth must be positive"};
+    add("mem.bandwidth_bytes_per_s", "memory bandwidth must be positive");
   if (!(mem.latency_ns > 0.0))
-    return V{"mem.latency_ns", "memory latency must be positive"};
-  if (mem.page_bytes == 0 || (mem.page_bytes & (mem.page_bytes - 1)) != 0)
-    return V{"mem.page_bytes", "page size must be a positive power of two"};
-  if (core.tlb_entries == 0)
-    return V{"core.tlb_entries", "TLB entries must be positive"};
-  if (core.tlb_associativity == 0)
-    return V{"core.tlb_associativity", "TLB associativity must be positive"};
-  if (core.tlb_entries % core.tlb_associativity != 0)
-    return V{"core.tlb_entries",
-             "TLB entries must be a multiple of the associativity"};
-  const std::uint32_t tlb_sets = core.tlb_entries / core.tlb_associativity;
-  if ((tlb_sets & (tlb_sets - 1)) != 0)
-    return V{"core.tlb_entries", "TLB set count must be a power of two"};
-  if (!(power_w > 0.0)) return V{"power_w", "power must be positive"};
-  return std::nullopt;
+    add("mem.latency_ns", "memory latency must be positive");
+  if (!is_pow2(mem.page_bytes))
+    add("mem.page_bytes", "page size must be a positive power of two");
+  if (const auto [field, message] = tlb_violation(core); field != nullptr)
+    add(field, message);
+  if (!(power_w > 0.0)) add("power_w", "power must be positive");
+  if (mem.total_bytes == 0)
+    add("mem.total_bytes", "installed memory must be positive");
+  return out;
 }
 
 void Platform::validate() const {
-  if (const auto v = violation())
-    support::fail("Platform::validate", v->field + ": " + v->message);
+  support::check_none(violations(), "Platform::validate");
 }
 
 }  // namespace mb::arch

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "support/check.h"
+
 namespace mb::arch {
 
 /// Instruction classes distinguished by the cost model. Granularity follows
@@ -145,14 +147,6 @@ struct GpuConfig {
   bool general_purpose = false;  ///< usable for GPGPU (Mali-400 is not)
 };
 
-/// A platform field that fails validation, named as lint locations name
-/// it ("core.tlb_entries", "caches[1].line_bytes", "mem.page_bytes",
-/// "power_w"), and what is wrong with it.
-struct PlatformViolation {
-  std::string field;
-  std::string message;
-};
-
 /// A complete machine description.
 struct Platform {
   std::string name;
@@ -177,11 +171,17 @@ struct Platform {
   /// Returns the cache level index acting as last-level cache.
   std::size_t llc_index() const;
 
-  /// The first field that breaks internal consistency (sizes
+  /// Every field that breaks internal consistency (sizes
   /// power-of-two-divisible into sets, nonzero frequency, a positive page
-  /// size, a TLB geometry cache::Tlb can build, ...), or none.
-  std::optional<PlatformViolation> violation() const;
-  /// Throws support::Error naming violation()'s field, if there is one.
+  /// size, a TLB geometry cache::Tlb can build, installed memory, ...),
+  /// named by its path ("core.tlb_entries", "caches[1].line_bytes",
+  /// "mem.page_bytes", "power_w"). This list is the model's whole
+  /// definition of validity: validate() and parse_platform throw its first
+  /// entry, and verify::lint_platform reports each entry as an error.
+  /// Within one cache level, and within the TLB, only the first failing
+  /// check is listed, because the later checks divide by earlier fields.
+  std::vector<support::Violation> violations() const;
+  /// Throws support::Error naming the first violation, if there is one.
   void validate() const;
 };
 

@@ -235,7 +235,7 @@ Platform parse_platform(const std::string& text) {
   const auto sections = split_sections(text);
   Platform p;
   bool have_core = false, have_mem = false;
-  // Each key's place in the file, under the field name violation() uses.
+  // Each key's place in the file, under the field name violations() uses.
   std::map<std::string, std::string> where;
   const auto note = [&](const Section& s, const std::string& field_prefix) {
     for (const auto& [key, value] : s.kv)
@@ -270,11 +270,13 @@ Platform parse_platform(const std::string& text) {
   }
   support::check(have_core, "parse_platform", "missing [core] section");
   support::check(have_mem, "parse_platform", "missing [mem] section");
-  if (const auto v = p.violation()) {
-    const auto it = where.find(v->field);
+  const std::vector<support::Violation> violations = p.violations();
+  if (!violations.empty()) {
+    const support::Violation& v = violations.front();
+    const auto it = where.find(v.field);
     support::fail("parse_platform",
-                  (it == where.end() ? v->field : it->second) + ": " +
-                      v->message);
+                  (it == where.end() ? v.field : it->second) + ": " +
+                      v.message);
   }
   return p;
 }

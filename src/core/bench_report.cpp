@@ -169,21 +169,19 @@ BenchReport report_from_json(const JsonValue& doc) {
   // Optional: reports from builds before the observability change.
   const JsonValue* tv = doc.find("tool_version");
   report.tool_version = tv != nullptr ? tv->as_string() : "";
-  report.seed = static_cast<std::uint64_t>(doc.at("seed").as_number());
+  report.seed = support::u64_at(doc, "seed");
   if (const JsonValue* m = doc.find("metrics"))
     report.metrics = obs::parse_metrics_json(*m);
   if (const JsonValue* f = doc.find("failure")) {
     report.failure.present = true;
     for (const JsonValue& r : f->at("dead_ranks").as_array())
-      report.failure.dead_ranks.push_back(
-          static_cast<std::uint32_t>(r.as_number()));
+      report.failure.dead_ranks.push_back(support::as_u32(r, "dead_ranks"));
     for (const JsonValue& b : f->at("blocked").as_array()) {
       RunFailure::Blocked blocked;
-      blocked.rank = static_cast<std::uint32_t>(b.at("rank").as_number());
-      blocked.peer = static_cast<std::uint32_t>(b.at("peer").as_number());
-      blocked.tag = static_cast<std::int32_t>(b.at("tag").as_number());
-      blocked.op_index =
-          static_cast<std::uint64_t>(b.at("op_index").as_number());
+      blocked.rank = support::u32_at(b, "rank");
+      blocked.peer = support::u32_at(b, "peer");
+      blocked.tag = support::i32_at(b, "tag");
+      blocked.op_index = support::u64_at(b, "op_index");
       blocked.since_s = b.at("since_s").as_number();
       blocked.timed_out = b.at("timed_out").as_bool();
       report.failure.blocked.push_back(blocked);
@@ -192,17 +190,16 @@ BenchReport report_from_json(const JsonValue& doc) {
   }
 
   const JsonValue& plan = doc.at("plan");
-  report.plan.repetitions =
-      static_cast<std::uint32_t>(plan.at("repetitions").as_number());
+  report.plan.repetitions = support::u32_at(plan, "repetitions");
   report.plan.randomize_order = plan.at("randomize_order").as_bool();
   report.plan.fresh_machine_per_rep =
       plan.at("fresh_machine_per_rep").as_bool();
-  report.plan.seed = static_cast<std::uint64_t>(plan.at("seed").as_number());
+  report.plan.seed = support::u64_at(plan, "seed");
 
   for (const JsonValue& p : doc.at("platforms").as_array()) {
     PlatformInfo info;
     info.name = p.at("name").as_string();
-    info.cores = static_cast<std::uint32_t>(p.at("cores").as_number());
+    info.cores = support::u32_at(p, "cores");
     info.freq_hz = p.at("freq_hz").as_number();
     info.power_w = p.at("power_w").as_number();
     info.peak_dp_gflops = p.at("peak_dp_gflops").as_number();

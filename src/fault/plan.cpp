@@ -70,7 +70,7 @@ std::string to_json(const FaultPlan& plan) {
 namespace {
 
 std::uint32_t node_of(const JsonValue& v) {
-  return static_cast<std::uint32_t>(v.at("node").as_number());
+  return support::u32_at(v, "node");
 }
 
 }  // namespace
@@ -81,7 +81,7 @@ FaultPlan plan_from_json(std::string_view text) {
 
   FaultPlan plan;
   if (const JsonValue* s = doc.find("seed"))
-    plan.seed = static_cast<std::uint64_t>(s->as_number());
+    plan.seed = support::as_u64(*s, "seed");
 
   if (const JsonValue* arr = doc.find("crashes")) {
     for (const JsonValue& v : arr->as_array()) {

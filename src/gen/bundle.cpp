@@ -1,34 +1,10 @@
 #include "gen/bundle.h"
 
-#include <cstdlib>
-
-#include "support/check.h"
 #include "support/hash.h"
 #include "support/json.h"
 #include "support/schema.h"
 
 namespace mb::gen {
-namespace {
-
-std::uint64_t parse_u64(const support::JsonValue& v, int base) {
-  const std::string& s = v.as_string();
-  support::check(!s.empty(), "gen::bundle", "empty integer field");
-  char* end = nullptr;
-  const std::uint64_t out = std::strtoull(s.c_str(), &end, base);
-  support::check(end == s.c_str() + s.size(), "gen::bundle",
-                 "malformed integer field: " + s);
-  return out;
-}
-
-std::uint64_t dec_field(const support::JsonValue& doc, std::string_view key) {
-  return parse_u64(doc.at(key), 10);
-}
-
-std::uint64_t hex_field(const support::JsonValue& doc, std::string_view key) {
-  return parse_u64(doc.at(key), 16);
-}
-
-}  // namespace
 
 std::string to_json(const ReproBundle& bundle) {
   support::JsonWriter w;
@@ -82,21 +58,19 @@ ReproBundle bundle_from_json(std::string_view text) {
 
   ReproBundle b;
   b.tool_version = doc.at("tool_version").as_string();
-  b.seed = dec_field(doc, "seed");
+  b.seed = support::dec_u64_at(doc, "seed");
   b.oracle = doc.at("oracle").as_string();
   b.note = doc.at("note").as_string();
 
   const support::JsonValue& gen = doc.at("generator");
-  b.gen_seed = dec_field(gen, "seed");
+  b.gen_seed = support::dec_u64_at(gen, "seed");
   b.params = params_from_json(gen.at("params"));
 
   const support::JsonValue& plat = doc.at("platform");
   b.platform.tree = plat.at("tree").as_string();
-  b.platform.nodes = static_cast<std::uint32_t>(plat.at("nodes").as_number());
-  b.platform.cores_per_node =
-      static_cast<std::uint32_t>(plat.at("cores_per_node").as_number());
-  b.platform.sim_jobs =
-      static_cast<std::uint32_t>(plat.at("sim_jobs").as_number());
+  b.platform.nodes = support::u32_at(plat, "nodes");
+  b.platform.cores_per_node = support::u32_at(plat, "cores_per_node");
+  b.platform.sim_jobs = support::u32_at(plat, "sim_jobs");
 
   if (const support::JsonValue* plan = doc.find("fault_plan")) {
     support::JsonWriter pw;
@@ -106,23 +80,22 @@ ReproBundle bundle_from_json(std::string_view text) {
   }
 
   const support::JsonValue& e = doc.at("expected");
-  b.expected.verifier_digest = hex_field(e, "verifier_digest");
-  b.expected.verifier_errors =
-      static_cast<std::uint64_t>(e.at("verifier_errors").as_number());
-  b.expected.des_digest = hex_field(e, "des_digest");
+  b.expected.verifier_digest = support::hex_u64_at(e, "verifier_digest");
+  b.expected.verifier_errors = support::u64_at(e, "verifier_errors");
+  b.expected.des_digest = support::hex_u64_at(e, "des_digest");
   b.expected.des_completed = e.at("des_completed").as_bool();
-  b.expected.makespan_bits = hex_field(e, "makespan_bits");
+  b.expected.makespan_bits = support::hex_u64_at(e, "makespan_bits");
   if (e.find("sharded_digest")) {
     b.expected.has_sharded = true;
-    b.expected.sharded_digest = hex_field(e, "sharded_digest");
+    b.expected.sharded_digest = support::hex_u64_at(e, "sharded_digest");
   }
   if (e.find("static_digest")) {
     b.expected.has_static = true;
-    b.expected.static_digest = hex_field(e, "static_digest");
+    b.expected.static_digest = support::hex_u64_at(e, "static_digest");
   }
   if (e.find("chaos_digest")) {
     b.expected.has_chaos = true;
-    b.expected.chaos_digest = hex_field(e, "chaos_digest");
+    b.expected.chaos_digest = support::hex_u64_at(e, "chaos_digest");
   }
   return b;
 }

@@ -240,10 +240,10 @@ void write_params(support::JsonWriter& w, const GenParams& p) {
 GenParams params_from_json(const support::JsonValue& v) {
   GenParams p;
   p.pattern = parse_pattern(v.at("pattern").as_string());
-  p.ranks = static_cast<std::uint32_t>(v.at("ranks").as_number());
-  p.rounds = static_cast<std::uint32_t>(v.at("rounds").as_number());
-  p.min_bytes = static_cast<std::uint64_t>(v.at("min_bytes").as_number());
-  p.max_bytes = static_cast<std::uint64_t>(v.at("max_bytes").as_number());
+  p.ranks = support::u32_at(v, "ranks");
+  p.rounds = support::u32_at(v, "rounds");
+  p.min_bytes = support::u64_at(v, "min_bytes");
+  p.max_bytes = support::u64_at(v, "max_bytes");
   p.compute_s = v.at("compute_s").as_number();
   p.imbalance = v.at("imbalance").as_number();
   p.collective_prob = v.at("collective_prob").as_number();

@@ -21,9 +21,28 @@ double backoff_delay(const LinkSpec& spec, std::uint32_t attempt) {
 }
 }  // namespace
 
+void LinkSpec::append_violations(std::vector<support::Violation>& out,
+                                 std::string_view prefix) const {
+  const auto add = [&](const char* field, const char* message) {
+    out.push_back({std::string(prefix) + field, message});
+  };
+  // Written as !(ok) so that NaN fails every range too.
+  if (!(bandwidth_bytes_per_s > 0.0))
+    add("bandwidth_bytes_per_s", "link bandwidth must be positive");
+  if (!(latency_s >= 0.0 && std::isfinite(latency_s)))
+    add("latency_s", "link latency must be finite and >= 0");
+  if (!(buffer_bytes > 0.0))
+    add("buffer_bytes", "output-port buffer must be positive");
+  if (!(retransmit_timeout_s > 0.0))
+    add("retransmit_timeout_s", "retransmit timeout must be positive");
+  if (max_retransmits > kMaxRetransmits)
+    add("max_retransmits", "max_retransmits must be at most 2^31");
+}
+
 Network::Network(sim::ShardedEngine& engine, std::uint32_t mtu_bytes)
     : engine_(engine), mtu_(mtu_bytes) {
-  support::check(mtu_bytes >= 64, "Network", "MTU must be at least 64 bytes");
+  support::check(mtu_bytes >= kMinMtuBytes, "Network",
+                 "MTU must be at least 64 bytes");
 }
 
 NodeId Network::add_node(std::string name, bool is_switch) {
@@ -41,11 +60,9 @@ void Network::add_link(NodeId a, NodeId b, LinkSpec spec) {
   support::check(a < names_.size() && b < names_.size(), "Network::add_link",
                  "unknown node");
   support::check(a != b, "Network::add_link", "no self links");
-  support::check(spec.bandwidth_bytes_per_s > 0.0, "Network::add_link",
-                 "bandwidth must be positive");
-  // A pending retransmit packs its attempt and first-hop bit in one word.
-  support::check(spec.max_retransmits <= kMaxRetransmits, "Network::add_link",
-                 "max_retransmits must be at most 2^31");
+  std::vector<support::Violation> violations;
+  spec.append_violations(violations, "");
+  support::check_none(violations, "Network::add_link");
   for (auto [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
     adjacency_[from].push_back(static_cast<std::uint32_t>(from_.size()));
     from_.push_back(from);

@@ -26,10 +26,12 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/sharded.h"
 #include "support/arena.h"
+#include "support/check.h"
 #include "support/rng.h"
 
 namespace mb::net {
@@ -52,6 +54,14 @@ struct LinkSpec {
   double retransmit_backoff = 2.0;     ///< per-attempt delay multiplier
   double retransmit_timeout_max_s = 5.0;  ///< backoff cap
   std::uint32_t max_retransmits = 16;  ///< give-up threshold per hop, <= 2^31
+
+  /// Appends each field this spec breaks to `out`, named `prefix` + field
+  /// ("uplink.latency_s"): bandwidth > 0, a finite latency >= 0, buffer
+  /// > 0, retransmit timeout > 0 and max_retransmits <= 2^31 (a pending
+  /// retransmit packs its attempt and first-hop bit in one word).
+  /// Network::add_link throws the first one.
+  void append_violations(std::vector<support::Violation>& out,
+                         std::string_view prefix) const;
 };
 
 /// Vertex id in the network graph (hosts and switches share the space).
@@ -74,6 +84,9 @@ struct LinkStats {
 class Network {
  public:
   static constexpr std::uint32_t kMtuBytes = 1500;
+  /// The smallest MTU the constructor accepts; the static pass and mbctl's
+  /// --mtu refuse the same.
+  static constexpr std::uint32_t kMinMtuBytes = 64;
   /// Frames per message: a message's 32-bit counters hold one per frame.
   static constexpr std::uint64_t kMaxFrames = ~std::uint32_t{0};
 
@@ -87,7 +100,7 @@ class Network {
   /// `mtu_bytes` sets frame granularity. 1500 (Ethernet) gives full
   /// congestion fidelity; large values coarsen messages into few frames —
   /// used to make month-long HPL runs simulable while keeping link
-  /// serialization and queueing behaviour.
+  /// serialization and queueing behaviour. At least kMinMtuBytes.
   explicit Network(sim::ShardedEngine& engine,
                    std::uint32_t mtu_bytes = kMtuBytes);
 
@@ -97,6 +110,7 @@ class Network {
   NodeId add_node(std::string name, bool is_switch);
 
   /// Adds a full-duplex edge (two directed links with `spec` each).
+  /// Throws the first of the spec's violations, if any.
   void add_link(NodeId a, NodeId b, LinkSpec spec);
 
   /// Computes routes (BFS shortest path; the topologies here are trees).

@@ -5,10 +5,18 @@
 
 namespace mb::net {
 
+std::vector<support::Violation> TreeParams::violations() const {
+  std::vector<support::Violation> out;
+  if (nodes < 1) out.push_back({"nodes", "need at least one node"});
+  if (switch_ports < 2)
+    out.push_back({"switch_ports", "switches need at least two ports"});
+  host_link.append_violations(out, "host_link.");
+  uplink.append_violations(out, "uplink.");
+  return out;
+}
+
 ClusterTopology build_tree(Network& net, const TreeParams& params) {
-  support::check(params.nodes >= 1, "build_tree", "need at least one node");
-  support::check(params.switch_ports >= 2, "build_tree",
-                 "switches need at least two ports");
+  support::check_none(params.violations(), "build_tree");
 
   ClusterTopology topo;
   const std::uint32_t leaves =

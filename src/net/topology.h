@@ -27,11 +27,19 @@ struct TreeParams {
   std::uint32_t switch_ports = 48;      ///< host ports per leaf switch
   LinkSpec host_link{};                 ///< node NIC <-> leaf switch
   LinkSpec uplink{};                    ///< leaf switch <-> root switch
+
+  /// Every field the tree model refuses: nodes >= 1, switch_ports >= 2,
+  /// and each link spec's own checks (LinkSpec::append_violations) under
+  /// "host_link." and "uplink.", whether the tree uses an uplink or not.
+  /// build_tree throws the first; verify::lint_tree and
+  /// verify::analyze_cost report the same list.
+  std::vector<support::Violation> violations() const;
 };
 
 /// Builds a two-level tree: hosts -> leaf switches -> root switch. With
-/// nodes <= switch_ports a single switch is built (no root hop).
-/// finalize_routes() is called before returning.
+/// nodes <= switch_ports a single switch is built (no root hop). Throws
+/// the first of params.violations(), if any. finalize_routes() is called
+/// before returning.
 ClusterTopology build_tree(Network& net, const TreeParams& params);
 
 /// The Tibidabo interconnect as studied in the paper: 1 GbE everywhere,

@@ -268,12 +268,11 @@ std::vector<MetricSample> parse_metrics_json(const JsonValue& array) {
       for (const JsonValue& b : v.at("le").as_array())
         m.bounds.push_back(b.as_number());
       for (const JsonValue& c : v.at("counts").as_array())
-        m.counts.push_back(
-            static_cast<std::uint64_t>(c.as_number()));
+        m.counts.push_back(support::as_u64(c, "counts"));
       check(m.bounds.size() == m.counts.size(), "parse_metrics_json",
             "histogram 'le' and 'counts' lengths differ");
-      m.overflow = static_cast<std::uint64_t>(v.at("overflow").as_number());
-      m.count = static_cast<std::uint64_t>(v.at("count").as_number());
+      m.overflow = support::u64_at(v, "overflow");
+      m.count = support::u64_at(v, "count");
       m.value = v.at("sum").as_number();
     } else {
       m.value = v.at("value").as_number();

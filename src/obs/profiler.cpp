@@ -195,7 +195,7 @@ SpanNode parse_spans_json(const JsonValue& array) {
   for (const JsonValue& v : array.as_array()) {
     SpanNode node = parse_spans_json(v.at("children"));
     node.name = v.at("name").as_string();
-    node.calls = static_cast<std::uint64_t>(v.at("calls").as_number());
+    node.calls = support::u64_at(v, "calls");
     node.total_s = v.at("total_s").as_number();
     if (const JsonValue* counters = v.find("counters")) {
       for (const auto& [key, delta] : counters->members())

@@ -47,7 +47,7 @@ TimeSeries timeseries_from_json(std::string_view text) {
   TimeSeries ts;
   ts.tool = doc.at("tool").as_string();
   ts.tool_version = doc.at("tool_version").as_string();
-  ts.seed = static_cast<std::uint64_t>(doc.at("seed").as_number());
+  ts.seed = support::u64_at(doc, "seed");
   ts.interval_s = doc.at("interval_s").as_number();
   for (const auto& t : doc.at("times_s").as_array())
     ts.times_s.push_back(t.as_number());

@@ -15,4 +15,10 @@ void fail(std::string_view where, std::string_view message) {
   throw Error(what);
 }
 
+void check_none(const std::vector<Violation>& violations,
+                std::string_view where) {
+  if (!violations.empty())
+    fail(where, violations.front().field + ": " + violations.front().message);
+}
+
 }  // namespace mb::support

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace mb::support {
 
@@ -26,5 +27,19 @@ void check(bool cond, std::string_view where, std::string_view message);
 
 /// Unconditionally reports a broken invariant.
 [[noreturn]] void fail(std::string_view where, std::string_view message);
+
+/// A field that a declarative model (arch::Platform, net::TreeParams,
+/// net::LinkSpec) refuses: its path in the model ("core.tlb_entries",
+/// "uplink.latency_s") and what is wrong with it. A model lists its
+/// violations; validation throws the first and lint reports every one.
+struct Violation {
+  std::string field;
+  std::string message;
+};
+
+/// Throws Error "where: field: message" for the first of `violations`;
+/// returns when there is none.
+void check_none(const std::vector<Violation>& violations,
+                std::string_view where);
 
 }  // namespace mb::support

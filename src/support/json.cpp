@@ -5,7 +5,9 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <ostream>
+#include <system_error>
 
 #include "support/check.h"
 
@@ -506,6 +508,77 @@ class Parser {
 JsonValue parse_json(std::string_view text) {
   Parser p(text);
   return p.parse_document();
+}
+
+namespace {
+
+[[noreturn]] void refuse(std::string_view key, const std::string& why) {
+  fail("JsonValue", "'" + std::string(key) + "' " + why);
+}
+
+/// The integer `v` holds, in [lo, hi] with hi + 1 = 2^digits: exact in a
+/// double, where a 64-bit hi is not.
+double integer(const JsonValue& v, std::string_view key, std::int64_t lo,
+               std::uint64_t hi, int digits) {
+  if (!v.is_number()) refuse(key, "must be a number");
+  const double d = v.as_number();
+  if (!(d >= static_cast<double>(lo) && d < std::ldexp(1.0, digits) &&
+        d == std::trunc(d)))
+    refuse(key, "must be an integer in [" + std::to_string(lo) + ", " +
+                    std::to_string(hi) + "], not " + json_number(d));
+  return d;
+}
+
+template <typename Int>
+Int integer(const JsonValue& v, std::string_view key) {
+  using Limits = std::numeric_limits<Int>;
+  return static_cast<Int>(
+      integer(v, key, Limits::min(), Limits::max(), Limits::digits));
+}
+
+std::uint64_t string_u64(const JsonValue& obj, std::string_view key,
+                         int base) {
+  const JsonValue& v = obj.at(key);
+  if (!v.is_string()) refuse(key, "must be a string");
+  const std::string& s = v.as_string();
+  std::uint64_t out = 0;
+  const auto [end, ec] =
+      std::from_chars(s.data(), s.data() + s.size(), out, base);
+  if (s.empty() || ec != std::errc() || end != s.data() + s.size())
+    refuse(key, std::string("must hold a ") +
+                    (base == 10 ? "decimal" : "hexadecimal") +
+                    " unsigned 64-bit integer, not '" + s + "'");
+  return out;
+}
+
+}  // namespace
+
+std::uint64_t as_u64(const JsonValue& v, std::string_view key) {
+  return integer<std::uint64_t>(v, key);
+}
+
+std::uint32_t as_u32(const JsonValue& v, std::string_view key) {
+  return integer<std::uint32_t>(v, key);
+}
+
+std::uint64_t u64_at(const JsonValue& obj, std::string_view key) {
+  return integer<std::uint64_t>(obj.at(key), key);
+}
+
+std::uint32_t u32_at(const JsonValue& obj, std::string_view key) {
+  return integer<std::uint32_t>(obj.at(key), key);
+}
+
+std::int32_t i32_at(const JsonValue& obj, std::string_view key) {
+  return integer<std::int32_t>(obj.at(key), key);
+}
+
+std::uint64_t dec_u64_at(const JsonValue& obj, std::string_view key) {
+  return string_u64(obj, key, 10);
+}
+
+std::uint64_t hex_u64_at(const JsonValue& obj, std::string_view key) {
+  return string_u64(obj, key, 16);
 }
 
 void write_json_value(JsonWriter& w, const JsonValue& v) {

@@ -155,6 +155,24 @@ class JsonValue {
 /// input.
 JsonValue parse_json(std::string_view text);
 
+/// Integer readers for documents that store counts, ids and seeds. The
+/// value must be a JSON number holding an integer the type can represent:
+/// 1e3 reads as 1000, while -1 (for an unsigned type), 2.5 and 1e30 are
+/// refused. Errors name `key`. The *_at forms read member `key` of the
+/// object `obj`; as_u64 and as_u32 read an element of the array `key`
+/// names. A number above 2^53 has already been rounded by the parser, so
+/// a document that needs every bit of a 64-bit value writes it as a
+/// string and reads it back with dec_u64_at or hex_u64_at.
+std::uint64_t as_u64(const JsonValue& v, std::string_view key);
+std::uint32_t as_u32(const JsonValue& v, std::string_view key);
+std::uint64_t u64_at(const JsonValue& obj, std::string_view key);
+std::uint32_t u32_at(const JsonValue& obj, std::string_view key);
+std::int32_t i32_at(const JsonValue& obj, std::string_view key);
+/// Member `key` as a string of decimal (dec) or hexadecimal (hex) digits
+/// naming an unsigned 64-bit value; no sign, prefix or blank is allowed.
+std::uint64_t dec_u64_at(const JsonValue& obj, std::string_view key);
+std::uint64_t hex_u64_at(const JsonValue& obj, std::string_view key);
+
 /// Re-emits a parsed value through a writer (as the next value in the
 /// writer's current context). Member order is preserved and numbers use
 /// the writer's round-trip formatting, so parse -> write -> parse is

@@ -1,7 +1,7 @@
 #include "verify/platform_lint.h"
 
-#include <cmath>
 #include <string>
+#include <vector>
 
 #include "verify/rules.h"
 
@@ -15,41 +15,33 @@ constexpr double kMinPlausibleHz = 100e6;
 constexpr double kMaxPlausibleHz = 6e9;
 constexpr double kMaxPlausibleWatts = 400.0;
 
-bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
-std::string fmt(double v) {
-  std::string s = std::to_string(v);
-  return s;
+/// The rule a Platform::violations() entry is reported under.
+std::string_view platform_rule(std::string_view field) {
+  if (field.starts_with("caches["))
+    return field.ends_with(".line_bytes") ? kRuleCacheLinePow2
+                                          : kRuleCacheGeometry;
+  if (field.starts_with("mem.")) return kRuleMemConfig;
+  if (field == "cores" || field == "core.freq_hz") return kRuleFreqBounds;
+  if (field == "power_w") return kRulePowerBounds;
+  return kRuleModelField;
 }
 
-void lint_link(Report& report, const net::LinkSpec& link,
-               const std::string& key) {
-  if (!(link.bandwidth_bytes_per_s > 0.0)) {
-    report.add(kRuleLinkBandwidth,
-               Location::config(key + ".bandwidth_bytes_per_s"),
-               "link bandwidth " + fmt(link.bandwidth_bytes_per_s) +
-                   " B/s is not positive",
-               "a GbE link is 125e6 B/s");
-  }
-  if (link.latency_s < 0.0 || std::isnan(link.latency_s)) {
-    report.add(kRuleLinkLatency, Location::config(key + ".latency_s"),
-               "link latency " + fmt(link.latency_s) + " s is negative",
-               "store-and-forward GbE switches add tens of microseconds");
-  }
-  if (!(link.buffer_bytes > 0.0)) {
-    report.add(kRuleSwitchBuffer, Location::config(key + ".buffer_bytes"),
-               "output-port buffer " + fmt(link.buffer_bytes) +
-                   " B is not positive",
-               "cheap GbE switches buffer ~100 KiB per port; use a large "
-               "value to disable drops");
-  }
-  if (!(link.retransmit_timeout_s > 0.0)) {
-    report.add(kRuleSwitchBuffer,
-               Location::config(key + ".retransmit_timeout_s"),
-               "retransmit timeout " + fmt(link.retransmit_timeout_s) +
-                   " s is not positive",
-               "Linux TCP's minimum RTO is 0.2 s");
-  }
+/// The rule a TreeParams::violations() entry is reported under.
+std::string_view tree_rule(std::string_view field) {
+  if (field == "nodes" || field == "switch_ports") return kRuleTreeShape;
+  if (field.ends_with(".bandwidth_bytes_per_s")) return kRuleLinkBandwidth;
+  if (field.ends_with(".latency_s")) return kRuleLinkLatency;
+  return kRuleSwitchBuffer;
+}
+
+/// One error per violation, keyed "<model>.<field>".
+void report_violations(Report& report,
+                       const std::vector<support::Violation>& violations,
+                       const std::string& model,
+                       std::string_view (*rule_of)(std::string_view)) {
+  for (const support::Violation& v : violations)
+    report.add(rule_of(v.field), Severity::kError,
+               Location::config(model + "." + v.field), v.message);
 }
 
 }  // namespace
@@ -57,101 +49,32 @@ void lint_link(Report& report, const net::LinkSpec& link,
 Report lint_platform(const arch::Platform& platform) {
   Report report;
   const std::string p = platform.name.empty() ? "platform" : platform.name;
+  report_violations(report, platform.violations(), p, platform_rule);
 
-  if (platform.cores == 0) {
-    report.add(kRuleFreqBounds, Severity::kError,
-               Location::config(p + ".cores"),
-               "platform has zero cores", "every modelled chip needs at "
-               "least one core");
-  }
   const double hz = platform.core.freq_hz;
-  if (!(hz > 0.0)) {
-    report.add(kRuleFreqBounds, Severity::kError,
-               Location::config(p + ".core.freq_hz"),
-               "core frequency " + fmt(hz) + " Hz is not positive",
-               "set the clock in Hz (1 GHz = 1e9)");
-  } else if (hz < kMinPlausibleHz || hz > kMaxPlausibleHz) {
+  if (hz > 0.0 && (hz < kMinPlausibleHz || hz > kMaxPlausibleHz)) {
     report.add(kRuleFreqBounds, Location::config(p + ".core.freq_hz"),
-               "core frequency " + fmt(hz) +
+               "core frequency " + std::to_string(hz) +
                    " Hz is outside the plausible range [100 MHz, 6 GHz]",
                "check for a MHz-vs-Hz units mistake");
   }
-
-  if (!(platform.power_w > 0.0)) {
-    report.add(kRulePowerBounds, Severity::kError,
-               Location::config(p + ".power_w"),
-               "platform power " + fmt(platform.power_w) +
-                   " W is not positive",
-               "the paper uses nameplate power (2.5 W Snowball, 95 W "
-               "Xeon TDP)");
-  } else if (platform.power_w > kMaxPlausibleWatts) {
+  if (platform.power_w > kMaxPlausibleWatts) {
     report.add(kRulePowerBounds, Location::config(p + ".power_w"),
-               "platform power " + fmt(platform.power_w) +
+               "platform power " + std::to_string(platform.power_w) +
                    " W exceeds the plausible single-node range (400 W)",
                "check for a mW-vs-W units mistake");
   }
-
-  for (std::size_t i = 0; i < platform.caches.size(); ++i) {
+  for (std::size_t i = 1; i < platform.caches.size(); ++i) {
     const arch::CacheConfig& cache = platform.caches[i];
-    const std::string key = p + ".caches[" + std::to_string(i) + "]";
-    if (!is_pow2(cache.line_bytes)) {
-      report.add(kRuleCacheLinePow2, Location::config(key + ".line_bytes"),
-                 cache.name + " line size " +
-                     std::to_string(cache.line_bytes) +
-                     " B is not a power of two",
-                 "real caches use power-of-two lines (32/64/128 B)");
-    }
-    if (cache.associativity == 0 || cache.size_bytes == 0) {
-      report.add(kRuleCacheGeometry, Location::config(key),
-                 cache.name + " has zero size or zero ways",
-                 "size, line and associativity must all be positive");
-    } else if (is_pow2(cache.line_bytes)) {
-      const std::uint64_t way_bytes =
-          static_cast<std::uint64_t>(cache.line_bytes) * cache.associativity;
-      if (cache.size_bytes % way_bytes != 0 || !is_pow2(cache.sets())) {
-        report.add(kRuleCacheGeometry, Location::config(key),
-                   cache.name + " geometry " +
-                       std::to_string(cache.size_bytes) + " B / (" +
-                       std::to_string(cache.line_bytes) + " B x " +
-                       std::to_string(cache.associativity) +
-                       " ways) does not give a power-of-two set count",
-                   "size must equal sets * line * ways with sets a power "
-                   "of two");
-      }
-    }
-    if (i > 0 && cache.size_bytes < platform.caches[i - 1].size_bytes) {
-      report.add(kRuleCacheInversion, Location::config(key + ".size_bytes"),
-                 cache.name + " (" + std::to_string(cache.size_bytes) +
-                     " B) is smaller than " + platform.caches[i - 1].name +
-                     " (" + std::to_string(platform.caches[i - 1].size_bytes) +
-                     " B) below it",
-                 "cache levels are expected to grow towards memory");
-    }
-  }
-
-  if (!(platform.mem.bandwidth_bytes_per_s > 0.0)) {
-    report.add(kRuleMemConfig,
-               Location::config(p + ".mem.bandwidth_bytes_per_s"),
-               "memory bandwidth " + fmt(platform.mem.bandwidth_bytes_per_s) +
-                   " B/s is not positive",
-               "set the sustainable chip bandwidth in B/s");
-  }
-  if (platform.mem.latency_ns < 0.0 || std::isnan(platform.mem.latency_ns)) {
-    report.add(kRuleMemConfig, Location::config(p + ".mem.latency_ns"),
-               "memory latency " + fmt(platform.mem.latency_ns) +
-                   " ns is negative",
-               "loaded DRAM latency is typically 50-200 ns");
-  }
-  if (platform.mem.total_bytes == 0) {
-    report.add(kRuleMemConfig, Location::config(p + ".mem.total_bytes"),
-               "installed memory capacity is zero",
-               "set the installed DRAM capacity in bytes");
-  }
-  if (!is_pow2(platform.mem.page_bytes)) {
-    report.add(kRuleMemConfig, Location::config(p + ".mem.page_bytes"),
-               "page size " + std::to_string(platform.mem.page_bytes) +
-                   " B is not a power of two",
-               "OS pages are powers of two (4096 B typical)");
+    const arch::CacheConfig& below = platform.caches[i - 1];
+    if (cache.size_bytes >= below.size_bytes) continue;
+    report.add(kRuleCacheInversion,
+               Location::config(p + ".caches[" + std::to_string(i) +
+                                "].size_bytes"),
+               cache.name + " (" + std::to_string(cache.size_bytes) +
+                   " B) is smaller than " + below.name + " (" +
+                   std::to_string(below.size_bytes) + " B) below it",
+               "cache levels are expected to grow towards memory");
   }
 
   publish_diagnostics(report, "lint");
@@ -160,19 +83,8 @@ Report lint_platform(const arch::Platform& platform) {
 
 Report lint_tree(const net::TreeParams& params, std::string_view name) {
   Report report;
-  const std::string p(name.empty() ? "tree" : name);
-  if (params.nodes == 0) {
-    report.add(kRuleTreeShape, Location::config(p + ".nodes"),
-               "tree topology has zero nodes",
-               "a cluster needs at least one host");
-  }
-  if (params.switch_ports == 0) {
-    report.add(kRuleTreeShape, Location::config(p + ".switch_ports"),
-               "switches have zero host ports",
-               "Tibidabo uses 48-port GbE switches");
-  }
-  lint_link(report, params.host_link, p + ".host_link");
-  lint_link(report, params.uplink, p + ".uplink");
+  report_violations(report, params.violations(),
+                    std::string(name.empty() ? "tree" : name), tree_rule);
   publish_diagnostics(report, "lint");
   return report;
 }

@@ -1,12 +1,16 @@
 // Pass 2: platform / model linter.
 //
-// Rule-registry-driven checks over the declarative machine and network
-// models: arch::Platform (cache geometry, memory system, frequency/power
-// plausibility) and net::TreeParams (link bandwidth/latency, switch
-// buffering, tree shape), plus the rank-count configuration rule that
-// mbctl's scenario commands share (CFG001). Unlike Platform::validate(),
-// which throws on the first violation, the linter collects every finding
-// into a Report so one run surfaces the full state of a model.
+// The machine and network models judge their own validity:
+// arch::Platform::violations() and net::TreeParams::violations() list
+// every field the model refuses, and validate(), parse_platform and
+// build_tree throw the first. The linter reports that same list, one
+// error per violation under a rule id picked by the field, so a model
+// lints clean exactly when the simulator accepts it. Its only checks of
+// its own are plausibility warnings on values the model accepts (a
+// 1 MHz core, a 2500 W node, a cache level smaller than the one below
+// it), plus the rank-count rule that mbctl's scenario commands share
+// (CFG001). Unlike validate(), the linter collects every finding into a
+// Report so one run surfaces the full state of a model.
 //
 // Locations are config keys ("snowball.caches[0].line_bytes") rather than
 // (rank, op) pairs. Each lint_* call publishes its severity tallies to
@@ -23,7 +27,7 @@
 
 namespace mb::verify {
 
-/// Lints a machine model; findings carry PLT001..PLT006.
+/// Lints a machine model; findings carry PLT001..PLT007.
 Report lint_platform(const arch::Platform& platform);
 
 /// Lints a tree-interconnect parameter set; findings carry NET001..NET004.

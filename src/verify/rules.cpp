@@ -25,25 +25,34 @@ const std::vector<RuleInfo>& all_rules() {
       {kRuleTagOutOfRange, "mpi", Severity::kError,
        "user tag collides with the reserved collective tag space"},
       {kRuleCacheLinePow2, "lint", Severity::kError,
-       "cache line size is zero or not a power of two"},
+       "cache line size is zero, not a power of two or under 4 bytes"},
       {kRuleCacheInversion, "lint", Severity::kWarn,
        "cache level is larger than the level above it (capacity inversion)"},
       {kRuleCacheGeometry, "lint", Severity::kError,
-       "cache size/ways do not divide into a power-of-two set count"},
+       "cache size or ways are zero or do not divide into a power-of-two "
+       "set count"},
       {kRuleFreqBounds, "lint", Severity::kWarn,
-       "core frequency outside the plausible range for modelled machines"},
+       "core frequency outside the plausible range for modelled machines "
+       "(an error when the core count or frequency is not positive)"},
       {kRulePowerBounds, "lint", Severity::kWarn,
-       "platform power outside the plausible range (nameplate accounting)"},
+       "platform power outside the plausible range (nameplate accounting; "
+       "an error when not positive)"},
       {kRuleMemConfig, "lint", Severity::kError,
-       "memory system has non-positive bandwidth/latency or bad page size"},
+       "memory system has non-positive bandwidth/latency/capacity or bad "
+       "page size"},
+      {kRuleModelField, "lint", Severity::kError,
+       "another field the machine model refuses: name, issue width, miss "
+       "overlap, MSHRs, branch and FP-dependency parameters, reciprocal "
+       "throughputs, TLB geometry or an empty cache list"},
       {kRuleLinkBandwidth, "lint", Severity::kError,
        "network link bandwidth is zero or negative"},
       {kRuleLinkLatency, "lint", Severity::kError,
-       "network link latency is negative"},
+       "network link latency is negative or not finite"},
       {kRuleSwitchBuffer, "lint", Severity::kError,
-       "switch buffer or retransmit timeout is not positive"},
+       "switch buffer or retransmit timeout is not positive, or the retry "
+       "budget passes 2^31"},
       {kRuleTreeShape, "lint", Severity::kError,
-       "tree topology has zero nodes or zero switch ports"},
+       "tree topology has zero nodes or fewer than two ports per switch"},
       {kRuleRankCount, "lint", Severity::kError,
        "rank count is zero or not a multiple of cores per node"},
       {kRuleFaultUnknownNode, "lint", Severity::kError,

@@ -46,6 +46,7 @@ inline constexpr std::string_view kRuleCacheGeometry = "PLT003";
 inline constexpr std::string_view kRuleFreqBounds = "PLT004";
 inline constexpr std::string_view kRulePowerBounds = "PLT005";
 inline constexpr std::string_view kRuleMemConfig = "PLT006";
+inline constexpr std::string_view kRuleModelField = "PLT007";
 inline constexpr std::string_view kRuleLinkBandwidth = "NET001";
 inline constexpr std::string_view kRuleLinkLatency = "NET002";
 inline constexpr std::string_view kRuleSwitchBuffer = "NET003";

@@ -78,14 +78,16 @@ class Interpreter {
       : program_(program), d_(d), ranks_(program.ranks()) {
     support::check(d_.cores_per_node >= 1, "analyze_cost",
                    "cores_per_node must be >= 1");
+    // The trees and MTUs the simulator refuses (build_tree, Network).
+    support::check_none(d_.tree.violations(), "analyze_cost");
+    support::check(d_.mtu_bytes >= net::Network::kMinMtuBytes,
+                   "analyze_cost", "mtu_bytes must be at least 64");
     support::check(ranks_ == d_.tree.nodes * d_.cores_per_node,
                    "analyze_cost",
                    "program ranks (" + std::to_string(ranks_) +
                        ") must equal tree nodes * cores_per_node (" +
                        std::to_string(d_.tree.nodes) + " * " +
                        std::to_string(d_.cores_per_node) + ")");
-    support::check(d_.mtu_bytes >= 1, "analyze_cost",
-                   "mtu_bytes must be >= 1");
     nodes_ = d_.tree.nodes;
     leaves_ = (nodes_ + d_.tree.switch_ports - 1) / d_.tree.switch_ports;
     const std::uint32_t uplinks = leaves_ > 1 ? leaves_ : 0;

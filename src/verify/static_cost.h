@@ -52,6 +52,9 @@
 // The interpreter requires a program that passes verify_program (the
 // bounds of a deadlocked schedule are meaningless); analyze_cost throws
 // when the abstract execution stalls or the collective sequences differ.
+// It refuses exactly the clusters the simulator refuses: the first of the
+// tree's TreeParams::violations() (build_tree's list) and an MTU below
+// net::Network::kMinMtuBytes.
 // It also throws, naming the rank and op, where the DES would refuse a
 // network message (2^32 or more frames) and where a byte or frame total
 // would pass 2^64 - 1, so every count it reports is exact. Bounds assume
@@ -157,9 +160,10 @@ struct CostReport {
   double mean_rank_bytes = 0.0;
 };
 
-/// Runs the abstract cost interpretation. Requires ranks ==
-/// tree.nodes * cores_per_node and a program that terminates under
-/// abstract execution (verify_program clean of errors); throws otherwise.
+/// Runs the abstract cost interpretation. Requires a tree and MTU the
+/// simulator accepts, ranks == tree.nodes * cores_per_node and a program
+/// that terminates under abstract execution (verify_program clean of
+/// errors); throws otherwise.
 CostReport analyze_cost(const mpi::Program& program,
                         const CostDescriptor& descriptor);
 

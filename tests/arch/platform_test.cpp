@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <string_view>
 
 #include "arch/platforms.h"
@@ -91,6 +92,38 @@ TEST(Platform, RejectsTlbGeometryTheModelCannotBuild) {
   p.core.tlb_entries = 64;
   p.core.tlb_associativity = 4;  // 16 sets
   EXPECT_NO_THROW(p.validate());
+}
+
+TEST(Platform, RejectsZeroInstalledMemory) {
+  auto p = minimal_platform();
+  p.mem.total_bytes = 0;
+  try {
+    p.validate();
+    ADD_FAILURE() << "zero bytes of memory were accepted";
+  } catch (const support::Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "Platform::validate: mem.total_bytes: installed memory must be "
+              "positive");
+  }
+}
+
+TEST(Platform, ViolationsListEveryFieldInCheckOrder) {
+  EXPECT_TRUE(minimal_platform().violations().empty());
+  auto p = minimal_platform();
+  p.mem.total_bytes = 0;
+  p.core.issue_width = 0;
+  p.caches[0].line_bytes = 0;  // the level's later checks would divide by 0
+  p.core.tlb_entries = 48;     // not a multiple of 32 ways: one TLB entry
+  p.core.recip_throughput[0] = -1.0;
+  p.core.recip_throughput[1] = -1.0;
+  const auto v = p.violations();
+  ASSERT_EQ(v.size(), 6u);
+  EXPECT_EQ(v[0].field, "core.issue_width");
+  EXPECT_EQ(v[1].field, "core.recip.int_alu");
+  EXPECT_EQ(v[2].field, "core.recip.int_mul");
+  EXPECT_EQ(v[3].field, "caches[0].line_bytes");
+  EXPECT_EQ(v[4].field, "core.tlb_entries");
+  EXPECT_EQ(v[5].field, "mem.total_bytes");  // last, after power_w
 }
 
 TEST(Platform, SecondsFromCycles) {

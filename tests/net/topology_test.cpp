@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "support/check.h"
+
 namespace mb::net {
 namespace {
 
@@ -56,6 +60,37 @@ TEST(Topology, SingleNodeDegenerate) {
   Network net(engine);
   const auto topo = build_tree(net, tibidabo_tree(1));
   EXPECT_EQ(topo.hosts.size(), 1u);
+}
+
+TEST(Topology, ViolationsCoverBothLinksInOrder) {
+  EXPECT_TRUE(tibidabo_tree(8).violations().empty());
+  TreeParams t = tibidabo_tree(8);
+  t.switch_ports = 1;
+  t.host_link.retransmit_timeout_s = 0.0;
+  t.uplink.latency_s = -1e-6;  // checked although eight nodes need no uplink
+  t.uplink.max_retransmits = (1u << 31) + 1;
+  const auto v = t.violations();
+  ASSERT_EQ(v.size(), 4u);
+  EXPECT_EQ(v[0].field, "switch_ports");
+  EXPECT_EQ(v[1].field, "host_link.retransmit_timeout_s");
+  EXPECT_EQ(v[2].field, "uplink.latency_s");
+  EXPECT_EQ(v[3].field, "uplink.max_retransmits");
+}
+
+TEST(Topology, BuildTreeThrowsTheFirstViolation) {
+  TreeParams t = tibidabo_tree(8);
+  t.host_link.buffer_bytes = 0.0;
+  t.uplink.bandwidth_bytes_per_s = 0.0;
+  sim::ShardedEngine engine(1);
+  Network net(engine);
+  try {
+    build_tree(net, t);
+    ADD_FAILURE() << "a zero-byte switch buffer was accepted";
+  } catch (const support::Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "build_tree: host_link.buffer_bytes: output-port buffer must "
+              "be positive");
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "support/check.h"
 #include "support/rng.h"
@@ -367,6 +369,70 @@ TEST(JsonParse, MalformedInputThrows) {
   EXPECT_THROW(parse_json("tru"), Error);
   EXPECT_THROW(parse_json("1 2"), Error);  // trailing content
   EXPECT_THROW(parse_json("--1"), Error);
+}
+
+/// What reading {"n": <value>} with `read` throws, or "" if it returns.
+std::string refusal(const std::string& value,
+                    const std::function<void(const JsonValue&)>& read) {
+  const JsonValue doc = parse_json("{\"n\": " + value + "}");
+  try {
+    read(doc);
+    return "";
+  } catch (const Error& e) {
+    return e.what();
+  }
+}
+
+TEST(JsonIntegers, ReadIntegralNumbersOfEachWidth) {
+  const JsonValue doc = parse_json(
+      R"({"k": 1e3, "u32": 4294967295, "i32": -2147483648,
+          "u64": 9007199254740993, "ranks": [0, 7]})");
+  EXPECT_EQ(u64_at(doc, "k"), 1000u);
+  EXPECT_EQ(u32_at(doc, "k"), 1000u);
+  EXPECT_EQ(i32_at(doc, "k"), 1000);
+  EXPECT_EQ(u32_at(doc, "u32"), 4294967295u);
+  EXPECT_EQ(i32_at(doc, "i32"), std::numeric_limits<std::int32_t>::min());
+  // Above 2^53 the parser has already rounded to a double.
+  EXPECT_EQ(u64_at(doc, "u64"), 9007199254740992u);
+  EXPECT_EQ(as_u32(doc.at("ranks").as_array()[1], "ranks"), 7u);
+  EXPECT_EQ(as_u64(doc.at("ranks").as_array()[0], "ranks"), 0u);
+}
+
+TEST(JsonIntegers, RefuseWhatTheTypeCannotHoldNamingTheKey) {
+  const auto u64 = [](const JsonValue& d) { u64_at(d, "n"); };
+  const auto u32 = [](const JsonValue& d) { u32_at(d, "n"); };
+  const auto i32 = [](const JsonValue& d) { i32_at(d, "n"); };
+  EXPECT_EQ(refusal("-1", u64),
+            "JsonValue: 'n' must be an integer in [0, 18446744073709551615], "
+            "not -1");
+  EXPECT_EQ(refusal("2.5", u32),
+            "JsonValue: 'n' must be an integer in [0, 4294967295], not 2.5");
+  EXPECT_EQ(refusal("-2147483649", i32),
+            "JsonValue: 'n' must be an integer in [-2147483648, 2147483647], "
+            "not -2147483649");
+  EXPECT_EQ(refusal("\"7\"", u32), "JsonValue: 'n' must be a number");
+  for (const std::string& message :
+       {refusal("2.5", u64), refusal("1e30", u64),
+        refusal("18446744073709551616", u64),  // 2^64
+        refusal("-1", u32), refusal("4294967296", u32),  // 2^32
+        refusal("1e30", u32), refusal("2147483648", i32),
+        refusal("0.5", i32)})
+    EXPECT_NE(message.find("'n' must be an integer"), std::string::npos)
+        << message;
+  // The largest double below 2^64 still fits.
+  EXPECT_EQ(refusal("18446744073709549568", u64), "");
+}
+
+TEST(JsonIntegers, StringEncodedU64KeepsEveryBit) {
+  const JsonValue doc = parse_json(
+      R"({"dec": "18446744073709551615", "hex": "00000000deadbeef",
+          "neg": "-1", "blank": " 1", "plus": "+1", "over":
+          "18446744073709551616", "empty": "", "number": 1})");
+  EXPECT_EQ(dec_u64_at(doc, "dec"), 18446744073709551615u);
+  EXPECT_EQ(hex_u64_at(doc, "hex"), 0xdeadbeefu);
+  for (const char* key : {"neg", "blank", "plus", "over", "empty", "number"})
+    EXPECT_THROW(dec_u64_at(doc, key), Error) << key;
+  EXPECT_THROW(hex_u64_at(doc, "dec"), Error);  // 20 hex digits overflow
 }
 
 TEST(JsonRoundTrip, WriterOutputParsesBack) {

@@ -93,6 +93,32 @@ TEST(PlatformLint, Plt006MemoryConfig) {
   EXPECT_TRUE(lint_platform(r).has_rule(kRuleMemConfig));
 }
 
+TEST(PlatformLint, Plt007OtherModelFields) {
+  auto p = broken_base();
+  p.core.tlb_entries = 0;
+  const Report report = lint_platform(p);
+  EXPECT_TRUE(report.has_rule(kRuleModelField));
+  EXPECT_TRUE(report.has_errors());
+  auto q = broken_base();
+  q.caches.clear();
+  EXPECT_TRUE(lint_platform(q).has_rule(kRuleModelField));
+  auto r = broken_base();
+  r.core.miss_overlap = 1.5;
+  EXPECT_TRUE(lint_platform(r).has_rule(kRuleModelField));
+}
+
+TEST(PlatformLint, OneErrorPerModelViolation) {
+  auto p = broken_base();
+  p.core.issue_width = 0;
+  p.caches[0].line_bytes = 48;
+  p.mem.latency_ns = 0.0;
+  p.power_w = 2500.0;  // a plausibility warning, not a violation
+  const Report report = lint_platform(p);
+  EXPECT_EQ(p.violations().size(), 3u);
+  EXPECT_EQ(report.count(Severity::kError), 3u);
+  EXPECT_EQ(report.count(Severity::kWarn), 1u);
+}
+
 TEST(PlatformLint, ConfigKeysNameThePlatformAndKnob) {
   auto p = broken_base();
   p.caches[0].line_bytes = 48;
@@ -143,6 +169,15 @@ TEST(NetLint, Net004TreeShape) {
   net::TreeParams u = net::tibidabo_tree(8);
   u.switch_ports = 0;
   EXPECT_TRUE(lint_tree(u, "t").has_rule(kRuleTreeShape));
+}
+
+TEST(NetLint, Net003RetryBudget) {
+  auto t = net::tibidabo_tree(8);
+  t.uplink.max_retransmits = (1u << 31) + 1;
+  const Report report = lint_tree(t, "t");
+  EXPECT_TRUE(report.has_rule(kRuleSwitchBuffer));
+  EXPECT_EQ(report.findings().front().location.config_key,
+            "t.uplink.max_retransmits");
 }
 
 TEST(CfgLint, Cfg001RankCount) {

@@ -22,6 +22,10 @@ Checks
      writer and reader goes through) has a '## `mb-...`' section in
      docs/schemas.md and a row in its registry table with the same
      version — a new or bumped document format cannot ship undocumented.
+  6. README's rule-id list ("Rule ids are stable (...)") names, for each
+     id prefix of the rule registry (src/verify/rules.h), its first and
+     last id as the registry declares them — a new rule id cannot ship
+     undocumented, and the list cannot advertise one that is gone.
 """
 
 import os
@@ -184,6 +188,38 @@ def check_schemas(errors):
                           f"{rows.get(name, 'none')})")
 
 
+RULES_H = "src/verify/rules.h"
+RULE_ID_RE = re.compile(
+    r'^inline constexpr std::string_view kRule\w+ = "([A-Z]+)(\d+)";$',
+    re.MULTILINE)
+README_RULES_RE = re.compile(r"Rule ids are stable\s*\(([^;]*);")
+RANGE_RE = re.compile(r"`([A-Z]+\d+)`(?:–`([A-Z]+\d+)`)?")
+
+
+def check_rule_ids(errors):
+    declared = {}
+    for prefix, number in RULE_ID_RE.findall(read(RULES_H)):
+        declared.setdefault(prefix, []).append(number)
+    if not declared:
+        errors.append(f"could not parse any rule id from {RULES_H}; update "
+                      "or drop this check")
+        return
+    expected = []
+    for prefix, numbers in declared.items():
+        first, last = prefix + min(numbers), prefix + max(numbers)
+        expected.append((first, "" if first == last else last))
+    listed = README_RULES_RE.search(read("README.md"))
+    found = RANGE_RE.findall(listed.group(1)) if listed else []
+
+    def show(ranges):
+        return ", ".join(a + (f"–{b}" if b else "") for a, b in ranges)
+
+    if found != expected:
+        errors.append("README.md: the rule-id list (\"Rule ids are stable "
+                      f"(...)\") reads {show(found) or 'nothing'}; "
+                      f"{RULES_H} declares {show(expected)}")
+
+
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 
@@ -215,6 +251,7 @@ def main():
     check_flags(errors, commands, groups)
     check_links(errors)
     check_schemas(errors)
+    check_rule_ids(errors)
     if errors:
         fail(errors)
     print("check_docs: OK")

@@ -1670,7 +1670,10 @@ mb::verify::CostDescriptor descriptor_for(const mb::mpi::Program& program,
   d.tree = read_tree(opts) == "tibidabo" ? mb::net::tibidabo_tree(nodes)
                                          : mb::net::upgraded_tree(nodes);
   d.mtu_bytes = opts.get_u32("mtu", d.mtu_bytes);
-  if (d.mtu_bytes == 0) usage("--mtu must be positive");
+  if (d.mtu_bytes < mb::net::Network::kMinMtuBytes)
+    usage("--mtu must be at least " +
+          std::to_string(mb::net::Network::kMinMtuBytes) + ", got " +
+          std::to_string(d.mtu_bytes));
   return d;
 }
 
